@@ -10,7 +10,6 @@ round out the toolkit.
 """
 
 from .engine import (
-    AccessTracker,
     AnalysisConfig,
     AnalysisResult,
     PageRecord,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessKind",
-    "AccessTracker",
     "AnalysisConfig",
     "AnalysisResult",
     "CSV_HEADER",

@@ -45,10 +45,14 @@ def _nonneg_int(text: str) -> int:
 
 @contextmanager
 def _open_input(path: str):
+    # undecodable bytes reach the parser as lone surrogates, which it
+    # rejects as malformed lines, so --lenient can skip them
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         yield sys.stdin
     else:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "r", encoding="utf-8", errors="surrogateescape")
         try:
             yield f
         finally:

@@ -13,6 +13,14 @@ instruction count. Pages are never dropped from the tables: memory
 given back to the OS keeps counting until those page frames are touched
 again, a deliberate overapproximation that keeps the tables append-only
 and the analysis single-pass.
+
+Sampling never scans the tables. Each page stores its expiry index,
+the number of the last sample whose window still holds its latest
+access, and each table counts its pages per expiry index (see
+PageTable). A sample reads a running count and retires one expiry
+bucket, so it costs O(1) however many pages the stream has touched; a
+touch moves its page between buckets only when the page's expiry index
+changes.
 """
 
 from __future__ import annotations
@@ -64,88 +72,100 @@ class PageRecord:
     address and innermost stack frame (or None) of the first access."""
 
     page: int
-    last_access: int
     access_count: int
     first_info: tuple[int, str | None]
 
 
 class PageTable:
-    """Append-only table of pages touched by one access stream."""
+    """Append-only table of pages touched by one access stream, with the
+    working set of window ``tau`` sampled every ``every`` instructions.
+
+    Samples are numbered 1, 2, ... and sample k is taken at t = k * every.
+    A page last touched at ts is counted by sample k iff
+    k * every - tau < ts <= k * every, so the last sample that counts it
+    is its expiry index (ts + tau - 1) // every. The table keeps, per
+    expiry index, the number of pages due to leave the working set
+    there, plus the live count of pages some upcoming sample still
+    counts. ``sample`` reports the live count and retires one bucket, so
+    each sample costs O(1) whatever the number of pages. ``first_sample``
+    is the index of the first sample this table takes.
+    """
 
     def __init__(
-        self, page_size: int, stacks: Mapping[int, tuple[str, ...]] | None = None
+        self,
+        page_size: int,
+        stacks: Mapping[int, tuple[str, ...]] | None = None,
+        tau: int = 1,
+        every: int = 1,
+        first_sample: int = 1,
     ):
         self.page_size = page_size
         self.page_shift = page_size.bit_length() - 1
-        self._last: dict[int, int] = {}
+        self.tau = tau
+        self.every = every
+        self._next = first_sample
+        self._live = 0
+        self._buckets: dict[int, int] = {}
+        self._expiry: dict[int, int] = {}
         self._count: dict[int, int] = {}
         self._first: dict[int, tuple[int, int | None]] = {}
         self._stacks = stacks if stacks is not None else {}
 
     def touch(self, address: int, size: int, now: int, stack_ref: int | None = None) -> None:
-        """Record an access covering [address, address + size)."""
+        """Record an access covering [address, address + size) at time
+        ``now``. Times must not decrease, and must lie after the instant
+        of the last sample taken."""
         shift = self.page_shift
         page = address >> shift
         last_page = (address + size - 1) >> shift
-        last = self._last
+        expires = (now + self.tau - 1) // self.every
+        # a touch that expires before the next sample is never counted
+        counted = expires >= self._next
+        expiry = self._expiry
         count = self._count
+        buckets = self._buckets
         while True:
-            if page in last:
-                last[page] = now
+            if page in expiry:
                 count[page] += 1
+                old = expiry[page]
+                if old != expires:
+                    expiry[page] = expires
+                    if counted:
+                        if old >= self._next:
+                            buckets[old] -= 1
+                        else:
+                            self._live += 1
+                        buckets[expires] = buckets.get(expires, 0) + 1
             else:
-                last[page] = now
+                expiry[page] = expires
                 count[page] = 1
                 self._first[page] = (address, stack_ref)
+                if counted:
+                    self._live += 1
+                    buckets[expires] = buckets.get(expires, 0) + 1
             if page >= last_page:
                 break
             page += 1
 
-    def recent_count(self, t: int, tau: int) -> int:
-        """Pages whose last access lies in (t - tau, t]. Timestamps never
-        exceed the clock, so only the lower bound needs checking."""
-        lo = t - tau
-        return sum(1 for ts in self._last.values() if ts > lo)
-
-    def total_accesses(self) -> int:
-        return sum(self._count.values())
+    def sample(self) -> int:
+        """Take the next sample: the number of pages whose last access
+        lies in (t - tau, t] for t = every * (index of this sample)."""
+        live = self._live
+        self._live = live - self._buckets.pop(self._next, 0)
+        self._next += 1
+        return live
 
     def __len__(self) -> int:
-        return len(self._last)
+        return len(self._count)
 
     def records(self) -> list[PageRecord]:
         out = []
-        for page in sorted(self._last):
+        for page in sorted(self._count):
             addr, ref = self._first[page]
             frames = self._stacks.get(ref) if ref is not None else None
             label = frames[0] if frames else None
-            out.append(PageRecord(page, self._last[page], self._count[page], (addr, label)))
+            out.append(PageRecord(page, self._count[page], (addr, label)))
         return out
-
-
-class AccessTracker:
-    """One page table per stream plus the sampling query over them."""
-
-    def __init__(
-        self, page_size: int, stacks: Mapping[int, tuple[str, ...]] | None = None
-    ):
-        self.insn = PageTable(page_size, stacks)
-        self.data = PageTable(page_size, stacks)
-
-    def record_access(
-        self,
-        stream: Stream,
-        address: int,
-        size: int,
-        thread: int = 0,
-        now: int = 0,
-        stack_ref: int | None = None,
-    ) -> None:
-        table = self.insn if stream is Stream.INSN else self.data
-        table.touch(address, size, now, stack_ref)
-
-    def sample_wss(self, t: int, tau: int) -> tuple[int, int]:
-        return self.insn.recent_count(t, tau), self.data.recent_count(t, tau)
 
 
 @dataclass(slots=True)
@@ -264,13 +284,17 @@ class AnalysisResult:
 
 
 class _ScopeState:
-    """Accumulator for one sampling scope (the whole trace, or one thread)."""
+    """Accumulator for one sampling scope (the whole trace, or one thread).
+    A scope created at time ``now`` takes its first sample at the next
+    global sampling instant, so its tables start at that sample index."""
 
-    __slots__ = ("tracker", "samples", "annotations", "detector_insn",
+    __slots__ = ("insn", "data", "samples", "annotations", "detector_insn",
                  "detector_data", "last_stack", "stacks")
 
-    def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]]):
-        self.tracker = AccessTracker(cfg.page_size, stacks)
+    def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0):
+        first_sample = max(1, -(-now // cfg.every))
+        self.insn = PageTable(cfg.page_size, stacks, cfg.tau, cfg.every, first_sample)
+        self.data = PageTable(cfg.page_size, stacks, cfg.tau, cfg.every, first_sample)
         self.samples: list[WssSample] = []
         self.annotations: list[PeakAnnotation] = []
         if cfg.peak_detect:
@@ -291,8 +315,9 @@ class _ScopeState:
         )
         return index
 
-    def take_sample(self, t: int, tau: int) -> None:
-        wss_insn, wss_data = self.tracker.sample_wss(t, tau)
+    def take_sample(self, t: int) -> None:
+        wss_insn = self.insn.sample()
+        wss_data = self.data.sample()
         peak_insn = peak_data = False
         annotation = None
         if self.detector_insn is not None:
@@ -310,12 +335,12 @@ class _ScopeState:
 
     def finish(self, cfg: AnalysisConfig, label_map) -> tuple[StreamResult, StreamResult]:
         insn = StreamResult(
-            summarize(self.samples, self.tracker.insn, Stream.INSN),
-            hot_pages(self.tracker.insn, cfg.top_n, label_map),
+            summarize(self.samples, self.insn, Stream.INSN),
+            hot_pages(self.insn, cfg.top_n, label_map),
         )
         data = StreamResult(
-            summarize(self.samples, self.tracker.data, Stream.DATA),
-            hot_pages(self.tracker.data, cfg.top_n, label_map),
+            summarize(self.samples, self.data, Stream.DATA),
+            hot_pages(self.data, cfg.top_n, label_map),
         )
         return insn, data
 
@@ -333,12 +358,11 @@ def run_analysis(
     combined = _ScopeState(cfg, stacks)
     threads: dict[int, _ScopeState] = {}
     per_thread = cfg.per_thread
-    tau = cfg.tau
     every = cfg.every
     insn_fetch = AccessKind.INSN_FETCH
     # bound methods hoisted out of the loop; it runs once per trace event
-    touch_insn = combined.tracker.insn.touch
-    touch_data = combined.tracker.data.touch
+    touch_insn = combined.insn.touch
+    touch_data = combined.data.touch
     now = 0
     pending = False
 
@@ -355,18 +379,18 @@ def run_analysis(
             # flush before looking at the event so a thread first seen here
             # does not pick up a sample for a boundary it predates
             if pending:
-                combined.take_sample(now, tau)
+                combined.take_sample(now)
                 if per_thread:
                     for state in threads.values():
-                        state.take_sample(now, tau)
+                        state.take_sample(now)
                 pending = False
             now += 1
             touch_insn(rec.address, rec.size, now, rec.stack_ref)
             if per_thread:
                 scope = threads.get(rec.thread)
                 if scope is None:
-                    scope = threads[rec.thread] = _ScopeState(cfg, stacks)
-                scope.tracker.insn.touch(rec.address, rec.size, now, rec.stack_ref)
+                    scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
+                scope.insn.touch(rec.address, rec.size, now, rec.stack_ref)
                 scope.last_stack = rec.stack_ref
             if now % every == 0:
                 pending = True
@@ -375,16 +399,16 @@ def run_analysis(
             if per_thread:
                 scope = threads.get(rec.thread)
                 if scope is None:
-                    scope = threads[rec.thread] = _ScopeState(cfg, stacks)
-                scope.tracker.data.touch(rec.address, rec.size, now, rec.stack_ref)
+                    scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
+                scope.data.touch(rec.address, rec.size, now, rec.stack_ref)
                 scope.last_stack = rec.stack_ref
         combined.last_stack = rec.stack_ref
 
     if pending:
-        combined.take_sample(now, tau)
+        combined.take_sample(now)
         if per_thread:
             for state in threads.values():
-                state.take_sample(now, tau)
+                state.take_sample(now)
 
     insn, data = combined.finish(cfg, label_map)
     thread_results = None

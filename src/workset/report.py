@@ -128,9 +128,12 @@ def load_label_map(lines: Iterable[str]) -> dict[int, str]:
         s = raw.strip()
         if not s or s[0] == "#":
             continue
-        page_s, _, label = s.partition(" ")
-        label = label.strip()
+        page_s, *rest = s.split(None, 1)
+        label = rest[0] if rest else ""
         try:
+            # same hex rule as trace addresses: no signs, '_' or non-ASCII digits
+            if not (page_s.isascii() and page_s.isalnum()):
+                raise ValueError
             page = int(page_s, 16)
         except ValueError:
             raise ValueError(f"label map line {lineno}: bad page {page_s!r}") from None

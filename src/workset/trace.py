@@ -11,8 +11,10 @@ A trace is a line-oriented text stream. Each line is one of:
     # ...                            comment (ignored), as are blank lines
 
 Addresses are hex (optional ``0x`` prefix), sizes are decimal bytes,
-``t<tid>`` is optional and defaults to thread 0. Leading whitespace in
-front of the record tag is not significant. The event layout is a
+``t<tid>`` is optional and defaults to thread 0. Event records are
+ASCII, and every number is plain ASCII digits: no signs, no ``_``
+separators, no other scripts' digits. Frames may be any text. Leading
+whitespace in front of the record tag is not significant. The event layout is a
 superset of the memory trace text produced by common binary
 instrumentation front ends, so their output can be piped in directly.
 """
@@ -92,6 +94,16 @@ class TraceParseError(ValueError):
 _KIND_BY_TAG = {k.value: k for k in AccessKind}
 
 
+def _decimal(text: str) -> int | None:
+    """The value of a field of ASCII digits 0-9, else None."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def parse_line(
     line: str, lineno: int | None = None
 ) -> TraceEvent | CallStackDecl | StackActivation | None:
@@ -113,45 +125,63 @@ def parse_line(
         nparts = len(parts)
         if nparts < 2 or nparts > 3:
             raise TraceParseError(f"malformed event record {line.strip()!r}", lineno)
+        # with the line known to be ASCII, isalnum() and isdigit() admit
+        # exactly the grammar's characters: int() alone would also take
+        # signs, '_' separators and other scripts' digits
+        if not line.isascii():
+            raise TraceParseError(f"non-ASCII event record {line.strip()!r}", lineno)
         body = parts[1]
         comma = body.find(",")
         if comma < 0 or body.find(",", comma + 1) >= 0:
             raise TraceParseError(f"expected '<addr>,<size>', got {body!r}", lineno)
+        addr_s = body[:comma]
+        size_s = body[comma + 1 :]
+        if not (addr_s.isalnum() and size_s.isdigit()):
+            raise TraceParseError(f"malformed address/size field {body!r}", lineno)
         try:
-            address = int(body[:comma], 16)
-            size = int(body[comma + 1 :], 10)
+            address = int(addr_s, 16)
+            size = int(size_s)
         except ValueError:
             raise TraceParseError(
                 f"malformed address/size field {body!r}", lineno
             ) from None
-        if address < 0:
-            raise TraceParseError(f"negative address {body[:comma]!r}", lineno)
         if size < 1:
             raise TraceParseError(f"size must be >= 1, got {size}", lineno)
         thread = 0
         if nparts == 3:
             tfield = parts[2]
-            if len(tfield) < 2 or tfield[0] != "t" or not tfield[1:].isdigit():
+            thread = _decimal(tfield[1:]) if tfield[0] == "t" else None
+            if thread is None:
                 raise TraceParseError(f"malformed thread field {tfield!r}", lineno)
-            thread = int(tfield[1:])
         return TraceEvent(kind, address, size, thread)
     if tag == "C":
         head, sep, rest = line.strip().partition(":")
-        ident = head[1:].strip()
-        if not sep or not ident.isdigit():
+        ident = _decimal(head[1:].strip())
+        if not sep or ident is None:
             raise TraceParseError(
                 f"malformed call stack declaration {line.strip()!r}", lineno
             )
+        if not rest.isascii():
+            # frames may be any text, but not undecodable input bytes,
+            # which a reader opened with errors="surrogateescape" passes
+            # through as lone surrogates
+            try:
+                rest.encode("utf-8")
+            except UnicodeEncodeError:
+                raise TraceParseError(
+                    "call stack declaration is not valid UTF-8", lineno
+                ) from None
         frames = tuple(f.strip() for f in rest.split("|"))
         if not all(frames):
             raise TraceParseError("call stack declaration with empty frame", lineno)
-        return CallStackDecl(int(ident), frames)
+        return CallStackDecl(ident, frames)
     if tag == "U":
-        if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+        fields = [_decimal(p) for p in parts[1:]]
+        if len(fields) != 2 or None in fields:
             raise TraceParseError(
                 f"malformed stack activation {line.strip()!r}", lineno
             )
-        return StackActivation(int(parts[1]), int(parts[2]))
+        return StackActivation(fields[0], fields[1])
     raise TraceParseError(f"unknown record tag {tag!r}", lineno)
 
 
@@ -169,21 +199,25 @@ def read_trace(
     In strict mode (default) malformed lines raise TraceParseError; in
     lenient mode they are skipped with a logged warning.
 
-    Traces of looping programs repeat event lines heavily, so parsed
-    event fields are memoized per distinct line text (bounded; the memo
-    resets when full). Event parsing is context-free, which makes the
-    cache invisible apart from the speedup.
+    Traces of looping programs repeat event lines heavily, so each
+    distinct event line's parsed event is memoized (bounded; the memo
+    resets when full) and yielded again on a repeat, without building a
+    new object. A fresh event replaces the memo entry only when the
+    thread's current stack differs from the one the cached event
+    carries. Events are never mutated once yielded, so one yielded
+    earlier keeps its stack_ref when the thread switches stacks later.
+    Event parsing is context-free, which makes the memo invisible apart
+    from the speedup and the sharing of equal events.
     """
     declared: dict[int, CallStackDecl] = {}
     current: dict[int, int] = {}
-    memo: dict[str, tuple[AccessKind, int, int, int]] = {}
+    memo: dict[str, TraceEvent] = {}
     for lineno, raw in enumerate(lines, 1):
-        fields = memo.get(raw)
-        if fields is not None:
-            rec = TraceEvent(fields[0], fields[1], fields[2], fields[3])
+        rec = memo.get(raw)
+        if rec is not None:
             ref = current.get(rec.thread)
-            if ref is not None:
-                rec.stack_ref = ref
+            if ref != rec.stack_ref:
+                rec = memo[raw] = TraceEvent(rec.kind, rec.address, rec.size, rec.thread, ref)
             yield rec
             continue
         try:
@@ -194,10 +228,8 @@ def read_trace(
             if cls is TraceEvent:
                 if len(memo) >= 65536:
                     memo.clear()
-                memo[raw] = (rec.kind, rec.address, rec.size, rec.thread)
-                ref = current.get(rec.thread)
-                if ref is not None:
-                    rec.stack_ref = ref
+                rec.stack_ref = current.get(rec.thread)
+                memo[raw] = rec
                 yield rec
             elif cls is CallStackDecl:
                 if rec.id in declared:

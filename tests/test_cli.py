@@ -167,6 +167,37 @@ def test_analyze_malformed_trace_lenient(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3
 
 
+BAD_BYTE_TRACE = b"I  00400000,4\n L 1000\xff,4\nI  00400004,4\nI  00400008,4\n"
+
+
+def test_analyze_invalid_utf8_strict(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(BAD_BYTE_TRACE)
+    assert main(["analyze", str(trace)]) == INPUT_ERROR
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_analyze_invalid_utf8_lenient(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(BAD_BYTE_TRACE)
+    argv = ["analyze", str(trace), "--lenient", "--tau", "1", "--every", "1", "--format", "csv"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["1,1,0,0,0,", "2,1,0,0,0,", "3,1,0,0,0,"]
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_analyze_invalid_utf8_on_stdin_has_no_traceback(lenient):
+    argv = [sys.executable, "-m", "workset.cli", "analyze", "--tau", "1", "--format", "csv"]
+    proc = subprocess.run(argv + ["--lenient"] * lenient, input=BAD_BYTE_TRACE,
+                          capture_output=True)
+    assert proc.returncode == (0 if lenient else INPUT_ERROR)
+    assert b"Traceback" not in proc.stderr
+    assert b"line 2" in proc.stderr
+    if lenient:
+        assert len(proc.stdout.splitlines()) == 1 + 3
+
+
 def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("zz not-a-page\n")

@@ -1,7 +1,9 @@
 """Engine behavior pinned against the brute-force oracles plus a set of
 hand-computed edge cases for the clock / window / sampling rules."""
 
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -10,13 +12,20 @@ from hypothesis import strategies as st
 from oracles import fast_wss_series, make_random_events, slow_wss_series
 from workset.engine import (
     AnalysisConfig,
-    PageRecord,
     PageTable,
     WssSample,
     run_analysis,
 )
-from workset.trace import AccessKind, CallStackDecl, StackActivation, Stream, TraceEvent, read_trace
-from workset.workloads import StepConfig, gen_step
+from workset.trace import (
+    AccessKind,
+    CallStackDecl,
+    StackActivation,
+    Stream,
+    TraceEvent,
+    read_trace,
+    write_trace,
+)
+from workset.workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 FETCH = AccessKind.INSN_FETCH
 
@@ -38,9 +47,9 @@ def test_touch_counts_and_last_access():
     table.touch(0x2010, 4, now=3)
     table.touch(0x2FF0, 8, now=9)
     assert len(table) == 1
-    assert table.total_accesses() == 2
     rec = table.records()[0]
-    assert rec.page == 2 and rec.last_access == 9 and rec.access_count == 2
+    assert rec.page == 2 and rec.access_count == 2
+    assert rec.first_info == (0x2010, None)
 
 
 def test_straddling_access_touches_every_page():
@@ -48,16 +57,22 @@ def test_straddling_access_touches_every_page():
     table.touch(0x1FFC, 8, now=1)  # crosses into page 2
     assert sorted(r.page for r in table.records()) == [1, 2]
     table.touch(0x0FFF, 8193, now=2)  # 0x0FFF..0x2FFF: pages 0, 1, 2
-    assert sorted(r.page for r in table.records()) == [0, 1, 2]
-    assert table.total_accesses() == 2 + 3
+    assert [(r.page, r.access_count) for r in table.records()] == [(0, 1), (1, 2), (2, 2)]
 
 
 def test_window_is_half_open_on_the_left():
-    table = PageTable(4096)
-    table.touch(0x5000, 1, now=100)
-    assert table.recent_count(100, 50) == 1
-    assert table.recent_count(149, 50) == 1  # 100 > 149 - 50
-    assert table.recent_count(150, 50) == 0  # 100 > 100 is false
+    # one data touch at t=100; with tau=50 it is in (t - 50, t] for
+    # t = 100..149 and out from t=150 on
+    events = [fetch() for _ in range(99)]
+    events.append(fetch())
+    events.append(TraceEvent(AccessKind.DATA_STORE, 0x5000, 1))
+    events.extend(fetch() for _ in range(60))
+    res = run_analysis(events, AnalysisConfig(tau=50, every=1))
+    wss_data = {s.t: s.wss_data for s in res.samples}
+    assert wss_data[99] == 0
+    assert wss_data[100] == 1
+    assert wss_data[149] == 1  # 100 > 149 - 50
+    assert wss_data[150] == 0  # 100 > 100 is false
 
 
 def test_records_capture_first_access_info():
@@ -66,9 +81,9 @@ def test_records_capture_first_access_info():
     table.touch(0x2010, 4, now=1, stack_ref=3)
     table.touch(0x2500, 4, now=5)  # same page again, no stack
     table.touch(0x9000, 2, now=7, stack_ref=8)  # undeclared ref
-    assert table.records() == [
-        PageRecord(2, 5, 2, (0x2010, "x.c:9")),
-        PageRecord(9, 7, 1, (0x9000, None)),
+    assert [(r.page, r.access_count, r.first_info) for r in table.records()] == [
+        (2, 2, (0x2010, "x.c:9")),
+        (9, 1, (0x9000, None)),
     ]
 
 
@@ -164,6 +179,31 @@ def test_matches_slow_oracle_property(seed, n, tau, every, straddle):
     assert triples(res.samples) == slow_wss_series(events, tau, every, 4096)
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    tau=st.integers(1, 60),
+    every=st.integers(1, 60),
+    nthreads=st.integers(2, 3),
+    straddle=st.booleans(),
+)
+def test_per_thread_matches_slow_oracle_property(seed, n, tau, every, nthreads, straddle):
+    threads = tuple(range(nthreads))
+    events = make_random_events(random.Random(seed), n, straddle=straddle, threads=threads)
+    res = run_analysis(events, AnalysisConfig(tau=tau, every=every, per_thread=True))
+    assert triples(res.samples) == slow_wss_series(events, tau, every, 4096)
+    first_seen = {}
+    now = 0
+    for ev in events:
+        now += ev.kind is FETCH
+        first_seen.setdefault(ev.thread, now)
+    assert set(res.threads) == set(first_seen)
+    for tid, sub in res.threads.items():
+        # a thread samples every global boundary from its first event on
+        oracle = slow_wss_series(events, tau, every, 4096, thread=tid)
+        assert triples(sub.samples) == [x for x in oracle if x[0] >= first_seen[tid]]
+
+
 def test_fast_oracle_agrees_with_slow():
     events = make_random_events(random.Random(99), 800, straddle=True, threads=(0, 1))
     assert fast_wss_series(events, 23, 11, 4096) == slow_wss_series(events, 23, 11, 4096)
@@ -194,6 +234,35 @@ def test_wss_never_exceeds_window_or_footprint():
     for s in res.samples:
         assert 0 <= s.wss_insn <= min(13, len(insn_pages))
         assert 0 <= s.wss_data <= len(data_pages)
+
+
+def _transient_bytes(lines, cfg):
+    """Peak traced memory of one analysis minus what its result still
+    holds afterwards: the tables, memo and buffers the pass needed."""
+    tracemalloc.start()
+    try:
+        result = run_analysis(read_trace(lines), cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held, result
+
+
+@pytest.mark.parametrize("every", [16, 528])
+def test_memory_does_not_grow_with_trace_length(every):
+    cfg = AnalysisConfig(tau=528, every=every)
+    runs = []
+    for cycles in (1, 4):
+        buf = io.StringIO()
+        write_trace(gen_pageramp(PagerampConfig(max_pages=128, cycles=cycles)), buf)
+        lines = buf.getvalue().splitlines(keepends=True)  # built before tracing
+        runs.append((len(lines), *_transient_bytes(lines, cfg)))
+    (n1, short, res1), (n4, long, res4) = runs
+    assert n4 > 3.5 * n1
+    assert res4.data.summary.total_pages == res1.data.summary.total_pages
+    assert len(res4.samples) > 3.5 * len(res1.samples)
+    # keeping one pointer per extra sample would already cost about 25 kB
+    assert long <= short + 16 * 1024, (short, long)
 
 
 # --------------------------------------------------------------------------

