@@ -40,8 +40,10 @@ def main() -> int:
 
     def records():
         if args.input:
-            return read_trace(open(args.input))
-        return gen_step(10, 50, 20, StepConfig(interval_insns=10_000))
+            with open(args.input) as f:
+                yield from read_trace(f)
+        else:
+            yield from gen_step(10, 50, 20, StepConfig(interval_insns=10_000))
 
     rows = []
     for tau in sweep_taus(args.tau_min, args.tau_max, args.points):

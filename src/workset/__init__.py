@@ -12,7 +12,6 @@ round out the toolkit.
 from .engine import (
     AnalysisConfig,
     AnalysisResult,
-    PageRecord,
     PageTable,
     PeakAnnotation,
     StreamResult,
@@ -54,7 +53,6 @@ __all__ = [
     "CSV_HEADER",
     "CallStackDecl",
     "HotPageEntry",
-    "PageRecord",
     "PageTable",
     "PagerampConfig",
     "PeakAnnotation",

@@ -44,31 +44,22 @@ def _nonneg_int(text: str) -> int:
 
 
 @contextmanager
-def _open_input(path: str):
-    # undecodable bytes reach the parser as lone surrogates, which it
-    # rejects as malformed lines, so --lenient can skip them
-    if path == "-":
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
-        yield sys.stdin
-    else:
-        f = open(path, "r", encoding="utf-8", errors="surrogateescape")
-        try:
+def _open_text(path: str, mode: str):
+    """Yield a text stream for ``path`` opened in ``mode`` ("r" or "w"),
+    or stdin/stdout for "-". Undecodable input bytes reach the parser as
+    lone surrogates, which it rejects as malformed lines, so --lenient
+    can skip them."""
+    if path != "-":
+        with open(path, mode, encoding="utf-8", errors="surrogateescape") as f:
             yield f
-        finally:
-            f.close()
-
-
-@contextmanager
-def _open_output(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        f = open(path, "w", encoding="utf-8")
-        try:
-            yield f
-        finally:
-            f.close()
+        return
+    reading = mode == "r"
+    stream = sys.stdin if reading else sys.stdout
+    if stream is None:  # the process was started with that descriptor closed
+        raise OSError(f"{'stdin' if reading else 'stdout'} is closed")
+    if reading and hasattr(stream, "reconfigure"):
+        stream.reconfigure(errors="surrogateescape")
+    yield stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +161,7 @@ def _cmd_gen_step(args: argparse.Namespace) -> int:
 
 def _write_records(records, output: str) -> int:
     try:
-        with _open_output(output) as out:
+        with _open_text(output, "w") as out:
             write_trace(records, out)
     except OSError as exc:
         sys.stderr.write(f"workset gen: {exc}\n")
@@ -205,18 +196,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             return INPUT_ERROR
 
     try:
-        with _open_input(args.input) as stream:
+        with _open_text(args.input, "r") as stream:
             records = read_trace(stream, strict=args.strict)
             result = run_analysis(records, cfg, label_map)
-    except TraceParseError as exc:
-        sys.stderr.write(f"workset analyze: {exc}\n")
-        return INPUT_ERROR
-    except OSError as exc:
+    except (TraceParseError, OSError) as exc:
         sys.stderr.write(f"workset analyze: {exc}\n")
         return INPUT_ERROR
 
     try:
-        with _open_output(args.output) as out:
+        with _open_text(args.output, "w") as out:
             emit(result, args.format, out)
     except OSError as exc:
         sys.stderr.write(f"workset analyze: {exc}\n")

@@ -14,13 +14,15 @@ given back to the OS keeps counting until those page frames are touched
 again, a deliberate overapproximation that keeps the tables append-only
 and the analysis single-pass.
 
-Sampling never scans the tables. Each page stores its expiry index,
-the number of the last sample whose window still holds its latest
-access, and each table counts its pages per expiry index (see
-PageTable). A sample reads a running count and retires one expiry
-bucket, so it costs O(1) however many pages the stream has touched; a
-touch moves its page between buckets only when the page's expiry index
-changes.
+Each table holds one entry per page, ``[expiry, count, first_stack_ref]``:
+the page's expiry index (the number of the last sample whose window
+still holds its latest access), its access count, and the stack id the
+first access carried, which names the page in the hot page ranking.
+Sampling never scans the tables. Each table counts its pages per expiry
+index (see PageTable); a sample reads a running count and retires one
+expiry bucket, so it costs O(1) however many pages the stream has
+touched, and a touch moves its page between buckets only when the
+page's expiry index changes.
 """
 
 from __future__ import annotations
@@ -66,16 +68,6 @@ class AnalysisConfig:
         return PeakParams(alpha=self.peak_alpha, phi=self.peak_phi, g=self.peak_g)
 
 
-@dataclass(slots=True)
-class PageRecord:
-    """Snapshot of one page table entry. ``first_info`` is the byte
-    address and innermost stack frame (or None) of the first access."""
-
-    page: int
-    access_count: int
-    first_info: tuple[int, str | None]
-
-
 class PageTable:
     """Append-only table of pages touched by one access stream, with the
     working set of window ``tau`` sampled every ``every`` instructions.
@@ -83,12 +75,14 @@ class PageTable:
     Samples are numbered 1, 2, ... and sample k is taken at t = k * every.
     A page last touched at ts is counted by sample k iff
     k * every - tau < ts <= k * every, so the last sample that counts it
-    is its expiry index (ts + tau - 1) // every. The table keeps, per
-    expiry index, the number of pages due to leave the working set
-    there, plus the live count of pages some upcoming sample still
-    counts. ``sample`` reports the live count and retires one bucket, so
-    each sample costs O(1) whatever the number of pages. ``first_sample``
-    is the index of the first sample this table takes.
+    is its expiry index (ts + tau - 1) // every. Each page has a single
+    entry ``[expiry, count, first_stack_ref]``, so a repeat touch costs
+    one dict lookup. The table also keeps, per expiry index, the number
+    of pages due to leave the working set there, plus the live count of
+    pages some upcoming sample still counts. ``sample`` reports the live
+    count and retires one bucket, so each sample costs O(1) whatever the
+    number of pages. ``first_sample`` is the index of the first sample
+    this table takes.
     """
 
     def __init__(
@@ -106,9 +100,7 @@ class PageTable:
         self._next = first_sample
         self._live = 0
         self._buckets: dict[int, int] = {}
-        self._expiry: dict[int, int] = {}
-        self._count: dict[int, int] = {}
-        self._first: dict[int, tuple[int, int | None]] = {}
+        self._pages: dict[int, list] = {}
         self._stacks = stacks if stacks is not None else {}
 
     def touch(self, address: int, size: int, now: int, stack_ref: int | None = None) -> None:
@@ -121,15 +113,15 @@ class PageTable:
         expires = (now + self.tau - 1) // self.every
         # a touch that expires before the next sample is never counted
         counted = expires >= self._next
-        expiry = self._expiry
-        count = self._count
+        pages = self._pages
         buckets = self._buckets
         while True:
-            if page in expiry:
-                count[page] += 1
-                old = expiry[page]
+            entry = pages.get(page)
+            if entry is not None:
+                entry[1] += 1
+                old = entry[0]
                 if old != expires:
-                    expiry[page] = expires
+                    entry[0] = expires
                     if counted:
                         if old >= self._next:
                             buckets[old] -= 1
@@ -137,9 +129,7 @@ class PageTable:
                             self._live += 1
                         buckets[expires] = buckets.get(expires, 0) + 1
             else:
-                expiry[page] = expires
-                count[page] = 1
-                self._first[page] = (address, stack_ref)
+                pages[page] = [expires, 1, stack_ref]
                 if counted:
                     self._live += 1
                     buckets[expires] = buckets.get(expires, 0) + 1
@@ -156,15 +146,17 @@ class PageTable:
         return live
 
     def __len__(self) -> int:
-        return len(self._count)
+        return len(self._pages)
 
-    def records(self) -> list[PageRecord]:
+    def records(self) -> list[tuple[int, int, str | None]]:
+        """One ``(page, access_count, frame)`` tuple per page, in first
+        touch order. ``frame`` is the innermost frame of the stack the
+        first access carried, or None when it carried no declared stack."""
+        stacks = self._stacks
         out = []
-        for page in sorted(self._count):
-            addr, ref = self._first[page]
-            frames = self._stacks.get(ref) if ref is not None else None
-            label = frames[0] if frames else None
-            out.append(PageRecord(page, self._count[page], (addr, label)))
+        for page, (_, count, ref) in self._pages.items():
+            frames = stacks.get(ref)
+            out.append((page, count, frames[0] if frames else None))
         return out
 
 
@@ -333,16 +325,22 @@ class _ScopeState:
             WssSample(t, wss_insn, wss_data, peak_insn, peak_data, annotation)
         )
 
-    def finish(self, cfg: AnalysisConfig, label_map) -> tuple[StreamResult, StreamResult]:
-        insn = StreamResult(
-            summarize(self.samples, self.insn, Stream.INSN),
-            hot_pages(self.insn, cfg.top_n, label_map),
+    def result(
+        self,
+        cfg: AnalysisConfig,
+        label_map: Mapping[int, str] | None,
+        threads: dict[int, AnalysisResult] | None = None,
+    ) -> AnalysisResult:
+        """This scope's samples, per-stream summaries and hot pages, and
+        annotations; ``threads`` is the per-thread breakdown, if any."""
+        insn, data = (
+            StreamResult(
+                summarize(self.samples, table, stream),
+                hot_pages(table, cfg.top_n, label_map),
+            )
+            for table, stream in ((self.insn, Stream.INSN), (self.data, Stream.DATA))
         )
-        data = StreamResult(
-            summarize(self.samples, self.data, Stream.DATA),
-            hot_pages(self.data, cfg.top_n, label_map),
-        )
-        return insn, data
+        return AnalysisResult(self.samples, insn, data, self.annotations, threads)
 
 
 def run_analysis(
@@ -366,6 +364,11 @@ def run_analysis(
     now = 0
     pending = False
 
+    def flush(t: int) -> None:
+        combined.take_sample(t)
+        for state in threads.values():
+            state.take_sample(t)
+
     for rec in records:
         if rec.__class__ is not TraceEvent:
             if rec.__class__ is CallStackDecl:
@@ -375,49 +378,35 @@ def run_analysis(
                 f"cannot analyze record of type {rec.__class__.__name__}; "
                 "feed read_trace or generator output"
             )
-        if rec.kind is insn_fetch:
+        fetch = rec.kind is insn_fetch
+        if fetch:
             # flush before looking at the event so a thread first seen here
             # does not pick up a sample for a boundary it predates
             if pending:
-                combined.take_sample(now)
-                if per_thread:
-                    for state in threads.values():
-                        state.take_sample(now)
+                flush(now)
                 pending = False
             now += 1
             touch_insn(rec.address, rec.size, now, rec.stack_ref)
-            if per_thread:
-                scope = threads.get(rec.thread)
-                if scope is None:
-                    scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
-                scope.insn.touch(rec.address, rec.size, now, rec.stack_ref)
-                scope.last_stack = rec.stack_ref
             if now % every == 0:
                 pending = True
         else:
             touch_data(rec.address, rec.size, now, rec.stack_ref)
-            if per_thread:
-                scope = threads.get(rec.thread)
-                if scope is None:
-                    scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
-                scope.data.touch(rec.address, rec.size, now, rec.stack_ref)
-                scope.last_stack = rec.stack_ref
+        if per_thread:
+            scope = threads.get(rec.thread)
+            if scope is None:
+                scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
+            (scope.insn if fetch else scope.data).touch(
+                rec.address, rec.size, now, rec.stack_ref
+            )
+            scope.last_stack = rec.stack_ref
         combined.last_stack = rec.stack_ref
 
     if pending:
-        combined.take_sample(now)
-        if per_thread:
-            for state in threads.values():
-                state.take_sample(now)
+        flush(now)
 
-    insn, data = combined.finish(cfg, label_map)
-    thread_results = None
-    if per_thread:
-        thread_results = {}
-        for tid in sorted(threads):
-            state = threads[tid]
-            t_insn, t_data = state.finish(cfg, label_map)
-            thread_results[tid] = AnalysisResult(
-                state.samples, t_insn, t_data, state.annotations, None
-            )
-    return AnalysisResult(combined.samples, insn, data, combined.annotations, thread_results)
+    thread_results = (
+        {tid: threads[tid].result(cfg, label_map) for tid in sorted(threads)}
+        if per_thread
+        else None
+    )
+    return combined.result(cfg, label_map, thread_results)

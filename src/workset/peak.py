@@ -31,6 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+# mean magnitudes at or below this count as zero, which makes the dispersion 0
+_MEAN_EPS = 1e-9
+
 
 @dataclass
 class PeakParams:
@@ -39,7 +42,6 @@ class PeakParams:
     alpha: float = 0.3  # moving average decay
     phi: float = 0.2  # damping applied while a peak is active
     g: float = 1.0  # threshold sensitivity scale
-    eps: float = 1e-9  # mean magnitudes below this count as zero
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -48,8 +50,6 @@ class PeakParams:
             raise ValueError(f"phi must be in (0, 1], got {self.phi}")
         if not self.g > 0.0:
             raise ValueError(f"g must be > 0, got {self.g}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass(slots=True)
@@ -70,7 +70,6 @@ class PeakDetector:
         self.mean = 0.0
         self.var = 0.0
         self.initialized = False
-        self.peak_active = False
 
     def update(self, x: float) -> PeakVerdict:
         """Advance the detector by one sample and judge it."""
@@ -78,19 +77,17 @@ class PeakDetector:
             self.mean = float(x)
             self.var = 0.0
             self.initialized = True
-            self.peak_active = False
             return PeakVerdict(False, 0.0, 0.0, 0.0)
         p = self.params
         mean = self.mean
         distance = abs(x - mean)
-        dispersion = self.var / mean if mean > p.eps else 0.0
+        dispersion = self.var / mean if mean > _MEAN_EPS else 0.0
         c = 1.0 - math.exp(-dispersion / 2.0)
         threshold = c * p.g * self.var + (1.0 - c) * p.g * mean
         is_peak = distance > threshold
         value = p.phi * x + (1.0 - p.phi) * mean if is_peak else float(x)
         self.mean = p.alpha * value + (1.0 - p.alpha) * mean
         self.var = p.alpha * (value - mean) ** 2 + (1.0 - p.alpha) * self.var
-        self.peak_active = is_peak
         return PeakVerdict(is_peak, distance, threshold, dispersion)
 
 

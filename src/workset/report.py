@@ -105,16 +105,12 @@ def hot_pages(
     """
     if n is not None and n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    entries = []
-    for rec in page_table.records():
-        info = ""
-        if label_map is not None and rec.page in label_map:
-            info = label_map[rec.page]
-        elif rec.first_info[1] is not None:
-            info = rec.first_info[1]
-        entries.append(HotPageEntry(rec.access_count, rec.page, info))
-    entries.sort(key=lambda e: (-e.count, e.page))
-    return entries if n is None else entries[:n]
+    ranked = sorted(page_table.records(), key=lambda r: (-r[1], r[0]))[:n]
+    labels = label_map if label_map is not None else {}
+    return [
+        HotPageEntry(count, page, labels[page] if page in labels else frame or "")
+        for page, count, frame in ranked
+    ]
 
 
 def load_label_map(lines: Iterable[str]) -> dict[int, str]:

@@ -10,13 +10,14 @@ A trace is a line-oriented text stream. Each line is one of:
     U <tid> <id>                     thread <tid> now executes under stack <id>
     # ...                            comment (ignored), as are blank lines
 
-Addresses are hex (optional ``0x`` prefix), sizes are decimal bytes,
-``t<tid>`` is optional and defaults to thread 0. Event records are
-ASCII, and every number is plain ASCII digits: no signs, no ``_``
-separators, no other scripts' digits. Frames may be any text. Leading
-whitespace in front of the record tag is not significant. The event layout is a
-superset of the memory trace text produced by common binary
-instrumentation front ends, so their output can be piped in directly.
+Addresses are hex (optional ``0x`` prefix), sizes are decimal bytes
+from 1 to MAX_ACCESS_SIZE, ``t<tid>`` is optional and defaults to
+thread 0. Event records are ASCII, and every number is plain ASCII
+digits: no signs, no ``_`` separators, no other scripts' digits. Frames
+may be any text. Leading whitespace in front of the record tag is not
+significant. The event layout is a superset of the memory trace text
+produced by common binary instrumentation front ends, so their output
+can be piped in directly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from enum import Enum
 from typing import Iterable, Iterator, TextIO
 
 log = logging.getLogger(__name__)
+
+MAX_ACCESS_SIZE = 65536
+"""Largest access size in bytes that an event record may carry. The
+engine touches every page an access covers, so without a cap one line
+could cost time and memory in proportion to its size field. The cap is
+far above what instrumentation front ends emit (a few hundred bytes at
+most) and bounds what one line can touch: 17 pages of 4 KiB."""
 
 
 class Stream(Enum):
@@ -43,10 +51,6 @@ class AccessKind(Enum):
     DATA_LOAD = "L"
     DATA_STORE = "S"
     DATA_MODIFY = "M"
-
-    @property
-    def stream(self) -> Stream:
-        return Stream.INSN if self is AccessKind.INSN_FETCH else Stream.DATA
 
 
 @dataclass(slots=True)
@@ -145,8 +149,10 @@ def parse_line(
             raise TraceParseError(
                 f"malformed address/size field {body!r}", lineno
             ) from None
-        if size < 1:
-            raise TraceParseError(f"size must be >= 1, got {size}", lineno)
+        if not 1 <= size <= MAX_ACCESS_SIZE:
+            raise TraceParseError(
+                f"size must be in 1..{MAX_ACCESS_SIZE}, got {size}", lineno
+            )
         thread = 0
         if nparts == 3:
             tfield = parts[2]
@@ -264,8 +270,10 @@ def write_trace(
     for rec in records:
         cls = rec.__class__
         if cls is TraceEvent:
-            if rec.size < 1:
-                raise ValueError(f"event size must be >= 1, got {rec.size}")
+            if not 1 <= rec.size <= MAX_ACCESS_SIZE:
+                raise ValueError(
+                    f"event size must be in 1..{MAX_ACCESS_SIZE}, got {rec.size}"
+                )
             ref = rec.stack_ref
             if ref is not None:
                 if ref != current.get(rec.thread):

@@ -3,11 +3,15 @@ tests drive main(argv) in-process; one subprocess test covers the real
 gen | analyze pipe."""
 
 import io
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from workset.cli import INPUT_ERROR, USAGE_ERROR, main
 from workset.report import CSV_HEADER
@@ -196,6 +200,42 @@ def test_analyze_invalid_utf8_on_stdin_has_no_traceback(lenient):
     assert b"line 2" in proc.stderr
     if lenient:
         assert len(proc.stdout.splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "stream, argv", [("stdin", ["analyze"]), ("stdout", ["gen", "pageramp", *TINY_FLAGS])]
+)
+def test_closed_std_stream_is_an_input_error(stream, argv, monkeypatch):
+    # a process started with the descriptor closed (`workset analyze <&-`)
+    # sees None in place of the stream
+    monkeypatch.setattr(sys, stream, None)
+    assert main(argv) == INPUT_ERROR
+
+
+_TRACE_BITS = st.sampled_from(
+    [b"I  ", b" L ", b" S ", b" M ", b"C ", b"U ", b"#", b" ", b",", b":", b"|", b" t",
+     b"0x", b"0", b"7", b"f", b"\n", b"\xff", b"\xc3\xa9", b"\xb2"]
+)
+_SIZE_LINES = st.integers(0, 2**80).map(lambda n: b" L 1ff8,%d\n" % n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.binary(max_size=40), st.lists(_TRACE_BITS, max_size=12).map(b"".join),
+                  _SIZE_LINES),
+        max_size=8,
+    ).map(b"".join)
+)
+def test_analyze_any_input_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.txt")
+        with open(path, "wb") as f:
+            f.write(data)
+        argv = ["analyze", path, "--tau", "3", "--every", "2", "--per-thread",
+                "--peak-detect", "-o", os.devnull]
+        assert main(argv) in (0, 1, 2)
+        assert main(argv + ["--lenient"]) in (0, 1, 2)
 
 
 def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,6 @@ def test_first_sample_seeds_statistics_without_flagging():
     assert det.initialized
     assert det.mean == 42.0
     assert det.var == 0.0
-    assert not det.peak_active
 
 
 def test_step_fixture_golden_vector():
@@ -50,11 +49,10 @@ def test_step_fixture_golden_vector():
 def test_step_fixture_mean_var_after_peak():
     # damped update: x" = 0.2*60 + 0.8*10 = 20, so mean 13, var 30
     det = PeakDetector()
-    for x in STEP_SERIES[:21]:
-        det.update(x)
+    verdicts = [det.update(x) for x in STEP_SERIES[:21]]
     assert det.mean == pytest.approx(13.0, rel=1e-12)
     assert det.var == pytest.approx(30.0, rel=1e-12)
-    assert det.peak_active
+    assert verdicts[-1].is_peak
 
 
 def assert_matches_reference(values, **kw):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from workset.trace import (
     AccessKind,
     CallStackDecl,
+    MAX_ACCESS_SIZE,
     StackActivation,
-    Stream,
     TraceEvent,
     TraceParseError,
     parse_line,
@@ -99,6 +99,8 @@ def test_frames_may_contain_spaces():
         # more digits than int() converts
         pytest.param("I  1000,4 t" + "9" * 5000, id="long-thread-id"),
         pytest.param("C " + "9" * 5000 + ": a", id="long-stack-id"),
+        " L 0,65537",         # above MAX_ACCESS_SIZE
+        " L 0,68719476736",   # would touch 16M pages
     ],
 )
 def test_parse_errors(line):
@@ -260,6 +262,19 @@ def test_write_rejects_undeclared_ref_and_bad_frames():
         write_trace([CallStackDecl(0, ())], io.StringIO())
 
 
+def test_access_size_cap():
+    assert MAX_ACCESS_SIZE == 65536
+    largest = TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE)
+    assert parse_line(" L 1000,65536") == largest
+    buf = io.StringIO()
+    write_trace([largest], buf)
+    buf.seek(0)
+    assert list(read_trace(buf)) == [largest]
+    too_big = TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE + 1)
+    with pytest.raises(ValueError):
+        write_trace([too_big], io.StringIO())
+
+
 def test_round_trip_simple():
     records = [
         CallStackDecl(2, ("f (x.c:1)", "g (x.c:9)")),
@@ -311,9 +326,3 @@ def test_round_trip_property(records):
     write_trace(records, buf)
     buf.seek(0)
     assert list(read_trace(buf)) == records
-
-
-def test_stream_classification():
-    assert AccessKind.INSN_FETCH.stream is Stream.INSN
-    for kind in (AccessKind.DATA_LOAD, AccessKind.DATA_STORE, AccessKind.DATA_MODIFY):
-        assert kind.stream is Stream.DATA
