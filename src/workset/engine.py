@@ -14,25 +14,37 @@ given back to the OS keeps counting until those page frames are touched
 again, a deliberate overapproximation that keeps the tables append-only
 and the analysis single-pass.
 
-Each table holds one entry per page, ``[expiry, count, first_stack_ref]``:
-the page's expiry index (the number of the last sample whose window
-still holds its latest access), its access count, and the stack id the
-first access carried, which names the page in the hot page ranking.
-Sampling never scans the tables. Each table counts its pages per expiry
-index (see PageTable); a sample reads a running count and retires one
-expiry bucket, so it costs O(1) however many pages the stream has
-touched, and a touch moves its page between buckets only when the
-page's expiry index changes.
+Each table keeps, per page, its expiry index (the number of the last
+sample whose window still holds the page's latest access), its access
+count, and the stack id the first access carried, which names the page
+in the hot page ranking. Accesses reach the tables in batches: a touch
+only appends its page numbers to its scope's pending list for the
+stream, and the list is applied as one batch, once per distinct page
+in it, when it has to be. All accesses in a batch share one expiry
+index and one stack id, so a scope drains its batches when the clock's
+expiry index moves, when the scope's stack changes, before every
+sample, at the end of the trace, and when a batch reaches BATCH_LIMIT
+entries. Sampling never scans the tables. Each table counts its pages
+per expiry index (see PageTable); a sample reads a running count and
+retires one expiry bucket, so it costs O(1) however many pages the
+stream has touched.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .peak import PeakDetector, PeakParams
 from .report import HotPageEntry, Summary, hot_pages, summarize
 from .trace import AccessKind, CallStackDecl, Stream, TraceEvent
+
+BATCH_LIMIT = 1024
+"""Length at which a pending batch is applied even though no sample,
+expiry move or stack change asks for it. It bounds the memory a scope's
+batches hold when samples are rare or absent (a window longer than the
+trace, a trace without instruction fetches)."""
 
 
 @dataclass
@@ -75,67 +87,64 @@ class PageTable:
     Samples are numbered 1, 2, ... and sample k is taken at t = k * every.
     A page last touched at ts is counted by sample k iff
     k * every - tau < ts <= k * every, so the last sample that counts it
-    is its expiry index (ts + tau - 1) // every. Each page has a single
-    entry ``[expiry, count, first_stack_ref]``, so a repeat touch costs
-    one dict lookup. The table also keeps, per expiry index, the number
-    of pages due to leave the working set there, plus the live count of
-    pages some upcoming sample still counts. ``sample`` reports the live
-    count and retires one bucket, so each sample costs O(1) whatever the
-    number of pages. ``first_sample`` is the index of the first sample
-    this table takes.
+    is its expiry index (ts + tau - 1) // every. The table keeps, per
+    page, that expiry index, the stack id its first access carried and
+    its access count.
+
+    Accesses arrive through ``add`` in batches that share one expiry
+    index and one stack id. A batch costs one C-level count update plus
+    one step per distinct page in it, and a page moves between buckets
+    only when its expiry index changes. The table keeps, per expiry
+    index, the number of pages due to leave the working set there, plus
+    the live count of pages some upcoming sample still counts.
+    ``sample`` reports the live count and retires one bucket, so each
+    sample costs O(1) whatever the number of pages. ``first_sample`` is
+    the index of the first sample this table takes.
     """
 
     def __init__(
         self,
         page_size: int,
         stacks: Mapping[int, tuple[str, ...]] | None = None,
-        tau: int = 1,
-        every: int = 1,
+        *,
         first_sample: int = 1,
     ):
         self.page_size = page_size
-        self.page_shift = page_size.bit_length() - 1
-        self.tau = tau
-        self.every = every
         self._next = first_sample
         self._live = 0
         self._buckets: dict[int, int] = {}
-        self._pages: dict[int, list] = {}
+        self._expiry: dict[int, int] = {}
+        self._first: dict[int, int | None] = {}
+        self._count: Counter[int] = Counter()
         self._stacks = stacks if stacks is not None else {}
 
-    def touch(self, address: int, size: int, now: int, stack_ref: int | None = None) -> None:
-        """Record an access covering [address, address + size) at time
-        ``now``. Times must not decrease, and must lie after the instant
-        of the last sample taken."""
-        shift = self.page_shift
-        page = address >> shift
-        last_page = (address + size - 1) >> shift
-        expires = (now + self.tau - 1) // self.every
-        # a touch that expires before the next sample is never counted
-        counted = expires >= self._next
-        pages = self._pages
+    def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
+        """Record one access per entry of ``pages`` (page numbers, repeats
+        allowed), all with expiry index ``expires`` and stack id
+        ``stack_ref``. Batches must arrive in time order, and their accesses
+        must lie after the instant of the last sample taken."""
+        self._count.update(pages)
+        expiry = self._expiry
+        first = self._first
         buckets = self._buckets
-        while True:
-            entry = pages.get(page)
-            if entry is not None:
-                entry[1] += 1
-                old = entry[0]
-                if old != expires:
-                    entry[0] = expires
-                    if counted:
-                        if old >= self._next:
-                            buckets[old] -= 1
-                        else:
-                            self._live += 1
-                        buckets[expires] = buckets.get(expires, 0) + 1
-            else:
-                pages[page] = [expires, 1, stack_ref]
-                if counted:
-                    self._live += 1
-                    buckets[expires] = buckets.get(expires, 0) + 1
-            if page >= last_page:
-                break
-            page += 1
+        upcoming = self._next
+        joined = 0  # pages whose expiry index becomes ``expires``
+        moved = 0  # of those, pages an upcoming sample already counted
+        for page in dict.fromkeys(pages):
+            old = expiry.get(page)
+            if old == expires:
+                continue
+            expiry[page] = expires
+            joined += 1
+            if old is None:
+                first[page] = stack_ref
+            elif old >= upcoming:
+                buckets[old] -= 1
+                moved += 1
+        # a batch that expires before the next sample is never counted
+        if joined and expires >= upcoming:
+            buckets[expires] = buckets.get(expires, 0) + joined
+            self._live += joined - moved
 
     def sample(self) -> int:
         """Take the next sample: the number of pages whose last access
@@ -146,17 +155,18 @@ class PageTable:
         return live
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self._first)
 
     def records(self) -> list[tuple[int, int, str | None]]:
         """One ``(page, access_count, frame)`` tuple per page, in first
         touch order. ``frame`` is the innermost frame of the stack the
         first access carried, or None when it carried no declared stack."""
         stacks = self._stacks
+        count = self._count
         out = []
-        for page, (_, count, ref) in self._pages.items():
+        for page, ref in self._first.items():
             frames = stacks.get(ref)
-            out.append((page, count, frames[0] if frames else None))
+            out.append((page, count[page], frames[0] if frames else None))
         return out
 
 
@@ -278,15 +288,20 @@ class AnalysisResult:
 class _ScopeState:
     """Accumulator for one sampling scope (the whole trace, or one thread).
     A scope created at time ``now`` takes its first sample at the next
-    global sampling instant, so its tables start at that sample index."""
+    global sampling instant, so its tables start at that sample index.
+    ``insn_batch`` and ``data_batch`` hold the page numbers touched since
+    the last drain; they all carry the stack ``last_stack``."""
 
-    __slots__ = ("insn", "data", "samples", "annotations", "detector_insn",
-                 "detector_data", "last_stack", "stacks")
+    __slots__ = ("insn", "data", "insn_batch", "data_batch", "samples",
+                 "annotations", "detector_insn", "detector_data", "last_stack",
+                 "stacks")
 
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0):
         first_sample = max(1, -(-now // cfg.every))
-        self.insn = PageTable(cfg.page_size, stacks, cfg.tau, cfg.every, first_sample)
-        self.data = PageTable(cfg.page_size, stacks, cfg.tau, cfg.every, first_sample)
+        self.insn = PageTable(cfg.page_size, stacks, first_sample=first_sample)
+        self.data = PageTable(cfg.page_size, stacks, first_sample=first_sample)
+        self.insn_batch: list[int] = []
+        self.data_batch: list[int] = []
         self.samples: list[WssSample] = []
         self.annotations: list[PeakAnnotation] = []
         if cfg.peak_detect:
@@ -298,6 +313,14 @@ class _ScopeState:
         self.last_stack: int | None = None
         self.stacks = stacks
 
+    def drain(self, expires: int) -> None:
+        """Apply the pending batches, whose accesses all have expiry
+        index ``expires``."""
+        for table, batch in ((self.insn, self.insn_batch), (self.data, self.data_batch)):
+            if batch:
+                table.add(batch, expires, self.last_stack)
+                batch.clear()
+
     def _annotate(self, t: int, stream: Stream) -> int:
         ref = self.last_stack
         frames = self.stacks.get(ref, ()) if ref is not None else ()
@@ -307,7 +330,9 @@ class _ScopeState:
         )
         return index
 
-    def take_sample(self, t: int) -> None:
+    def take_sample(self, t: int, expires: int) -> None:
+        """Drain the batches (expiry index ``expires``), then sample."""
+        self.drain(expires)
         wss_insn = self.insn.sample()
         wss_data = self.data.sample()
         peak_insn = peak_data = False
@@ -357,17 +382,29 @@ def run_analysis(
     threads: dict[int, _ScopeState] = {}
     per_thread = cfg.per_thread
     every = cfg.every
+    shift = cfg.page_size.bit_length() - 1
     insn_fetch = AccessKind.INSN_FETCH
-    # bound methods hoisted out of the loop; it runs once per trace event
-    touch_insn = combined.insn.touch
-    touch_data = combined.data.touch
+    # the combined scope's batches and stack as locals: the loop runs
+    # once per trace event
+    insn_batch = combined.insn_batch
+    data_batch = combined.data_batch
+    stack = None
     now = 0
+    # expiry index (now + tau - 1) // every of the accesses at ``now``;
+    # it moves on by one when the clock reaches ``moves_at``
+    expires = (cfg.tau - 1) // every
+    moves_at = (expires + 1) * every - cfg.tau + 1
     pending = False
 
-    def flush(t: int) -> None:
-        combined.take_sample(t)
+    def drain(expires: int) -> None:
+        combined.drain(expires)
         for state in threads.values():
-            state.take_sample(t)
+            state.drain(expires)
+
+    def flush(t: int, expires: int) -> None:
+        combined.take_sample(t, expires)
+        for state in threads.values():
+            state.take_sample(t, expires)
 
     for rec in records:
         if rec.__class__ is not TraceEvent:
@@ -378,31 +415,54 @@ def run_analysis(
                 f"cannot analyze record of type {rec.__class__.__name__}; "
                 "feed read_trace or generator output"
             )
+        address = rec.address
+        page = address >> shift
+        last_page = (address + rec.size - 1) >> shift
+        ref = rec.stack_ref
         fetch = rec.kind is insn_fetch
         if fetch:
             # flush before looking at the event so a thread first seen here
             # does not pick up a sample for a boundary it predates
             if pending:
-                flush(now)
+                flush(now, expires)
                 pending = False
             now += 1
-            touch_insn(rec.address, rec.size, now, rec.stack_ref)
+            if now == moves_at:
+                drain(expires)
+                expires += 1
+                moves_at += every
             if now % every == 0:
                 pending = True
+            batch = insn_batch
         else:
-            touch_data(rec.address, rec.size, now, rec.stack_ref)
+            batch = data_batch
+        # drain before the stack changes: a batch carries one stack, and
+        # a peak annotation names the stack of the event before the sample
+        if ref != stack:
+            combined.drain(expires)
+            stack = combined.last_stack = ref
+        batch.append(page)
+        if page != last_page:
+            batch.extend(range(page + 1, last_page + 1))
+        if len(batch) >= BATCH_LIMIT:
+            combined.drain(expires)
         if per_thread:
             scope = threads.get(rec.thread)
             if scope is None:
                 scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
-            (scope.insn if fetch else scope.data).touch(
-                rec.address, rec.size, now, rec.stack_ref
-            )
-            scope.last_stack = rec.stack_ref
-        combined.last_stack = rec.stack_ref
+            if ref != scope.last_stack:
+                scope.drain(expires)
+                scope.last_stack = ref
+            batch = scope.insn_batch if fetch else scope.data_batch
+            batch.append(page)
+            if page != last_page:
+                batch.extend(range(page + 1, last_page + 1))
+            if len(batch) >= BATCH_LIMIT:
+                scope.drain(expires)
 
+    drain(expires)
     if pending:
-        flush(now)
+        flush(now, expires)
 
     thread_results = (
         {tid: threads[tid].result(cfg, label_map) for tid in sorted(threads)}

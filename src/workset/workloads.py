@@ -8,13 +8,19 @@ flat working set with a single short bump, which is the canonical input
 for peak detector tests.
 
 Both are fully deterministic: the same config yields the same record
-sequence, byte for byte once serialized.
+sequence, byte for byte once serialized. Events are shared: a
+generator builds one fetch event per code offset and one store event
+per data page, and yields that event again on every later access to
+the offset or page, as long as there are at most EVENT_MEMO_SIZE of
+them. Consumers must treat yielded events as immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 from .trace import AccessKind, CallStackDecl, TraceEvent
 
@@ -23,6 +29,13 @@ from .trace import AccessKind, CallStackDecl, TraceEvent
 CODE_BASE = 0x0040_0000
 CODE_PAGES = 4
 INSN_BYTES = 4
+
+EVENT_MEMO_SIZE = 65536
+"""Most code offsets, and most data pages, a generator keeps one event
+for. The code region holds ``CODE_PAGES * page_size / INSN_BYTES``
+offsets, so from 128 KiB pages on fetch events are built afresh: the
+stream walks the offsets in a cycle, and a bounded memo would evict
+each event before its next use."""
 
 # Synthetic provenance attached to pageramp stores: the touch loop frame,
 # then the ramp driver frame. Purely decorative, but it exercises the
@@ -41,19 +54,35 @@ def _check_page_size(page_size: int) -> None:
         raise ValueError(f"page_size must be a power of two >= 256, got {page_size}")
 
 
-class _CodeRegion:
-    """Doles out instruction fetches cycling through the code pages."""
+def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], TraceEvent]:
+    """``make`` with its results kept for reuse when it is called with at
+    most ``keys`` distinct arguments, and that is at most EVENT_MEMO_SIZE;
+    else ``make`` itself."""
+    return cache(make) if keys <= EVENT_MEMO_SIZE else make
 
-    def __init__(self, page_size: int):
-        self._wrap = CODE_PAGES * page_size
-        self._offset = 0
 
-    def fetch(self, stack_ref: int | None = None) -> TraceEvent:
-        ev = TraceEvent(
-            AccessKind.INSN_FETCH, CODE_BASE + self._offset, INSN_BYTES, 0, stack_ref
-        )
-        self._offset = (self._offset + INSN_BYTES) % self._wrap
-        return ev
+def _code_fetches(page_size: int, stack_ref: int | None) -> Iterator[TraceEvent]:
+    """Endless instruction fetches cycling through the code pages, all
+    under ``stack_ref``."""
+    addresses = range(CODE_BASE, CODE_BASE + CODE_PAGES * page_size, INSN_BYTES)
+    fetch = _memoized(
+        lambda address: TraceEvent(AccessKind.INSN_FETCH, address, INSN_BYTES, 0, stack_ref),
+        len(addresses),
+    )
+    return map(fetch, chain.from_iterable(repeat(addresses)))
+
+
+def _data_stores(
+    base_address: int, page_size: int, stack_ref: int | None, pages: int
+) -> Callable[[int], TraceEvent]:
+    """Single-byte store event at the start of a page, by index below
+    ``pages``."""
+    return _memoized(
+        lambda page: TraceEvent(
+            AccessKind.DATA_STORE, base_address + page * page_size, 1, 0, stack_ref
+        ),
+        pages,
+    )
 
 
 @dataclass
@@ -103,23 +132,21 @@ def gen_pageramp(config: PagerampConfig | None = None) -> Iterator[TraceEvent | 
     [base_address, base_address + max_pages * page_size).
     """
     cfg = config if config is not None else PagerampConfig()
-    code = _CodeRegion(cfg.page_size)
     ref = _PAGERAMP_STACK_ID
     yield CallStackDecl(ref, _PAGERAMP_FRAMES)
+    code = _code_fetches(cfg.page_size, ref)
+    store = _data_stores(cfg.base_address, cfg.page_size, ref, cfg.max_pages)
+    per_touch = cfg.insns_per_touch
 
     def pass_records(claimed: int) -> Iterator[TraceEvent]:
-        for _ in range(cfg.insns_per_step):
-            yield code.fetch(ref)
-        for page in range(0, claimed, cfg.stride):
-            for _ in range(cfg.insns_per_touch):
-                yield code.fetch(ref)
-            yield TraceEvent(
-                AccessKind.DATA_STORE,
-                cfg.base_address + page * cfg.page_size,
-                1,
-                0,
-                ref,
-            )
+        touched = range(0, claimed, cfg.stride)
+        # zip takes per_touch fetches from the shared islice, then the
+        # store; the islice ends exactly when the touched pages do
+        fetches = islice(code, per_touch * len(touched))
+        return chain(
+            islice(code, cfg.insns_per_step),
+            chain.from_iterable(zip(*[fetches] * per_touch, map(store, touched))),
+        )
 
     for _ in range(cfg.cycles):
         claimed = 0
@@ -184,19 +211,14 @@ def _step_events(
     flat_samples: int,
     cfg: StepConfig,
 ) -> Iterator[TraceEvent]:
-    code = _CodeRegion(cfg.page_size)
+    code = _code_fetches(cfg.page_size, None)
+    store = _data_stores(cfg.base_address, cfg.page_size, None, flat_pages + step_pages)
 
     def interval(npages: int) -> Iterator[TraceEvent]:
-        for page in range(npages):
-            yield code.fetch()
-            yield TraceEvent(
-                AccessKind.DATA_STORE,
-                cfg.base_address + page * cfg.page_size,
-                1,
-                0,
-            )
-        for _ in range(cfg.interval_insns - npages):
-            yield code.fetch()
+        return chain(
+            chain.from_iterable(zip(islice(code, npages), map(store, range(npages)))),
+            islice(code, cfg.interval_insns - npages),
+        )
 
     for _ in range(cfg.repeats):
         for _ in range(flat_samples):

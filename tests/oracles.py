@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from workset.trace import AccessKind, TraceEvent
+from workset.trace import AccessKind, CallStackDecl, TraceEvent
 
 
 def expand_accesses(events, page_size, thread=None):
@@ -34,6 +34,41 @@ def expand_accesses(events, page_size, thread=None):
         for page in range(first, last + 1):
             target.append((now, page))
     return insn, data, now
+
+
+def slow_hot_pages(records, page_size, thread=None):
+    """Brute force hot page ranking: count every access page by page and
+    note the stack id of each page's first access; declarations anywhere
+    in the stream name the stacks. Returns one list per stream, insn then
+    data, of (count, page, info) with the most accessed page first and
+    the page number breaking ties; info is the innermost frame of the
+    first access's declared stack, else "". ``thread`` filters as in
+    expand_accesses."""
+    shift = page_size.bit_length() - 1
+    stacks = {}
+    counts = ({}, {})
+    first_refs = ({}, {})
+    for rec in records:
+        if isinstance(rec, CallStackDecl):
+            stacks[rec.id] = rec.frames
+            continue
+        if thread is not None and rec.thread != thread:
+            continue
+        stream = 0 if rec.kind is AccessKind.INSN_FETCH else 1
+        first = rec.address >> shift
+        last = (rec.address + rec.size - 1) >> shift
+        for page in range(first, last + 1):
+            counts[stream][page] = counts[stream].get(page, 0) + 1
+            first_refs[stream].setdefault(page, rec.stack_ref)
+    ranked = []
+    for count, refs in zip(counts, first_refs):
+        rows = []
+        for page, n in count.items():
+            frames = stacks.get(refs[page])
+            rows.append((n, page, frames[0] if frames else ""))
+        rows.sort(key=lambda row: (-row[0], row[1]))
+        ranked.append(rows)
+    return tuple(ranked)
 
 
 def slow_wss_series(events, tau, every, page_size, thread=None):

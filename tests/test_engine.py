@@ -6,10 +6,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import fast_wss_series, make_random_events, slow_wss_series
+from oracles import fast_wss_series, make_random_events, slow_hot_pages, slow_wss_series
 from workset.engine import (
     AnalysisConfig,
     PageTable,
@@ -44,18 +44,31 @@ def triples(samples):
 
 def test_touch_counts_and_last_access():
     table = PageTable(4096)
-    table.touch(0x2010, 4, now=3)
-    table.touch(0x2FF0, 8, now=9)
+    table.add([2], expires=3)
+    table.add([2, 2], expires=9)
     assert len(table) == 1
-    assert table.records() == [(2, 2, None)]
+    assert table.records() == [(2, 3, None)]
+
+
+def test_add_applies_each_distinct_page_once():
+    table = PageTable(4096)
+    table.add([1, 2, 1, 1], expires=2)  # counted by samples 1 and 2
+    table.add([2, 3], expires=3)  # page 2 moves on to sample 3
+    table.add([4], expires=0)  # expires before sample 1: never counted
+    assert [table.sample() for _ in range(4)] == [3, 3, 2, 0]
+    table.add([1, 4, 4], expires=5)  # expired pages come back
+    assert table.sample() == 2
+    assert sorted(table.records()) == [(1, 4, None), (2, 2, None), (3, 1, None), (4, 3, None)]
 
 
 def test_straddling_access_touches_every_page():
-    table = PageTable(4096)
-    table.touch(0x1FFC, 8, now=1)  # crosses into page 2
-    assert sorted(table.records()) == [(1, 1, None), (2, 1, None)]
-    table.touch(0x0FFF, 8193, now=2)  # 0x0FFF..0x2FFF: pages 0, 1, 2
-    assert sorted(table.records()) == [(0, 1, None), (1, 2, None), (2, 2, None)]
+    events = [fetch(), TraceEvent(AccessKind.DATA_STORE, 0x1FFC, 8)]  # crosses into page 2
+    res = run_analysis(events, AnalysisConfig(tau=1))
+    assert sorted((e.page, e.count) for e in res.data.hot_pages) == [(1, 1), (2, 1)]
+    events.append(TraceEvent(AccessKind.DATA_LOAD, 0x0FFF, 8193))  # 0x0FFF..0x2FFF: pages 0, 1, 2
+    res = run_analysis(events, AnalysisConfig(tau=1))
+    assert sorted((e.page, e.count) for e in res.data.hot_pages) == [(0, 1), (1, 2), (2, 2)]
+    assert triples(res.samples) == [(1, 1, 3)]
 
 
 def test_window_is_half_open_on_the_left():
@@ -76,9 +89,9 @@ def test_window_is_half_open_on_the_left():
 def test_records_capture_first_access_info():
     stacks = {3: ("x.c:9", "y.c:2")}
     table = PageTable(4096, stacks)
-    table.touch(0x2010, 4, now=1, stack_ref=3)
-    table.touch(0x2500, 4, now=5)  # same page again, no stack
-    table.touch(0x9000, 2, now=7, stack_ref=8)  # undeclared ref
+    table.add([2], 1, stack_ref=3)
+    table.add([2], 5)  # same page again, no stack
+    table.add([9], 7, stack_ref=8)  # undeclared ref
     assert sorted(table.records()) == [(2, 2, "x.c:9"), (9, 1, None)]
 
 
@@ -199,6 +212,49 @@ def test_per_thread_matches_slow_oracle_property(seed, n, tau, every, nthreads, 
         assert triples(sub.samples) == [x for x in oracle if x[0] >= first_seen[tid]]
 
 
+def with_stack_switches(rng, events, nstacks, switch_p):
+    """Copies of ``events`` stamped the way read_trace stamps U lines:
+    each thread keeps its stack until it switches, which it does before
+    an event with probability ``switch_p``, so switches fall in the
+    middle of sampling intervals. Stack id ``nstacks`` is never declared."""
+    current = {}
+    out = []
+    for ev in events:
+        if rng.random() < switch_p:
+            current[ev.thread] = rng.randrange(nstacks + 1)
+        out.append(TraceEvent(ev.kind, ev.address, ev.size, ev.thread, current.get(ev.thread)))
+    return out
+
+
+def ranking(stream):
+    return [(e.count, e.page, e.info) for e in stream.hot_pages]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    tau=st.integers(1, 60),
+    every=st.integers(1, 60),
+    nthreads=st.integers(1, 3),
+    straddle=st.booleans(),
+    switch_p=st.sampled_from((0.0, 0.02, 0.3)),
+)
+# no sample and no stack switch: only the batch length bound drains
+@example(seed=7, n=6000, tau=10**6, every=10**6, nthreads=2, straddle=True, switch_p=0.0)
+def test_hot_pages_match_slow_oracle_property(seed, n, tau, every, nthreads, straddle, switch_p):
+    rng = random.Random(seed)
+    events = make_random_events(rng, n, straddle=straddle, threads=tuple(range(nthreads)))
+    records = [CallStackDecl(i, (f"f{i}.c:1", "main.c:9")) for i in range(3)]
+    records += with_stack_switches(rng, events, 3, switch_p)
+    cfg = AnalysisConfig(tau=tau, every=every, per_thread=True, top_n=10**6)
+    res = run_analysis(records, cfg)
+    assert (ranking(res.insn), ranking(res.data)) == slow_hot_pages(records, 4096)
+    assert set(res.threads) == {e.thread for e in events}
+    for tid, sub in res.threads.items():
+        expected = slow_hot_pages(records, 4096, thread=tid)
+        assert (ranking(sub.insn), ranking(sub.data)) == expected
+
+
 def test_fast_oracle_agrees_with_slow():
     events = make_random_events(random.Random(99), 800, straddle=True, threads=(0, 1))
     assert fast_wss_series(events, 23, 11, 4096) == slow_wss_series(events, 23, 11, 4096)
@@ -243,19 +299,33 @@ def _transient_bytes(lines, cfg):
     return peak - held, result
 
 
-@pytest.mark.parametrize("every", [16, 528])
-def test_memory_does_not_grow_with_trace_length(every):
-    cfg = AnalysisConfig(tau=528, every=every)
+@pytest.mark.parametrize(
+    "tau, every, data_only",
+    [
+        pytest.param(528, 16, False, id="16"),
+        pytest.param(528, 528, False, id="528"),
+        # no sample ever drains the batches: only their length bound does
+        pytest.param(10**9, 10**9, False, id="window-longer-than-trace"),
+        pytest.param(528, 528, True, id="data-only"),
+    ],
+)
+def test_memory_does_not_grow_with_trace_length(tau, every, data_only):
+    cfg = AnalysisConfig(tau=tau, every=every)
     runs = []
     for cycles in (1, 4):
         buf = io.StringIO()
         write_trace(gen_pageramp(PagerampConfig(max_pages=128, cycles=cycles)), buf)
         lines = buf.getvalue().splitlines(keepends=True)  # built before tracing
+        if data_only:
+            lines = [line for line in lines if not line.startswith("I")]
         runs.append((len(lines), *_transient_bytes(lines, cfg)))
     (n1, short, res1), (n4, long, res4) = runs
     assert n4 > 3.5 * n1
     assert res4.data.summary.total_pages == res1.data.summary.total_pages
-    assert len(res4.samples) > 3.5 * len(res1.samples)
+    if tau < 10**9 and not data_only:
+        assert len(res4.samples) > 3.5 * len(res1.samples)
+    else:
+        assert res4.samples == []
     # keeping one pointer per extra sample would already cost about 25 kB
     assert long <= short + 16 * 1024, (short, long)
 

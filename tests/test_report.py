@@ -64,8 +64,7 @@ def analyzed(n=400, **cfg_kwargs):
 
 def test_summarize_arithmetic():
     table = PageTable(4096)
-    for page in range(5):
-        table.touch(page * 4096, 1, now=1)
+    table.add(list(range(5)), expires=1)
     samples = [WssSample(10, 2, 7), WssSample(20, 3, 7), WssSample(30, 4, 7)]
     s = summarize(samples, table, Stream.INSN)
     assert s == Summary(Stream.INSN, 3.0, 4, 5, 4096)
@@ -74,7 +73,7 @@ def test_summarize_arithmetic():
 
 def test_summarize_empty_sample_list():
     table = PageTable(4096)
-    table.touch(0, 1, now=1)
+    table.add([0], expires=1)
     s = summarize([], table, Stream.DATA)
     assert s.avg_pages == 0.0 and s.peak_pages == 0 and s.total_pages == 1
 
@@ -98,11 +97,9 @@ def test_format_summary_fractional_kb():
 
 def hot_table():
     table = PageTable(4096, stacks={1: ("f.c:1", "g.c:2")})
-    for _ in range(3):
-        table.touch(5 * 4096, 1, now=1, stack_ref=1)
-    for _ in range(3):
-        table.touch(2 * 4096, 1, now=2)
-    table.touch(9 * 4096, 1, now=3)
+    table.add([5, 5, 5], expires=1, stack_ref=1)
+    table.add([2, 2, 2], expires=2)
+    table.add([9], expires=3)
     return table
 
 
@@ -121,7 +118,7 @@ def test_hot_pages_limit():
 
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
-    # hot_table() makes seven single-page touches
+    # hot_table() records seven accesses
     assert sum(e.count for e in hot_pages(table)) == 7
 
 

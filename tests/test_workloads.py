@@ -3,6 +3,9 @@ by hand from the workload definition before gen_pageramp existed; keep
 it literal."""
 
 import io
+import time
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -13,6 +16,7 @@ from workset.trace import AccessKind, CallStackDecl, TraceEvent, read_trace, wri
 from workset.workloads import (
     CODE_BASE,
     CODE_PAGES,
+    EVENT_MEMO_SIZE,
     PagerampConfig,
     StepConfig,
     gen_pageramp,
@@ -113,6 +117,42 @@ def test_peak_distinct_pages_per_pass():
     passes = store_page_sets(gen_pageramp(cfg))
     assert max(len(p) for p in passes) == 512
     assert len(passes) == 2 * 1024
+
+
+def test_events_are_shared_per_code_offset_and_page():
+    # 4 code pages of 256 bytes hold 256 fetch offsets
+    ramp = gen_pageramp(PagerampConfig(max_pages=8, stride=1, cycles=2, page_size=256))
+    step = gen_step(3, 5, 4, StepConfig(interval_insns=300, page_size=256))
+    for records in (ramp, step):
+        events = [r for r in records if isinstance(r, TraceEvent)]
+        for kind, distinct in ((AccessKind.INSN_FETCH, 256), (AccessKind.DATA_STORE, 8)):
+            same_kind = [e for e in events if e.kind is kind]
+            assert len({e.address for e in same_kind}) == distinct
+            assert len({id(e) for e in same_kind}) == distinct
+
+
+def test_huge_page_size_starts_quickly_with_bounded_memory():
+    # the code region spans 4 GiB: 2**30 fetch offsets, far more than
+    # EVENT_MEMO_SIZE, so no fetch event is built ahead or kept
+    cfg = PagerampConfig(
+        max_pages=1, stride=1, cycles=1, insns_per_step=150_000, page_size=1 << 30
+    )
+    records = gen_pageramp(cfg)
+    t0 = time.perf_counter()
+    head = list(islice(records, 41))
+    assert time.perf_counter() - t0 < 1.0
+    assert [r.address for r in head[1:]] == [CODE_BASE + 4 * i for i in range(40)]
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(3):
+            for _ in islice(records, EVENT_MEMO_SIZE // 2):
+                pass
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # a memo keeping every fetch would grow by about 5 MB per step
+    assert held[2] <= held[0] + 64 * 1024, held
 
 
 def test_deterministic():
