@@ -15,7 +15,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from workset.engine import AnalysisConfig, run_analysis
-from workset.trace import read_trace
 from workset.workloads import StepConfig, gen_step
 
 
@@ -38,17 +37,15 @@ def main() -> int:
     ap.add_argument("--csv", type=Path, help="also write the table as CSV")
     args = ap.parse_args()
 
-    def records():
+    def analyze(cfg):
         if args.input:
             with open(args.input) as f:
-                yield from read_trace(f)
-        else:
-            yield from gen_step(10, 50, 20, StepConfig(interval_insns=10_000))
+                return run_analysis(f, cfg)
+        return run_analysis(gen_step(10, 50, 20, StepConfig(interval_insns=10_000)), cfg)
 
     rows = []
     for tau in sweep_taus(args.tau_min, args.tau_max, args.points):
-        cfg = AnalysisConfig(tau=tau, every=args.every or tau)
-        res = run_analysis(records(), cfg)
+        res = analyze(AnalysisConfig(tau=tau, every=args.every or tau))
         i, d = res.insn.summary, res.data.summary
         rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages, d.peak_pages))
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from .engine import AnalysisConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
-from .trace import TraceParseError, read_trace, write_trace
+from .trace import TraceParseError, write_trace
 from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 USAGE_ERROR = 1
@@ -197,8 +197,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     try:
         with _open_text(args.input, "r") as stream:
-            records = read_trace(stream, strict=args.strict)
-            result = run_analysis(records, cfg, label_map)
+            result = run_analysis(stream, cfg, label_map, strict=args.strict)
     except (TraceParseError, OSError) as exc:
         sys.stderr.write(f"workset analyze: {exc}\n")
         return INPUT_ERROR

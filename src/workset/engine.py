@@ -28,17 +28,32 @@ entries. Sampling never scans the tables. Each table counts its pages
 per expiry index (see PageTable); a sample reads a running count and
 retires one expiry bucket, so it costs O(1) however many pages the
 stream has touched.
+
+run_analysis takes records (TraceEvent, CallStackDecl) or the trace's
+text lines. A text line never becomes a TraceEvent: the engine decodes
+it with the trace module's event grammar (decode_event) and memoizes
+the line as (is_fetch, first_page, last_page, thread), and it keeps the
+stack bookkeeping of C and U lines through the trace module's
+parse_record, the same code read_trace uses.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .peak import PeakDetector, PeakParams
 from .report import HotPageEntry, Summary, hot_pages, summarize
-from .trace import AccessKind, CallStackDecl, Stream, TraceEvent
+from .trace import (
+    LINE_MEMO_SIZE,
+    AccessKind,
+    CallStackDecl,
+    Stream,
+    TraceEvent,
+    decode_event,
+    parse_record,
+)
 
 BATCH_LIMIT = 1024
 """Length at which a pending batch is applied even though no sample,
@@ -123,7 +138,8 @@ class PageTable:
         allowed), all with expiry index ``expires`` and stack id
         ``stack_ref``. Batches must arrive in time order, and their accesses
         must lie after the instant of the last sample taken."""
-        self._count.update(pages)
+        # Counter.update minus its per-call Mapping check
+        _count_elements(self._count, pages)
         expiry = self._expiry
         first = self._first
         buckets = self._buckets
@@ -369,13 +385,23 @@ class _ScopeState:
 
 
 def run_analysis(
-    records: Iterable[TraceEvent | CallStackDecl],
+    records: Iterable[TraceEvent | CallStackDecl | str],
     config: AnalysisConfig | None = None,
     label_map: Mapping[int, str] | None = None,
+    strict: bool = True,
 ) -> AnalysisResult:
-    """Single pass over a record stream, as produced by read_trace or
-    the generators. Memory stays proportional to distinct pages plus
-    samples, never to trace length."""
+    """Single pass over a trace: records as produced by read_trace or
+    the generators, or the trace's text lines (an open file works).
+    Memory stays proportional to distinct pages plus samples, never to
+    trace length.
+
+    Text lines are decoded here, without building a TraceEvent: each
+    distinct event line maps, through a memo with read_trace's bound,
+    to its stream, page range and thread, so a repeated line costs a
+    dict lookup plus the lookup of its thread's current stack. ``strict``
+    applies to text lines as in read_trace, and line numbers in errors
+    and warnings count the text lines.
+    """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
     combined = _ScopeState(cfg, stacks)
@@ -395,6 +421,13 @@ def run_analysis(
     expires = (cfg.tau - 1) // every
     moves_at = (expires + 1) * every - cfg.tau + 1
     pending = False
+    # text lines: event line -> (is_fetch, first_page, last_page, thread),
+    # and each thread's current stack as the U lines set it
+    memo: dict[str, tuple[bool, int, int, int]] = {}
+    memo_get = memo.get
+    current: dict[int, int] = {}
+    current_get = current.get
+    lineno = 0
 
     def drain(expires: int) -> None:
         combined.drain(expires)
@@ -407,19 +440,41 @@ def run_analysis(
             state.take_sample(t, expires)
 
     for rec in records:
-        if rec.__class__ is not TraceEvent:
-            if rec.__class__ is CallStackDecl:
-                stacks[rec.id] = rec.frames
-                continue
+        if rec.__class__ is TraceEvent:
+            address = rec.address
+            page = address >> shift
+            last_page = (address + rec.size - 1) >> shift
+            ref = rec.stack_ref
+            fetch = rec.kind is insn_fetch
+        elif rec.__class__ is str:
+            lineno += 1
+            entry = memo_get(rec)
+            if entry is not None:
+                fetch, page, last_page, thread = entry
+            else:
+                fields = decode_event(rec)
+                if fields is None:
+                    # blank, comment, stack record or malformed line
+                    parse_record(rec, lineno, stacks, current, strict)
+                    continue
+                tag, address, size, thread = fields
+                fetch = tag == "I"
+                page = address >> shift
+                last_page = (address + size - 1) >> shift
+                if last_page == page:
+                    last_page = page  # the entry holds one int for both
+                if len(memo) >= LINE_MEMO_SIZE:
+                    memo.clear()
+                memo[rec] = (fetch, page, last_page, thread)
+            ref = current_get(thread)
+        elif rec.__class__ is CallStackDecl:
+            stacks[rec.id] = rec.frames
+            continue
+        else:
             raise TypeError(
                 f"cannot analyze record of type {rec.__class__.__name__}; "
-                "feed read_trace or generator output"
+                "feed trace text lines, read_trace or generator output"
             )
-        address = rec.address
-        page = address >> shift
-        last_page = (address + rec.size - 1) >> shift
-        ref = rec.stack_ref
-        fetch = rec.kind is insn_fetch
         if fetch:
             # flush before looking at the event so a thread first seen here
             # does not pick up a sample for a boundary it predates
@@ -447,9 +502,10 @@ def run_analysis(
         if len(batch) >= BATCH_LIMIT:
             combined.drain(expires)
         if per_thread:
-            scope = threads.get(rec.thread)
+            tid = rec.thread if rec.__class__ is TraceEvent else thread
+            scope = threads.get(tid)
             if scope is None:
-                scope = threads[rec.thread] = _ScopeState(cfg, stacks, now)
+                scope = threads[tid] = _ScopeState(cfg, stacks, now)
             if ref != scope.last_stack:
                 scope.drain(expires)
                 scope.last_stack = ref
@@ -463,6 +519,9 @@ def run_analysis(
     drain(expires)
     if pending:
         flush(now, expires)
+    # the memo is dead weight from here on, and building the results
+    # (ranking the hot pages) takes memory of its own
+    memo.clear()
 
     thread_results = (
         {tid: threads[tid].result(cfg, label_map) for tid in sorted(threads)}

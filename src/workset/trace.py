@@ -23,6 +23,7 @@ can be piped in directly.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
@@ -97,6 +98,35 @@ class TraceParseError(ValueError):
 
 _KIND_BY_TAG = {k.value: k for k in AccessKind}
 
+LINE_MEMO_SIZE = 65536
+"""Entries a line memo (read_trace's, and the engine's for trace text)
+holds before it is cleared and refilled."""
+
+# the ASCII characters str.split() splits on; an event record is ASCII
+_WS = "[ \t\n\x0b\x0c\r\x1c-\x1f]"
+_match_event = re.compile(
+    rf"{_WS}*([ILSM]){_WS}+(?:0[xX])?([0-9a-fA-F]+),([0-9]+)(?:{_WS}+t([0-9]+))?{_WS}*"
+).fullmatch
+
+
+def decode_event(line: str) -> tuple[str, int, int, int] | None:
+    """The fields ``(tag, address, size, thread)`` of an event record
+    line, or None when ``line`` is not a well-formed event record. This
+    is the event grammar's one definition: parse_line and the engine's
+    text path both decode events through it."""
+    m = _match_event(line)
+    if m is None:
+        return None
+    tag, address, size, thread = m.groups()
+    try:
+        size = int(size)
+        thread = int(thread) if thread else 0
+    except ValueError:  # more digits than int() converts
+        return None
+    if not 1 <= size <= MAX_ACCESS_SIZE:
+        return None
+    return tag, int(address, 16), size, thread
+
 
 def _decimal(text: str) -> int | None:
     """The value of a field of ASCII digits 0-9, else None."""
@@ -116,50 +146,23 @@ def parse_line(
     Returns None for blank lines and comments. Raises TraceParseError
     on anything that is not part of the grammar.
     """
-    # split() also swallows the newline and leading indentation, so the
-    # common case never allocates a stripped copy of the line
+    fields = decode_event(line)
+    if fields is not None:
+        tag, address, size, thread = fields
+        return TraceEvent(_KIND_BY_TAG[tag], address, size, thread)
+    # split() also swallows the newline and leading indentation
     parts = line.split()
     if not parts:
         return None
     tag = parts[0]
     if tag[0] == "#":
         return None
-    kind = _KIND_BY_TAG.get(tag)
-    if kind is not None:
-        nparts = len(parts)
-        if nparts < 2 or nparts > 3:
-            raise TraceParseError(f"malformed event record {line.strip()!r}", lineno)
-        # with the line known to be ASCII, isalnum() and isdigit() admit
-        # exactly the grammar's characters: int() alone would also take
-        # signs, '_' separators and other scripts' digits
-        if not line.isascii():
-            raise TraceParseError(f"non-ASCII event record {line.strip()!r}", lineno)
-        body = parts[1]
-        comma = body.find(",")
-        if comma < 0 or body.find(",", comma + 1) >= 0:
-            raise TraceParseError(f"expected '<addr>,<size>', got {body!r}", lineno)
-        addr_s = body[:comma]
-        size_s = body[comma + 1 :]
-        if not (addr_s.isalnum() and size_s.isdigit()):
-            raise TraceParseError(f"malformed address/size field {body!r}", lineno)
-        try:
-            address = int(addr_s, 16)
-            size = int(size_s)
-        except ValueError:
-            raise TraceParseError(
-                f"malformed address/size field {body!r}", lineno
-            ) from None
-        if not 1 <= size <= MAX_ACCESS_SIZE:
-            raise TraceParseError(
-                f"size must be in 1..{MAX_ACCESS_SIZE}, got {size}", lineno
-            )
-        thread = 0
-        if nparts == 3:
-            tfield = parts[2]
-            thread = _decimal(tfield[1:]) if tfield[0] == "t" else None
-            if thread is None:
-                raise TraceParseError(f"malformed thread field {tfield!r}", lineno)
-        return TraceEvent(kind, address, size, thread)
+    if tag in _KIND_BY_TAG:
+        raise TraceParseError(
+            f"malformed event record {line.strip()!r}: expected "
+            f"'<hexaddr>,<size>[ t<tid>]' in ASCII, size 1..{MAX_ACCESS_SIZE}",
+            lineno,
+        )
     if tag == "C":
         head, sep, rest = line.strip().partition(":")
         ident = _decimal(head[1:].strip())
@@ -191,6 +194,44 @@ def parse_line(
     raise TraceParseError(f"unknown record tag {tag!r}", lineno)
 
 
+def parse_record(
+    line: str,
+    lineno: int,
+    stacks: dict[int, tuple[str, ...]],
+    current: dict[int, int],
+    strict: bool,
+) -> TraceEvent | CallStackDecl | None:
+    """parse_line plus the bookkeeping of the stack records: a
+    declaration's frames go into ``stacks`` (id -> frames), and an
+    activation sets its thread's entry in ``current`` (thread -> id).
+
+    Returns the event or declaration the line holds, or None when it
+    holds neither. A malformed line, a duplicate stack id or the
+    activation of an undeclared stack raises TraceParseError in strict
+    mode; in lenient mode the line is skipped with a logged warning.
+    """
+    try:
+        rec = parse_line(line, lineno)
+        cls = rec.__class__
+        if cls is CallStackDecl:
+            if rec.id in stacks:
+                raise TraceParseError(f"duplicate call stack id {rec.id}", lineno)
+            stacks[rec.id] = rec.frames
+        elif cls is StackActivation:
+            if rec.stack not in stacks:
+                raise TraceParseError(
+                    f"activation of undeclared stack id {rec.stack}", lineno
+                )
+            current[rec.thread] = rec.stack
+            return None
+        return rec
+    except TraceParseError as exc:
+        if strict:
+            raise
+        log.warning("skipping malformed trace line: %s", exc)
+        return None
+
+
 def read_trace(
     lines: Iterable[str], strict: bool = True
 ) -> Iterator[TraceEvent | CallStackDecl]:
@@ -214,8 +255,12 @@ def read_trace(
     earlier keeps its stack_ref when the thread switches stacks later.
     Event parsing is context-free, which makes the memo invisible apart
     from the speedup and the sharing of equal events.
+
+    This is the record API for library users. To analyze trace text,
+    run_analysis takes the lines themselves and skips building the
+    records.
     """
-    declared: dict[int, CallStackDecl] = {}
+    stacks: dict[int, tuple[str, ...]] = {}
     current: dict[int, int] = {}
     memo: dict[str, TraceEvent] = {}
     for lineno, raw in enumerate(lines, 1):
@@ -226,32 +271,15 @@ def read_trace(
                 rec = memo[raw] = TraceEvent(rec.kind, rec.address, rec.size, rec.thread, ref)
             yield rec
             continue
-        try:
-            rec = parse_line(raw, lineno)
-            if rec is None:
-                continue
-            cls = rec.__class__
-            if cls is TraceEvent:
-                if len(memo) >= 65536:
-                    memo.clear()
-                rec.stack_ref = current.get(rec.thread)
-                memo[raw] = rec
-                yield rec
-            elif cls is CallStackDecl:
-                if rec.id in declared:
-                    raise TraceParseError(f"duplicate call stack id {rec.id}", lineno)
-                declared[rec.id] = rec
-                yield rec
-            else:
-                if rec.stack not in declared:
-                    raise TraceParseError(
-                        f"activation of undeclared stack id {rec.stack}", lineno
-                    )
-                current[rec.thread] = rec.stack
-        except TraceParseError as exc:
-            if strict:
-                raise
-            log.warning("skipping malformed trace line: %s", exc)
+        rec = parse_record(raw, lineno, stacks, current, strict)
+        if rec is None:
+            continue
+        if rec.__class__ is TraceEvent:
+            if len(memo) >= LINE_MEMO_SIZE:
+                memo.clear()
+            rec.stack_ref = current.get(rec.thread)
+            memo[raw] = rec
+        yield rec
 
 
 def write_trace(

@@ -10,7 +10,48 @@ from __future__ import annotations
 import math
 import random
 
-from workset.trace import AccessKind, CallStackDecl, TraceEvent
+from workset.trace import (
+    MAX_ACCESS_SIZE,
+    AccessKind,
+    CallStackDecl,
+    TraceEvent,
+    TraceParseError,
+)
+
+
+def split_parse_event(line):
+    """The event grammar checked field by field on ``line.split()``:
+    the TraceEvent of a well-formed event record, TraceParseError for a
+    malformed one, and None for a line whose first field is not an
+    event tag (not an event record at all)."""
+    parts = line.split()
+    if not parts or parts[0] not in ("I", "L", "S", "M"):
+        return None
+    if len(parts) not in (2, 3) or not line.isascii():
+        raise TraceParseError("malformed event record")
+    if parts[1].count(",") != 1:
+        raise TraceParseError("expected <addr>,<size>")
+    addr_s, size_s = parts[1].split(",")
+    # the line is ASCII, so isalnum() and isdigit() admit ASCII only
+    if not (addr_s.isalnum() and size_s.isdigit()):
+        raise TraceParseError("malformed address/size")
+    try:
+        address = int(addr_s, 16)
+        size = int(size_s)
+    except ValueError:  # a bad hex digit, or more digits than int() converts
+        raise TraceParseError("malformed address/size") from None
+    if not 1 <= size <= MAX_ACCESS_SIZE:
+        raise TraceParseError("size out of range")
+    thread = 0
+    if len(parts) == 3:
+        field = parts[2]
+        if field[0] != "t" or not field[1:].isdigit():
+            raise TraceParseError("malformed thread field")
+        try:
+            thread = int(field[1:])
+        except ValueError:
+            raise TraceParseError("thread id too long") from None
+    return TraceEvent(AccessKind(parts[0]), address, size, thread)
 
 
 def expand_accesses(events, page_size, thread=None):

@@ -2,8 +2,10 @@
 hand-computed edge cases for the clock / window / sampling rules."""
 
 import io
+import logging
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import example, given
@@ -22,6 +24,7 @@ from workset.trace import (
     StackActivation,
     Stream,
     TraceEvent,
+    TraceParseError,
     read_trace,
     write_trace,
 )
@@ -255,6 +258,76 @@ def test_hot_pages_match_slow_oracle_property(seed, n, tau, every, nthreads, str
         assert (ranking(sub.insn), ranking(sub.data)) == expected
 
 
+BAD_LINES = [
+    "nonsense\n",
+    " L 0,65537\n",       # above MAX_ACCESS_SIZE
+    " L 1_0,4\n",
+    "I  10,4 t\u0661\n",
+    "I \udcff,4\n",       # undecodable byte under surrogateescape
+    "U 0 99\n",           # undeclared stack
+    "C 0: again.c:1\n",   # duplicate stack id
+]
+EXTRA_LINES = ["\n", "# comment\n", "U 0 2\n", "U 1 3\n", "C 9: late.c:7\n"]
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _analyze(records, cfg, strict):
+    """(result dict or the error's line number, logged warnings)."""
+    logger = logging.getLogger("workset.trace")
+    handler = _Warnings()
+    logger.addHandler(handler)
+    try:
+        outcome = run_analysis(records, cfg, strict=strict).to_dict()
+    except TraceParseError as exc:
+        outcome = exc.lineno
+    finally:
+        logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    tau=st.integers(1, 60),
+    every=st.integers(1, 60),
+    nthreads=st.integers(1, 3),
+    straddle=st.booleans(),
+    switch_p=st.sampled_from((0.0, 0.02, 0.3)),
+    per_thread=st.booleans(),
+    peak_detect=st.booleans(),
+    extra=st.integers(0, 6),
+    bad=st.integers(0, 3),
+    strict=st.booleans(),
+)
+def test_text_lines_match_read_trace(
+    seed, n, tau, every, nthreads, straddle, switch_p, per_thread, peak_detect, extra, bad,
+    strict,
+):
+    rng = random.Random(seed)
+    events = make_random_events(rng, n, straddle=straddle, threads=tuple(range(nthreads)))
+    records = [CallStackDecl(i, (f"f{i}.c:1", "main.c:9")) for i in range(4)]
+    records += with_stack_switches(rng, events, 3, switch_p)
+    buf = io.StringIO()
+    write_trace(records, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for line in rng.choices(EXTRA_LINES, k=extra) + rng.choices(BAD_LINES, k=bad):
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    cfg = AnalysisConfig(tau=tau, every=every, per_thread=per_thread,
+                         peak_detect=peak_detect, peak_g=0.5, top_n=10**6)
+    text = _analyze(lines, cfg, strict)
+    assert text == _analyze(read_trace(lines, strict=strict), cfg, strict)
+    if bad and not strict:
+        assert len(text[1]) >= 1
+
+
 def test_fast_oracle_agrees_with_slow():
     events = make_random_events(random.Random(99), 800, straddle=True, threads=(0, 1))
     assert fast_wss_series(events, 23, 11, 4096) == slow_wss_series(events, 23, 11, 4096)
@@ -287,42 +360,69 @@ def test_wss_never_exceeds_window_or_footprint():
         assert 0 <= s.wss_data <= len(data_pages)
 
 
-def _transient_bytes(lines, cfg):
+def _transient_bytes(records, cfg):
     """Peak traced memory of one analysis minus what its result still
     holds afterwards: the tables, memo and buffers the pass needed."""
     tracemalloc.start()
     try:
-        result = run_analysis(read_trace(lines), cfg)
+        result = run_analysis(records, cfg)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return peak - held, result
 
 
+def _pageramp_lines(scale, data_only=False):
+    buf = io.StringIO()
+    write_trace(gen_pageramp(PagerampConfig(max_pages=128, cycles=scale)), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    if data_only:
+        lines = [line for line in lines if not line.startswith("I")]
+    return lines
+
+
+def _distinct_lines(scale):
+    """70000 event lines per unit of ``scale``, no two alike: fetches and
+    loads at word offsets of 128 code and 128 data pages, with the size
+    changing each time the offsets wrap, so no access leaves its page."""
+    lines = []
+    for j in range(35_000 * scale):
+        page, offset, size = j % 128, (j // 128) % 1024 * 4, 1 + j // 131_072
+        lines.append(f"I  {0x40_0000 + page * 4096 + offset:x},{size}\n")
+        lines.append(f" L {0x1000_0000 + page * 4096 + offset:x},{size}\n")
+    return lines
+
+
 @pytest.mark.parametrize(
-    "tau, every, data_only",
+    "tau, every, make_lines, text",
     [
-        pytest.param(528, 16, False, id="16"),
-        pytest.param(528, 528, False, id="528"),
+        pytest.param(528, 16, _pageramp_lines, False, id="16"),
+        pytest.param(528, 528, _pageramp_lines, False, id="528"),
         # no sample ever drains the batches: only their length bound does
-        pytest.param(10**9, 10**9, False, id="window-longer-than-trace"),
-        pytest.param(528, 528, True, id="data-only"),
+        pytest.param(10**9, 10**9, _pageramp_lines, False, id="window-longer-than-trace"),
+        pytest.param(528, 528, partial(_pageramp_lines, data_only=True), False,
+                     id="data-only"),
+        pytest.param(528, 16, _pageramp_lines, True, id="text-16"),
+        pytest.param(528, 528, _pageramp_lines, True, id="text-528"),
+        pytest.param(10**9, 10**9, _pageramp_lines, True, id="text-window-longer-than-trace"),
+        pytest.param(528, 528, partial(_pageramp_lines, data_only=True), True,
+                     id="text-data-only"),
+        # more distinct lines than the line memo holds: only its bound
+        # keeps it from growing with the trace
+        pytest.param(528, 528, _distinct_lines, True, id="text-distinct-lines"),
     ],
 )
-def test_memory_does_not_grow_with_trace_length(tau, every, data_only):
+def test_memory_does_not_grow_with_trace_length(tau, every, make_lines, text):
     cfg = AnalysisConfig(tau=tau, every=every)
     runs = []
-    for cycles in (1, 4):
-        buf = io.StringIO()
-        write_trace(gen_pageramp(PagerampConfig(max_pages=128, cycles=cycles)), buf)
-        lines = buf.getvalue().splitlines(keepends=True)  # built before tracing
-        if data_only:
-            lines = [line for line in lines if not line.startswith("I")]
-        runs.append((len(lines), *_transient_bytes(lines, cfg)))
+    for scale in (1, 4):
+        lines = make_lines(scale)  # built before tracing
+        records = lines if text else read_trace(lines)
+        runs.append((len(lines), *_transient_bytes(records, cfg)))
     (n1, short, res1), (n4, long, res4) = runs
     assert n4 > 3.5 * n1
     assert res4.data.summary.total_pages == res1.data.summary.total_pages
-    if tau < 10**9 and not data_only:
+    if res1.insn.summary.total_pages and tau < 10**9:
         assert len(res4.samples) > 3.5 * len(res1.samples)
     else:
         assert res4.samples == []
@@ -462,7 +562,7 @@ def test_rejects_non_event_records():
     with pytest.raises(TypeError):
         run_analysis([StackActivation(0, 1)])
     with pytest.raises(TypeError):
-        run_analysis(["I 00400000,4"])  # raw text: parse it first
+        run_analysis([b"I 00400000,4\n"])  # lines of a file opened in binary mode
 
 
 def test_accepts_stack_declarations():

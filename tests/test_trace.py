@@ -5,9 +5,10 @@ import logging
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import split_parse_event
 from workset.trace import (
     AccessKind,
     CallStackDecl,
@@ -121,6 +122,59 @@ def test_parse_line_returns_record_or_raises_parse_error(line):
     except TraceParseError:
         return
     assert rec is None or isinstance(rec, (TraceEvent, CallStackDecl, StackActivation))
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except TraceParseError:
+        return "error"
+
+
+_WS_BITS = st.sampled_from(
+    ["", " ", "  ", "\t", "\x1c", "\x1f", "\x0b\x0c", "\r\n", "\n", "\u3000", "\x85"]
+)
+
+
+@st.composite
+def event_like_lines(draw):
+    """Event records and near misses, field by field."""
+    tag = draw(st.sampled_from(["I", "L", "S", "M", "IL", "i", "C", ""]))
+    prefix = draw(st.sampled_from(["", "", "0x", "0X", "0x0x", "x", "+", "-"]))
+    addr = draw(st.text("0123456789abcdefABCDEFgx_\u0663", max_size=10))
+    comma = draw(st.sampled_from([",", ",", ",,", "", ";"]))
+    size = draw(st.one_of(
+        st.integers(0, 70000).map(str),
+        st.integers(65530, 65540).map(str),
+        st.tuples(st.text("0", max_size=5), st.integers(0, 99).map(str)).map("".join),
+        st.sampled_from(["", "+4", "4_0", "\u0663", "\u00b2", "4 ", "9" * 4301,
+                         "0" * 4299 + "1", "0" * 4300 + "1"]),
+    ))
+    thread = draw(st.sampled_from(
+        ["", "", " t0", " t17", "\tt007", "\x1ct3", " t", " 1", " t-1", " t\u0661",
+         " t" + "9" * 4300, " t" + "9" * 4301, " tt1", " t1 t2"]
+    ))
+    junk = draw(st.sampled_from(["", "", "", " x", "#", "\udcff", "\u00e9", ",4"]))
+    lead, mid, tail = draw(_WS_BITS), draw(_WS_BITS), draw(_WS_BITS)
+    return f"{lead}{tag}{mid}{prefix}{addr}{comma}{size}{thread}{junk}{tail}"
+
+
+@settings(max_examples=500)
+@given(st.one_of(event_like_lines(), st.lists(_GRAMMAR_BITS, max_size=12).map("".join)))
+@example("\tI\t0X1F,0004\tt09\r\n")
+@example("\x1c L\x1c10,65536\x1d")
+@example(" S 10,65537")
+@example(" L 10," + "0" * 4300 + "1")
+@example(" L 10,4 t" + "1" * 4301)
+@example(" L 10,\u0664")
+@example(" M 10,4 t1 junk")
+def test_event_grammar_matches_split_oracle(line):
+    expected = _outcome(split_parse_event, line)
+    got = _outcome(parse_line, line)
+    if expected is None:  # not an event record: parse_line must not decode one
+        assert not isinstance(got, TraceEvent)
+    else:
+        assert got == expected
 
 
 def test_parse_line_accepts_non_ascii_frames():
