@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 from .engine import AnalysisConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
@@ -29,18 +30,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text, 0)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int(text: str) -> int:
+    # base 0 accepts hex, so addresses can be given as 0x...
+    return int(text, 0)
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text, 0)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _config(cls, args: argparse.Namespace):
+    """``cls`` built from the given flags that name its fields; the
+    config supplies every default and checks every range."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 @contextmanager
@@ -65,56 +64,57 @@ def _open_text(path: str, mode: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="workset", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # a flag left off the command line stays out of the namespace, so the
+    # config it fills supplies the default
+    leaf = {"argument_default": argparse.SUPPRESS}
 
     gen = sub.add_parser("gen", help="generate a synthetic trace")
     gen_sub = gen.add_subparsers(dest="workload", required=True, parser_class=_Parser)
 
-    ramp = gen_sub.add_parser("pageramp", help="sawtooth working set workload")
-    ramp.add_argument("--max-pages", type=_positive_int, default=1024)
-    ramp.add_argument("--stride", type=_positive_int, default=2,
-                      help="touch every stride-th claimed page")
-    ramp.add_argument("--cycles", type=_positive_int, default=10)
-    ramp.add_argument("--insns-per-touch", type=_positive_int, default=1)
-    ramp.add_argument("--insns-per-step", type=_nonneg_int, default=16,
+    ramp = gen_sub.add_parser("pageramp", help="sawtooth working set workload", **leaf)
+    ramp.add_argument("--max-pages", type=_int)
+    ramp.add_argument("--stride", type=_int, help="touch every stride-th claimed page")
+    ramp.add_argument("--cycles", type=_int)
+    ramp.add_argument("--insns-per-touch", type=_int)
+    ramp.add_argument("--insns-per-step", type=_int,
                       help="dwell instructions per claim/release step")
-    ramp.add_argument("--pages-per-step", type=_positive_int, default=1)
-    ramp.add_argument("--base-address", type=_nonneg_int, default=0x1000_0000)
-    ramp.add_argument("--page-size", type=_positive_int, default=4096)
+    ramp.add_argument("--pages-per-step", type=_int)
+    ramp.add_argument("--base-address", type=_int)
+    ramp.add_argument("--page-size", type=_int)
     ramp.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    ramp.set_defaults(func=_cmd_gen_pageramp)
+    ramp.set_defaults(func=_cmd_gen,
+                      records=lambda args: gen_pageramp(_config(PagerampConfig, args)))
 
-    step = gen_sub.add_parser("step", help="flat working set with one bump")
-    step.add_argument("--flat-pages", type=_positive_int, default=10)
-    step.add_argument("--step-pages", type=_nonneg_int, default=50)
-    step.add_argument("--flat-samples", type=_positive_int, default=20)
-    step.add_argument("--interval-insns", type=_positive_int, default=1000)
-    step.add_argument("--repeats", type=_positive_int, default=1)
-    step.add_argument("--base-address", type=_nonneg_int, default=0x2000_0000)
-    step.add_argument("--page-size", type=_positive_int, default=4096)
+    step = gen_sub.add_parser("step", help="flat working set with one bump", **leaf)
+    step.add_argument("--flat-pages", type=_int, default=10)
+    step.add_argument("--step-pages", type=_int, default=50)
+    step.add_argument("--flat-samples", type=_int, default=20)
+    step.add_argument("--interval-insns", type=_int)
+    step.add_argument("--repeats", type=_int)
+    step.add_argument("--base-address", type=_int)
+    step.add_argument("--page-size", type=_int)
     step.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    step.set_defaults(func=_cmd_gen_step)
+    step.set_defaults(func=_cmd_gen, records=lambda args: gen_step(
+        args.flat_pages, args.step_pages, args.flat_samples, _config(StepConfig, args)))
 
-    analyze = sub.add_parser("analyze", help="compute working set sizes from a trace")
+    analyze = sub.add_parser("analyze", help="compute working set sizes from a trace", **leaf)
     analyze.add_argument("input", nargs="?", default="-",
                          help="trace file, '-' or omitted for stdin")
-    analyze.add_argument("--tau", type=_positive_int, default=100_000,
-                         help="window length in instructions (default 100000)")
-    analyze.add_argument("--every", type=_positive_int, default=None,
+    analyze.add_argument("--tau", type=_int, help=(
+        f"window length in instructions (default {AnalysisConfig.tau})"))
+    analyze.add_argument("--every", type=_int,
                          help="sampling interval in instructions (default: --tau)")
-    analyze.add_argument("--page-size", type=_positive_int, default=4096)
+    analyze.add_argument("--page-size", type=_int)
     analyze.add_argument("--per-thread", action="store_true",
                          help="also produce per-thread series and summaries")
     analyze.add_argument("--peak-detect", action="store_true",
                          help="flag peaks in the sampled series (off by default)")
-    analyze.add_argument("--peak-sensitivity", type=float, default=1.0, metavar="G")
-    analyze.add_argument("--peak-alpha", type=float, default=0.3,
-                         help="moving average decay")
-    analyze.add_argument("--peak-phi", type=float, default=0.2,
-                         help="damping while a peak is active")
-    analyze.add_argument("--top-n", type=_nonneg_int, default=10,
-                         help="hot pages listed per stream")
+    analyze.add_argument("--peak-sensitivity", dest="peak_g", type=float, metavar="G")
+    analyze.add_argument("--peak-alpha", type=float, help="moving average decay")
+    analyze.add_argument("--peak-phi", type=float, help="damping while a peak is active")
+    analyze.add_argument("--top-n", type=_int, help="hot pages listed per stream")
     analyze.add_argument("--format", choices=FORMATS, default="text")
-    analyze.add_argument("--labels", metavar="FILE",
+    analyze.add_argument("--labels", metavar="FILE", default=None,
                          help="page label sidecar ('<hexpage> <label>' lines)")
     analyze.add_argument("--strict", dest="strict", action="store_true", default=True,
                          help="fail on malformed trace lines (default)")
@@ -126,42 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen_pageramp(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        cfg = PagerampConfig(
-            max_pages=args.max_pages,
-            stride=args.stride,
-            cycles=args.cycles,
-            insns_per_touch=args.insns_per_touch,
-            insns_per_step=args.insns_per_step,
-            pages_per_step=args.pages_per_step,
-            base_address=args.base_address,
-            page_size=args.page_size,
-        )
+        records = args.records(args)
     except ValueError as exc:
-        sys.stderr.write(f"workset gen pageramp: {exc}\n")
+        sys.stderr.write(f"workset gen {args.workload}: {exc}\n")
         return USAGE_ERROR
-    return _write_records(gen_pageramp(cfg), args.output)
-
-
-def _cmd_gen_step(args: argparse.Namespace) -> int:
     try:
-        cfg = StepConfig(
-            interval_insns=args.interval_insns,
-            repeats=args.repeats,
-            base_address=args.base_address,
-            page_size=args.page_size,
-        )
-        records = gen_step(args.flat_pages, args.step_pages, args.flat_samples, cfg)
-    except ValueError as exc:
-        sys.stderr.write(f"workset gen step: {exc}\n")
-        return USAGE_ERROR
-    return _write_records(records, args.output)
-
-
-def _write_records(records, output: str) -> int:
-    try:
-        with _open_text(output, "w") as out:
+        with _open_text(args.output, "w") as out:
             write_trace(records, out)
     except OSError as exc:
         sys.stderr.write(f"workset gen: {exc}\n")
@@ -171,17 +143,7 @@ def _write_records(records, output: str) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        cfg = AnalysisConfig(
-            tau=args.tau,
-            every=args.every,
-            page_size=args.page_size,
-            per_thread=args.per_thread,
-            peak_detect=args.peak_detect,
-            peak_g=args.peak_sensitivity,
-            peak_phi=args.peak_phi,
-            peak_alpha=args.peak_alpha,
-            top_n=args.top_n,
-        )
+        cfg = _config(AnalysisConfig, args)
     except ValueError as exc:
         sys.stderr.write(f"workset analyze: {exc}\n")
         return USAGE_ERROR

@@ -72,9 +72,9 @@ class AnalysisConfig:
     page_size: int = 4096
     per_thread: bool = False
     peak_detect: bool = False
-    peak_g: float = 1.0
-    peak_phi: float = 0.2
-    peak_alpha: float = 0.3
+    peak_g: float = PeakParams.g
+    peak_phi: float = PeakParams.phi
+    peak_alpha: float = PeakParams.alpha
     top_n: int = 10
 
     def __post_init__(self) -> None:

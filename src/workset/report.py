@@ -20,8 +20,6 @@ if TYPE_CHECKING:  # avoid a runtime import cycle; engine imports us
 
 CSV_HEADER = "t,WSS_insn,WSS_data,peak_insn,peak_data,annotation"
 
-FORMATS = ("text", "csv", "json", "svg")
-
 
 @dataclass
 class Summary:
@@ -145,16 +143,10 @@ def load_label_map(lines: Iterable[str]) -> dict[int, str]:
 
 def emit(result: "AnalysisResult", format: str, sink: TextIO) -> None:
     """Render a result to ``sink`` in one of FORMATS."""
-    if format == "text":
-        emit_text(result, sink)
-    elif format == "csv":
-        emit_csv(result, sink)
-    elif format == "json":
-        emit_json(result, sink)
-    elif format == "svg":
-        emit_svg(result, sink)
-    else:
+    emitter = _EMITTERS.get(format)
+    if emitter is None:
         raise ValueError(f"unknown format {format!r} (expected one of {FORMATS})")
+    emitter(result, sink)
 
 
 def _kb_text(value: float) -> str:
@@ -364,3 +356,7 @@ def emit_svg(result: "AnalysisResult", sink: TextIO) -> None:
         )
     out.append("</svg>")
     sink.write("\n".join(out) + "\n")
+
+
+_EMITTERS = {"text": emit_text, "csv": emit_csv, "json": emit_json, "svg": emit_svg}
+FORMATS = tuple(_EMITTERS)

@@ -10,11 +10,12 @@ A trace is a line-oriented text stream. Each line is one of:
     U <tid> <id>                     thread <tid> now executes under stack <id>
     # ...                            comment (ignored), as are blank lines
 
-Addresses are hex (optional ``0x`` prefix), sizes are decimal bytes
-from 1 to MAX_ACCESS_SIZE, ``t<tid>`` is optional and defaults to
-thread 0. Event records are ASCII, and every number is plain ASCII
-digits: no signs, no ``_`` separators, no other scripts' digits. Frames
-may be any text. Leading whitespace in front of the record tag is not
+Addresses are hex (optional ``0x`` prefix, leading zeros allowed)
+below ADDRESS_LIMIT (2**64), sizes are decimal bytes from 1 to
+MAX_ACCESS_SIZE, ``t<tid>`` is optional and defaults to thread 0.
+Event records are ASCII, and every number is plain ASCII digits: no
+signs, no ``_`` separators, no other scripts' digits. Frames may be
+any text. Leading whitespace in front of the record tag is not
 significant. The event layout is a superset of the memory trace text
 produced by common binary instrumentation front ends, so their output
 can be piped in directly.
@@ -36,6 +37,11 @@ engine touches every page an access covers, so without a cap one line
 could cost time and memory in proportion to its size field. The cap is
 far above what instrumentation front ends emit (a few hundred bytes at
 most) and bounds what one line can touch: 17 pages of 4 KiB."""
+
+ADDRESS_LIMIT = 1 << 64
+"""Bound every event address must stay below: the address space of a
+64-bit front end. Without it, one line of a few thousand hex digits
+yields a page number too long for int-to-text conversion."""
 
 
 class Stream(Enum):
@@ -123,9 +129,10 @@ def decode_event(line: str) -> tuple[str, int, int, int] | None:
         thread = int(thread) if thread else 0
     except ValueError:  # more digits than int() converts
         return None
-    if not 1 <= size <= MAX_ACCESS_SIZE:
+    address = int(address, 16)
+    if not 1 <= size <= MAX_ACCESS_SIZE or address >= ADDRESS_LIMIT:
         return None
-    return tag, int(address, 16), size, thread
+    return tag, address, size, thread
 
 
 def _decimal(text: str) -> int | None:
@@ -160,7 +167,8 @@ def parse_line(
     if tag in _KIND_BY_TAG:
         raise TraceParseError(
             f"malformed event record {line.strip()!r}: expected "
-            f"'<hexaddr>,<size>[ t<tid>]' in ASCII, size 1..{MAX_ACCESS_SIZE}",
+            f"'<hexaddr>,<size>[ t<tid>]' in ASCII, address below 2**64, "
+            f"size 1..{MAX_ACCESS_SIZE}",
             lineno,
         )
     if tag == "C":
@@ -302,6 +310,8 @@ def write_trace(
                 raise ValueError(
                     f"event size must be in 1..{MAX_ACCESS_SIZE}, got {rec.size}"
                 )
+            if not 0 <= rec.address < ADDRESS_LIMIT:
+                raise ValueError(f"event address must be in 0..2**64-1, got {rec.address:#x}")
             ref = rec.stack_ref
             if ref is not None:
                 if ref != current.get(rec.thread):

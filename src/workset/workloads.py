@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
-from .trace import AccessKind, CallStackDecl, TraceEvent
+from .trace import ADDRESS_LIMIT, AccessKind, CallStackDecl, TraceEvent
 
 # All generated instruction fetches walk a small fixed code region so the
 # instruction working set stays a few pages, like a tight loop would.
@@ -52,6 +52,12 @@ def _check_positive(name: str, value: int, minimum: int = 1) -> None:
 def _check_page_size(page_size: int) -> None:
     if page_size < 256 or page_size & (page_size - 1):
         raise ValueError(f"page_size must be a power of two >= 256, got {page_size}")
+
+
+def _check_end(base_address: int, pages: int, page_size: int) -> None:
+    end = base_address + pages * page_size
+    if end > ADDRESS_LIMIT:
+        raise ValueError(f"data pages must end at or below 2**64, got end {end:#x}")
 
 
 def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], TraceEvent]:
@@ -113,6 +119,7 @@ class PagerampConfig:
         _check_positive("pages_per_step", self.pages_per_step)
         _check_positive("base_address", self.base_address, minimum=0)
         _check_page_size(self.page_size)
+        _check_end(self.base_address, self.max_pages, self.page_size)
 
     @property
     def touch_pass_insns(self) -> int:
@@ -197,6 +204,7 @@ def gen_step(
     _check_positive("flat_pages", flat_pages)
     _check_positive("step_pages", step_pages, minimum=0)
     _check_positive("flat_samples", flat_samples)
+    _check_end(cfg.base_address, flat_pages + step_pages, cfg.page_size)
     if cfg.interval_insns < flat_pages + step_pages:
         raise ValueError(
             f"interval_insns ({cfg.interval_insns}) must cover "

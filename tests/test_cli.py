@@ -10,11 +10,12 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from workset.cli import INPUT_ERROR, USAGE_ERROR, main
-from workset.report import CSV_HEADER
+from workset.engine import AnalysisConfig, run_analysis
+from workset.report import CSV_HEADER, FORMATS, emit
 from workset.trace import write_trace
 from workset.workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
@@ -64,6 +65,23 @@ def test_gen_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(["gen", "pageramp", *TINY_FLAGS])
     assert capsys.readouterr().out == first
+
+
+def test_gen_defaults_are_the_configs(capsys):
+    assert main(["gen", "step"]) == 0
+    assert capsys.readouterr().out == rendered(gen_step(10, 50, 20, StepConfig()))
+    assert main(["gen", "pageramp", "--max-pages", "4", "--cycles", "1"]) == 0
+    expected = rendered(gen_pageramp(PagerampConfig(max_pages=4, cycles=1)))
+    assert capsys.readouterr().out == expected
+
+
+def test_analyze_defaults_are_the_configs(monkeypatch, capsys):
+    text = step_trace_text(interval=5000)  # 205000 instructions: two samples
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["analyze"]) == 0
+    expected = io.StringIO()
+    emit(run_analysis(text.splitlines(keepends=True), AnalysisConfig()), "text", expected)
+    assert capsys.readouterr().out == expected.getvalue()
 
 
 def test_gen_rejects_bad_workload_config(capsys):
@@ -212,9 +230,11 @@ def test_closed_std_stream_is_an_input_error(stream, argv, monkeypatch):
     assert main(argv) == INPUT_ERROR
 
 
+# a page number too long for int-to-decimal conversion, unless rejected
+_HUGE_ADDRESS_LINE = b"I  " + b"f" * 3600 + b",4\n"
 _TRACE_BITS = st.sampled_from(
     [b"I  ", b" L ", b" S ", b" M ", b"C ", b"U ", b"#", b" ", b",", b":", b"|", b" t",
-     b"0x", b"0", b"7", b"f", b"\n", b"\xff", b"\xc3\xa9", b"\xb2"]
+     b"0x", b"0", b"7", b"f", b"\n", b"\xff", b"\xc3\xa9", b"\xb2", _HUGE_ADDRESS_LINE]
 )
 _SIZE_LINES = st.integers(0, 2**80).map(lambda n: b" L 1ff8,%d\n" % n)
 
@@ -227,15 +247,27 @@ _SIZE_LINES = st.integers(0, 2**80).map(lambda n: b" L 1ff8,%d\n" % n)
         max_size=8,
     ).map(b"".join)
 )
+@example(_HUGE_ADDRESS_LINE)
 def test_analyze_any_input_exits_cleanly(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.txt")
         with open(path, "wb") as f:
             f.write(data)
-        argv = ["analyze", path, "--tau", "3", "--every", "2", "--per-thread",
-                "--peak-detect", "-o", os.devnull]
-        assert main(argv) in (0, 1, 2)
-        assert main(argv + ["--lenient"]) in (0, 1, 2)
+        for format in FORMATS:
+            argv = ["analyze", path, "--tau", "3", "--every", "2", "--per-thread",
+                    "--peak-detect", "--format", format, "-o", os.devnull]
+            assert main(argv) in (0, 1, 2)
+            assert main(argv + ["--lenient"]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_analyze_huge_address_is_a_malformed_line(format, tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(_HUGE_ADDRESS_LINE)
+    argv = ["analyze", str(trace), "--format", format, "-o", os.devnull]
+    assert main(argv) == INPUT_ERROR
+    assert main(argv + ["--lenient"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
@@ -244,6 +276,33 @@ def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     assert main(["analyze", "--labels", str(labels)]) == INPUT_ERROR
     assert main(["analyze", "--labels", str(tmp_path / "missing.txt")]) == INPUT_ERROR
+
+
+# one out-of-range value per numeric flag, and the field its config names
+OUT_OF_RANGE = [
+    (["gen", "pageramp", "--max-pages", "0"], "max_pages"),
+    (["gen", "pageramp", "--stride", "0"], "stride"),
+    (["gen", "pageramp", "--cycles", "0"], "cycles"),
+    (["gen", "pageramp", "--insns-per-touch", "0"], "insns_per_touch"),
+    (["gen", "pageramp", "--insns-per-step", "-1"], "insns_per_step"),
+    (["gen", "pageramp", "--pages-per-step", "0"], "pages_per_step"),
+    (["gen", "pageramp", "--base-address", "-1"], "base_address"),
+    (["gen", "pageramp", "--page-size", "0x80"], "page_size"),
+    (["gen", "step", "--flat-pages", "0"], "flat_pages"),
+    (["gen", "step", "--step-pages", "-1"], "step_pages"),
+    (["gen", "step", "--flat-samples", "0"], "flat_samples"),
+    (["gen", "step", "--interval-insns", "0"], "interval_insns"),
+    (["gen", "step", "--repeats", "0"], "repeats"),
+    (["gen", "step", "--base-address", "-1"], "base_address"),
+    (["gen", "step", "--page-size", "4097"], "page_size"),
+    (["analyze", "--tau", "-1"], "tau"),
+    (["analyze", "--every", "-1"], "every"),
+    (["analyze", "--page-size", "3"], "page_size"),
+    (["analyze", "--peak-sensitivity", "0"], "g"),
+    (["analyze", "--peak-alpha", "1.5"], "alpha"),
+    (["analyze", "--peak-phi", "0"], "phi"),
+    (["analyze", "--top-n", "-5"], "top_n"),
+]
 
 
 @pytest.mark.parametrize(
@@ -257,11 +316,20 @@ def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
         ["frobnicate"],
         ["gen"],
         [],
+        *(argv for argv, _ in OUT_OF_RANGE),
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == USAGE_ERROR
     capsys.readouterr()  # swallow usage text
+
+
+@pytest.mark.parametrize("argv, field", OUT_OF_RANGE)
+def test_out_of_range_value_names_the_field(argv, field, capsys):
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{field} must" in err
 
 
 def test_analyze_bad_peak_params_exit_1(monkeypatch, capsys):
@@ -273,6 +341,12 @@ def test_analyze_bad_peak_params_exit_1(monkeypatch, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "workset" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["gen"], ["gen", "pageramp"], ["gen", "step"], ["analyze"]])
+def test_subcommand_help_exits_zero(command, capsys):
+    assert main([*command, "--help"]) == 0
+    assert "SUPPRESS" not in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------

@@ -102,6 +102,8 @@ def test_frames_may_contain_spaces():
         pytest.param("C " + "9" * 5000 + ": a", id="long-stack-id"),
         " L 0,65537",         # above MAX_ACCESS_SIZE
         " L 0,68719476736",   # would touch 16M pages
+        " L 1" + "0" * 16 + ",4",  # address 2**64
+        pytest.param("I  " + "f" * 3600 + ",4", id="huge-address"),
     ],
 )
 def test_parse_errors(line):
@@ -141,7 +143,10 @@ def event_like_lines(draw):
     """Event records and near misses, field by field."""
     tag = draw(st.sampled_from(["I", "L", "S", "M", "IL", "i", "C", ""]))
     prefix = draw(st.sampled_from(["", "", "0x", "0X", "0x0x", "x", "+", "-"]))
-    addr = draw(st.text("0123456789abcdefABCDEFgx_\u0663", max_size=10))
+    addr = draw(st.one_of(
+        st.text("0123456789abcdefABCDEFgx_\u0663", max_size=10),
+        st.sampled_from(["1" + "0" * 16, "0" * 20 + "f" * 16]),  # 2**64, 2**64 - 1
+    ))
     comma = draw(st.sampled_from([",", ",", ",,", "", ";"]))
     size = draw(st.one_of(
         st.integers(0, 70000).map(str),
@@ -168,6 +173,8 @@ def event_like_lines(draw):
 @example(" L 10,4 t" + "1" * 4301)
 @example(" L 10,\u0664")
 @example(" M 10,4 t1 junk")
+@example(" L 1" + "0" * 16 + ",4")
+@example(" L " + "0" * 20 + "f" * 16 + ",4")
 def test_event_grammar_matches_split_oracle(line):
     expected = _outcome(split_parse_event, line)
     got = _outcome(parse_line, line)
@@ -327,6 +334,18 @@ def test_access_size_cap():
     too_big = TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE + 1)
     with pytest.raises(ValueError):
         write_trace([too_big], io.StringIO())
+
+
+def test_address_bound():
+    highest = TraceEvent(AccessKind.DATA_LOAD, 2**64 - 1, 1)
+    assert parse_line(" L " + "0" * 20 + "f" * 16 + ",1") == highest
+    buf = io.StringIO()
+    write_trace([highest], buf)
+    buf.seek(0)
+    assert list(read_trace(buf)) == [highest]
+    for address in (2**64, -1):
+        with pytest.raises(ValueError):
+            write_trace([TraceEvent(AccessKind.DATA_LOAD, address, 1)], io.StringIO())
 
 
 def test_round_trip_simple():

@@ -267,3 +267,13 @@ def test_step_validation():
         list(gen_step(10, 50, 3, StepConfig(interval_insns=30)))
     with pytest.raises(ValueError):
         StepConfig(repeats=0)
+
+
+def test_data_pages_end_at_or_below_2_64():
+    top = 2**64 - 2 * 4096
+    PagerampConfig(max_pages=2, base_address=top)
+    gen_step(1, 1, 1, StepConfig(interval_insns=4, base_address=top))
+    with pytest.raises(ValueError):
+        PagerampConfig(max_pages=3, base_address=top)
+    with pytest.raises(ValueError):
+        gen_step(2, 1, 1, StepConfig(interval_insns=4, base_address=top))
