@@ -39,6 +39,7 @@ parse_record, the same code read_trace uses.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
@@ -173,15 +174,31 @@ class PageTable:
     def __len__(self) -> int:
         return len(self._first)
 
-    def records(self) -> list[tuple[int, int, str | None]]:
-        """One ``(page, access_count, frame)`` tuple per page, in first
-        touch order. ``frame`` is the innermost frame of the stack the
-        first access carried, or None when it carried no declared stack."""
-        stacks = self._stacks
+    def top(self, n: int | None = None) -> list[tuple[int, int, str | None]]:
+        """The ``n`` most accessed pages (all when ``n`` is None) as
+        ``(page, access_count, frame)`` tuples, by count descending, page
+        number breaking ties. ``frame`` is the innermost frame of the
+        stack the first access carried, or None when it carried no
+        declared stack.
+
+        Only pages whose count reaches the n-th largest count are sorted,
+        and only the winners become tuples."""
         count = self._count
+        if n is None:
+            n = len(count)
+        cut = heapq.nlargest(n, count.values())
+        if not cut:
+            return []
+        least = cut[-1]
+        ranked = [page for page, c in count.items() if c >= least]
+        ranked.sort()
+        # a stable sort keeps equal counts in page order
+        ranked.sort(key=count.__getitem__, reverse=True)
+        stacks = self._stacks
+        first = self._first
         out = []
-        for page, ref in self._first.items():
-            frames = stacks.get(ref)
+        for page in ranked[:n]:
+            frames = stacks.get(first[page])
             out.append((page, count[page], frames[0] if frames else None))
         return out
 

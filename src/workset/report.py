@@ -103,11 +103,10 @@ def hot_pages(
     """
     if n is not None and n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ranked = sorted(page_table.records(), key=lambda r: (-r[1], r[0]))[:n]
     labels = label_map if label_map is not None else {}
     return [
         HotPageEntry(count, page, labels[page] if page in labels else frame or "")
-        for page, count, frame in ranked
+        for page, count, frame in page_table.top(n)
     ]
 
 
@@ -233,8 +232,76 @@ def samples_from_csv(lines: Iterable[str]) -> list["WssSample"]:
 
 
 def emit_json(result: "AnalysisResult", sink: TextIO) -> None:
-    json.dump(result.to_dict(), sink, indent=2)
+    """Write ``result`` as the JSON document of docs/result-schema.md.
+
+    The bytes are exactly ``json.dumps(result.to_dict(), indent=2)``
+    plus one newline: 2-space indent, keys in schema order, ASCII only
+    (other characters as ``\\uXXXX`` escapes). Sample lists are
+    formatted here, one fixed template per sample, and written
+    _JSON_CHUNK samples at a time; the rest of the document goes
+    through ``json``, one small value at a time, so no document-sized
+    string and no dict per sample is ever built.
+    """
+    _write_json_result(result, sink.write, "")
     sink.write("\n")
+
+
+_JSON_CHUNK = 512
+
+
+def _write_json_result(result: "AnalysisResult", write, pad: str) -> None:
+    """Write one result object whose opening brace sits at indent ``pad``;
+    a per-thread sub-result nests one level deeper."""
+    inner = pad + "  "
+    write("{\n" + inner + '"samples": ')
+    _write_json_samples(result.samples, write, inner)
+    for key, value in (
+        ("insn", result.insn.to_dict()),
+        ("data", result.data.to_dict()),
+        ("annotations", [a.to_dict() for a in result.annotations]),
+    ):
+        # a string in indented JSON output never holds a raw newline, so
+        # every newline is structural and re-indenting is exact
+        text = json.dumps(value, indent=2).replace("\n", "\n" + inner)
+        write(f',\n{inner}"{key}": {text}')
+    write(",\n" + inner + '"threads": ')
+    if result.threads is None:
+        write("null")
+    elif not result.threads:
+        write("{}")
+    else:
+        sep = "{\n"
+        for tid, sub in sorted(result.threads.items()):
+            write(f"{sep}{inner}  {json.dumps(str(tid))}: ")
+            _write_json_result(sub, write, inner + "  ")
+            sep = ",\n"
+        write("\n" + inner + "}")
+    write("\n" + pad + "}")
+
+
+def _write_json_samples(samples: Sequence["WssSample"], write, pad: str) -> None:
+    """Write a sample list whose opening bracket sits at indent ``pad``."""
+    if not samples:
+        write("[]")
+        return
+    item = pad + "  "
+    key = item + "  "
+    template = (
+        f'{item}{{\n{key}"t": %d,\n{key}"wss_insn": %d,\n{key}"wss_data": %d,\n'
+        f'{key}"peak_insn": %s,\n{key}"peak_data": %s,\n{key}"annotation": %s\n{item}}}'
+    )
+    boolean = ("false", "true")
+    sep = "[\n"
+    for start in range(0, len(samples), _JSON_CHUNK):
+        write(sep + ",\n".join([
+            template % (
+                s.t, s.wss_insn, s.wss_data, boolean[s.peak_insn], boolean[s.peak_data],
+                "null" if s.annotation is None else s.annotation,
+            )
+            for s in samples[start:start + _JSON_CHUNK]
+        ]))
+        sep = ",\n"
+    write("\n" + pad + "]")
 
 
 def result_from_json(source: str | TextIO) -> "AnalysisResult":

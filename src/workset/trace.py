@@ -135,6 +135,20 @@ def decode_event(line: str) -> tuple[str, int, int, int] | None:
     return tag, address, size, thread
 
 
+# most characters of a malformed line that an error message quotes, so
+# a long junk line costs a bounded amount of error and warning text
+_EXCERPT_LIMIT = 80
+
+
+def _excerpt(text: str) -> str:
+    """``text`` stripped and quoted, cut to _EXCERPT_LIMIT characters
+    plus ``...``."""
+    text = text.strip()
+    if len(text) > _EXCERPT_LIMIT:
+        return repr(text[:_EXCERPT_LIMIT]) + "..."
+    return repr(text)
+
+
 def _decimal(text: str) -> int | None:
     """The value of a field of ASCII digits 0-9, else None."""
     if text.isascii() and text.isdigit():
@@ -166,7 +180,7 @@ def parse_line(
         return None
     if tag in _KIND_BY_TAG:
         raise TraceParseError(
-            f"malformed event record {line.strip()!r}: expected "
+            f"malformed event record {_excerpt(line)}: expected "
             f"'<hexaddr>,<size>[ t<tid>]' in ASCII, address below 2**64, "
             f"size 1..{MAX_ACCESS_SIZE}",
             lineno,
@@ -176,7 +190,7 @@ def parse_line(
         ident = _decimal(head[1:].strip())
         if not sep or ident is None:
             raise TraceParseError(
-                f"malformed call stack declaration {line.strip()!r}", lineno
+                f"malformed call stack declaration {_excerpt(line)}", lineno
             )
         if not rest.isascii():
             # frames may be any text, but not undecodable input bytes,
@@ -196,10 +210,10 @@ def parse_line(
         fields = [_decimal(p) for p in parts[1:]]
         if len(fields) != 2 or None in fields:
             raise TraceParseError(
-                f"malformed stack activation {line.strip()!r}", lineno
+                f"malformed stack activation {_excerpt(line)}", lineno
             )
         return StackActivation(fields[0], fields[1])
-    raise TraceParseError(f"unknown record tag {tag!r}", lineno)
+    raise TraceParseError(f"unknown record tag {_excerpt(tag)}", lineno)
 
 
 def parse_record(

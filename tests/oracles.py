@@ -7,6 +7,7 @@ recurrences. Keep this file boring."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from workset.trace import (
     MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
+    Stream,
     TraceEvent,
     TraceParseError,
 )
@@ -216,3 +218,65 @@ def make_random_events(
                 TraceEvent(kind, data_base + page * page_size + offset, size, thread)
             )
     return events
+
+
+def slow_emit_json(result):
+    """The JSON document straight from the json module: what emit_json
+    must write, byte for byte."""
+    return json.dumps(result.to_dict(), indent=2) + "\n"
+
+
+# pieces of frame and label text that JSON must escape or that look like
+# escapes: quote, backslash, NUL, U+2028, a lone surrogate, non-ASCII
+# text, and the literal text of an escaped NUL followed by digits
+_TEXT_BITS = ('"', "\\", "\x00", "\u2028", "\udcff", "é", "日本", "\\u0000", "\"\x001",
+              "0", "7", "a", " ", "\n", "\t", "|", ": ", "[", "}")
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_BITS) for _ in range(rng.randrange(6)))
+
+
+def make_random_result(rng: random.Random, nested: bool = True):
+    """A random but well-typed AnalysisResult: samples (possibly none)
+    with peaks, both streams sometimes firing at one instant; hot page
+    lists from empty (top_n = 0) up; frames and labels from _TEXT_BITS;
+    and, when ``nested``, a per-thread breakdown that may be absent,
+    empty or keyed by thread ids from 0 to large."""
+    from workset.engine import AnalysisResult, PeakAnnotation, StreamResult, WssSample
+    from workset.report import HotPageEntry, Summary
+
+    samples, annotations = [], []
+    t = 0
+    for _ in range(rng.choice((0, 1, 2, rng.randrange(40)))):
+        t += rng.randrange(1, 1 << rng.randrange(1, 64))
+        fired = [rng.random() < 0.3, rng.random() < 0.3]
+        annotation = None
+        for stream, fires in zip(Stream, fired):
+            if fires:
+                frames = tuple(random_text(rng) for _ in range(rng.randrange(4)))
+                if annotation is None:
+                    annotation = len(annotations)
+                annotations.append(
+                    PeakAnnotation(len(annotations), t, stream, len(set(frames)), frames)
+                )
+        samples.append(WssSample(
+            t, rng.randrange(1 << rng.randrange(1, 40)), rng.randrange(1 << rng.randrange(1, 40)),
+            fired[0], fired[1], annotation,
+        ))
+    streams = []
+    for stream in Stream:
+        top_n = rng.choice((0, 1, 3, 10))
+        entries = [
+            HotPageEntry(rng.randrange(1, 1 << 40), rng.randrange(1 << 52), random_text(rng))
+            for _ in range(rng.randrange(top_n + 1))
+        ]
+        avg = rng.choice((0.0, 1.0, 1 / 3, 2.5, 1e16, 1e-7, rng.random() * 10 ** rng.randrange(12)))
+        summary = Summary(stream, avg, rng.randrange(1 << 30), rng.randrange(1 << 30),
+                          1 << rng.randrange(30))
+        streams.append(StreamResult(summary, entries))
+    threads = None
+    if nested and rng.random() < 0.6:
+        tids = rng.sample((0, 1, 7, 2**31, 10**15, 2**64 - 1), rng.randrange(4))
+        threads = {tid: make_random_result(rng, nested=False) for tid in tids}
+    return AnalysisResult(samples, streams[0], streams[1], annotations, threads)

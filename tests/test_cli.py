@@ -270,6 +270,19 @@ def test_analyze_huge_address_is_a_malformed_line(format, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_malformed_line_error_text_is_bounded(lenient, tmp_path):
+    # the error (strict) or warning (lenient) quotes an excerpt of the
+    # line, not its 3600 digits
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(_HUGE_ADDRESS_LINE)
+    argv = [sys.executable, "-m", "workset.cli", "analyze", str(trace), "-o", os.devnull]
+    proc = subprocess.run(argv + ["--lenient"] * lenient, capture_output=True, text=True)
+    assert proc.returncode == (0 if lenient else INPUT_ERROR)
+    assert "malformed event record 'I  fff" in proc.stderr
+    assert len(proc.stderr) < 400
+
+
 def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("zz not-a-page\n")

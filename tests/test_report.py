@@ -5,11 +5,15 @@ round trips because the column set / field names are contractual."""
 import io
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import make_random_events
+from oracles import make_random_events, make_random_result, random_text, slow_emit_json
 from workset.engine import (
     AnalysisConfig,
     AnalysisResult,
@@ -116,6 +120,36 @@ def test_hot_pages_limit():
         hot_pages(table, -1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    batches=st.lists(
+        st.tuples(st.lists(st.integers(0, 12), max_size=8), st.sampled_from([None, 1, 2, 9])),
+        max_size=12,
+    ),
+    n=st.one_of(st.none(), st.integers(0, 16)),
+    labels=st.dictionaries(st.integers(0, 12), st.sampled_from(["", "heap", "é"]), max_size=4),
+)
+@example(batches=[(list(range(8)) * 3, None)], n=3, labels={})  # one count for all
+@example(batches=[([1, 1, 2, 3, 3], 1)], n=0, labels={})
+def test_hot_pages_match_a_full_sort(batches, n, labels):
+    stacks = {1: ("f.c:1", "g.c:2"), 2: ("h.c:3",)}
+    table = PageTable(4096, stacks)
+    counts, first = Counter(), {}
+    for expires, (pages, ref) in enumerate(batches, 1):
+        table.add(pages, expires, ref)
+        counts.update(pages)
+        for page in pages:
+            first.setdefault(page, ref)
+    ranked = sorted(counts, key=lambda page: (-counts[page], page))[:n]
+    expected = [
+        (counts[page], page,
+         labels[page] if page in labels else stacks.get(first[page], ("",))[0])
+        for page in ranked
+    ]
+    entries = hot_pages(table, n, labels)
+    assert [(e.count, e.page, e.info) for e in entries] == expected
+
+
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
     # hot_table() records seven accesses
@@ -204,6 +238,78 @@ def test_json_round_trip_per_thread():
     back = result_from_json(buf.getvalue())
     assert back == result
     assert sorted(back.threads) == sorted(result.threads)
+
+
+def test_json_bytes_match_the_json_module():
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(600):
+        result = make_random_result(rng)
+        buf = io.StringIO()
+        emit_json(result, buf)
+        assert buf.getvalue() == slow_emit_json(result)
+        scopes = [result, *(result.threads or {}).values()]
+        seen["per-thread"] += bool(result.threads)
+        seen["large tid"] += any(tid > 2**31 for tid in result.threads or ())
+        seen["no samples"] += any(not r.samples for r in scopes)
+        seen["both peaks"] += any(s.peak_insn and s.peak_data for r in scopes for s in r.samples)
+        seen["top_n 0"] += any(not r.insn.hot_pages for r in scopes)
+        frames = [f for r in scopes for a in r.annotations for f in a.frames]
+        seen["escaped NUL text"] += any("\\u0000" in f for f in frames)
+        seen["quote NUL digit"] += any('"\x001' in f for f in frames)
+    assert min(seen.values()) >= 20, seen
+    # sample lists longer than one write chunk, at both nesting depths
+    result = make_random_result(random.Random(21), nested=False)
+    result.samples = [WssSample(t, t % 5, t % 7, t % 3 == 0, t % 2 == 0, None)
+                      for t in range(1, 1100)]
+    result.threads = {5: AnalysisResult(result.samples[:513], result.insn, result.data, [])}
+    buf = io.StringIO()
+    emit_json(result, buf)
+    assert buf.getvalue() == slow_emit_json(result)
+    # and results of real analyses, labeled with the same awkward text
+    for seed in range(60):
+        rng = random.Random(seed)
+        events = make_random_events(rng, 300, threads=(0, 3, 2**40))
+        labels = {page: random_text(rng) for page in range(0x10000, 0x10040)}
+        cfg = AnalysisConfig(tau=rng.randrange(1, 60), every=rng.randrange(1, 30),
+                             per_thread=True, peak_detect=True, top_n=rng.randrange(6))
+        result = run_analysis(events, cfg, label_map=labels)
+        buf = io.StringIO()
+        emit_json(result, buf)
+        assert buf.getvalue() == slow_emit_json(result)
+
+
+class _CountingSink:
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_emit_json_holds_less_than_its_output():
+    # the writer streams: its peak traced memory stays below the size of
+    # the document, which a writer that builds the whole text, or one
+    # dict per sample, exceeds
+    def scope(n, step):
+        samples = [WssSample(t, t % 97, t % 89, t % 31 == 0, t % 37 == 0, None)
+                   for t in range(step, step * (n + 1), step)]
+        insn = StreamResult(Summary(Stream.INSN, 40.5, 96, 200, 4096),
+                            [HotPageEntry(900 - i, i, f"f{i}.c:1") for i in range(10)])
+        data = StreamResult(Summary(Stream.DATA, 30.25, 88, 500, 4096), [])
+        return AnalysisResult(samples, insn, data, [])
+
+    result = scope(10_000, 50)
+    result.threads = {tid: scope(2_500, 200) for tid in range(4)}
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        emit_json(result, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 3_000_000
+    assert peak < sink.size
 
 
 def test_json_thread_keys_are_ints_again():

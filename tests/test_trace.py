@@ -104,11 +104,15 @@ def test_frames_may_contain_spaces():
         " L 0,68719476736",   # would touch 16M pages
         " L 1" + "0" * 16 + ",4",  # address 2**64
         pytest.param("I  " + "f" * 3600 + ",4", id="huge-address"),
+        pytest.param("U " + "1 " * 3000, id="long-activation"),
+        pytest.param("Q" * 5000, id="long-tag"),
     ],
 )
 def test_parse_errors(line):
-    with pytest.raises(TraceParseError):
+    with pytest.raises(TraceParseError) as info:
         parse_line(line)
+    # the message quotes at most a bounded excerpt of the line
+    assert len(str(info.value)) < 300
 
 
 _GRAMMAR_BITS = st.sampled_from(
