@@ -31,13 +31,22 @@ def sweep_taus(lo: int, hi: int, points: int) -> list[int]:
     return taus
 
 
+def positive(text: str) -> int:
+    """An argparse type: a decimal integer of at least 1. Its ValueError
+    becomes argparse's usage error "invalid positive value"."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("input", nargs="?", help="trace file (default: synthetic step workload)")
-    ap.add_argument("--tau-min", type=int, default=100)
-    ap.add_argument("--tau-max", type=int, default=1_000_000)
-    ap.add_argument("--points", type=int, default=9)
-    ap.add_argument("--every", type=int, default=None,
+    ap.add_argument("--tau-min", type=positive, default=100)
+    ap.add_argument("--tau-max", type=positive, default=1_000_000)
+    ap.add_argument("--points", type=positive, default=9)
+    ap.add_argument("--every", type=positive, default=None,
                     help="fixed sampling interval, which makes the columns monotone "
                     "in tau (default: tau, i.e. tiling windows, which need not be)")
     ap.add_argument("--csv", type=Path, help="also write the table as CSV")
@@ -47,11 +56,11 @@ def main() -> int:
         if args.input:
             with open(args.input) as f:
                 return run_analysis(f, cfg)
-        return run_analysis(gen_step(10, 50, 20, StepConfig(interval_insns=10_000)), cfg)
+        return run_analysis(gen_step(StepConfig(interval_insns=10_000)), cfg)
 
     rows = []
     for tau in sweep_taus(args.tau_min, args.tau_max, args.points):
-        res = analyze(AnalysisConfig(tau=tau, every=args.every or tau))
+        res = analyze(AnalysisConfig(tau=tau, every=args.every))
         i, d = res.insn.summary, res.data.summary
         rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages, d.peak_pages))
 

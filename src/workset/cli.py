@@ -82,20 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     ramp.add_argument("--base-address", type=_int)
     ramp.add_argument("--page-size", type=_int)
     ramp.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    ramp.set_defaults(func=_cmd_gen,
-                      records=lambda args: gen_pageramp(_config(PagerampConfig, args)))
+    ramp.set_defaults(func=_cmd_gen, config=PagerampConfig, generate=gen_pageramp)
 
     step = gen_sub.add_parser("step", help="flat working set with one bump", **leaf)
-    step.add_argument("--flat-pages", type=_int, default=10)
-    step.add_argument("--step-pages", type=_int, default=50)
-    step.add_argument("--flat-samples", type=_int, default=20)
+    step.add_argument("--flat-pages", type=_int)
+    step.add_argument("--step-pages", type=_int)
+    step.add_argument("--flat-samples", type=_int)
     step.add_argument("--interval-insns", type=_int)
     step.add_argument("--repeats", type=_int)
     step.add_argument("--base-address", type=_int)
     step.add_argument("--page-size", type=_int)
     step.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    step.set_defaults(func=_cmd_gen, records=lambda args: gen_step(
-        args.flat_pages, args.step_pages, args.flat_samples, _config(StepConfig, args)))
+    step.set_defaults(func=_cmd_gen, config=StepConfig, generate=gen_step)
 
     analyze = sub.add_parser("analyze", help="compute working set sizes from a trace", **leaf)
     analyze.add_argument("input", nargs="?", default="-",
@@ -128,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        records = args.records(args)
+        records = args.generate(_config(args.config, args))
     except ValueError as exc:
         sys.stderr.write(f"workset gen {args.workload}: {exc}\n")
         return USAGE_ERROR

@@ -29,12 +29,13 @@ per expiry index (see PageTable); a sample reads a running count and
 retires one expiry bucket, so it costs O(1) however many pages the
 stream has touched.
 
-run_analysis takes records (TraceEvent, CallStackDecl) or the trace's
-text lines. A text line never becomes a TraceEvent: the engine decodes
-it with the trace module's event grammar (decode_event) and memoizes
-the line as (is_fetch, first_page, last_page, thread), and it keeps the
-stack bookkeeping of C and U lines through the trace module's
-parse_record, the same code read_trace uses.
+run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
+or the trace's text lines. A text line never becomes a TraceEvent: the
+engine decodes it with the trace module's event grammar (decode_event)
+and memoizes the line as (is_fetch, first_page, last_page, thread), and
+it checks C and U lines through the trace module's parse_record, the
+same code read_trace uses. Either way an event's stack is the one the
+last activation for its thread named.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from typing import Any, Iterable, Mapping, Sequence
 from .peak import PeakDetector, PeakParams
 from .report import HotPageEntry, Summary, hot_pages, summarize
 from .trace import (
+    ADDRESS_LIMIT,
     LINE_MEMO_SIZE,
     AccessKind,
     CallStackDecl,
+    StackActivation,
     Stream,
     TraceEvent,
     decode_event,
@@ -85,8 +88,12 @@ class AnalysisConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.every < 1:
             raise ValueError(f"every must be >= 1, got {self.every}")
-        if self.page_size < 1 or self.page_size & (self.page_size - 1):
-            raise ValueError(f"page_size must be a power of two, got {self.page_size}")
+        # one page of 2**64 bytes already covers every address
+        if (self.page_size < 1 or self.page_size & (self.page_size - 1)
+                or self.page_size > ADDRESS_LIMIT):
+            raise ValueError(
+                f"page_size must be a power of two up to 2**64, got {self.page_size}"
+            )
         if self.top_n < 0:
             raise ValueError(f"top_n must be >= 0, got {self.top_n}")
         # validates the peak knobs even when detection is off
@@ -402,7 +409,7 @@ class _ScopeState:
 
 
 def run_analysis(
-    records: Iterable[TraceEvent | CallStackDecl | str],
+    records: Iterable[TraceEvent | CallStackDecl | StackActivation | str],
     config: AnalysisConfig | None = None,
     label_map: Mapping[int, str] | None = None,
     strict: bool = True,
@@ -412,12 +419,16 @@ def run_analysis(
     Memory stays proportional to distinct pages plus samples, never to
     trace length.
 
+    Each thread runs under the stack its last activation (a
+    StackActivation record or a U line) named, or none before its
+    first. An event's stack is looked up when its thread differs from
+    the previous event's or an activation came in between.
+
     Text lines are decoded here, without building a TraceEvent: each
     distinct event line maps, through a memo with read_trace's bound,
     to its stream, page range and thread, so a repeated line costs a
-    dict lookup plus the lookup of its thread's current stack. ``strict``
-    applies to text lines as in read_trace, and line numbers in errors
-    and warnings count the text lines.
+    dict lookup. ``strict`` applies to text lines as in read_trace, and
+    line numbers in errors and warnings count the text lines.
     """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
@@ -438,13 +449,15 @@ def run_analysis(
     expires = (cfg.tau - 1) // every
     moves_at = (expires + 1) * every - cfg.tau + 1
     pending = False
-    # text lines: event line -> (is_fetch, first_page, last_page, thread),
-    # and each thread's current stack as the U lines set it
+    # text lines: event line -> (is_fetch, first_page, last_page, thread)
     memo: dict[str, tuple[bool, int, int, int]] = {}
     memo_get = memo.get
-    current: dict[int, int] = {}
-    current_get = current.get
     lineno = 0
+    # each thread's current stack as the activations set it, and the
+    # stack ``ref`` of thread ``ref_thread``, the last event's thread;
+    # None forces a lookup
+    current: dict[int, int] = {}
+    ref = ref_thread = None
 
     def drain(expires: int) -> None:
         combined.drain(expires)
@@ -461,8 +474,8 @@ def run_analysis(
             address = rec.address
             page = address >> shift
             last_page = (address + rec.size - 1) >> shift
-            ref = rec.stack_ref
             fetch = rec.kind is insn_fetch
+            thread = rec.thread
         elif rec.__class__ is str:
             lineno += 1
             entry = memo_get(rec)
@@ -472,7 +485,10 @@ def run_analysis(
                 fields = decode_event(rec)
                 if fields is None:
                     # blank, comment, stack record or malformed line
-                    parse_record(rec, lineno, stacks, current, strict)
+                    rec = parse_record(rec, lineno, stacks, strict)
+                    if rec.__class__ is StackActivation:
+                        current[rec.thread] = rec.stack
+                        ref_thread = None
                     continue
                 tag, address, size, thread = fields
                 fetch = tag == "I"
@@ -483,7 +499,10 @@ def run_analysis(
                 if len(memo) >= LINE_MEMO_SIZE:
                     memo.clear()
                 memo[rec] = (fetch, page, last_page, thread)
-            ref = current_get(thread)
+        elif rec.__class__ is StackActivation:
+            current[rec.thread] = rec.stack
+            ref_thread = None
+            continue
         elif rec.__class__ is CallStackDecl:
             stacks[rec.id] = rec.frames
             continue
@@ -508,21 +527,24 @@ def run_analysis(
             batch = insn_batch
         else:
             batch = data_batch
-        # drain before the stack changes: a batch carries one stack, and
-        # a peak annotation names the stack of the event before the sample
-        if ref != stack:
-            combined.drain(expires)
-            stack = combined.last_stack = ref
+        # the stack can change only with the thread or an activation.
+        # Drain before it does: a batch carries one stack, and a peak
+        # annotation names the stack of the event before the sample
+        if thread != ref_thread:
+            ref_thread = thread
+            ref = current.get(thread)
+            if ref != stack:
+                combined.drain(expires)
+                stack = combined.last_stack = ref
         batch.append(page)
         if page != last_page:
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
             combined.drain(expires)
         if per_thread:
-            tid = rec.thread if rec.__class__ is TraceEvent else thread
-            scope = threads.get(tid)
+            scope = threads.get(thread)
             if scope is None:
-                scope = threads[tid] = _ScopeState(cfg, stacks, now)
+                scope = threads[thread] = _ScopeState(cfg, stacks, now)
             if ref != scope.last_stack:
                 scope.drain(expires)
                 scope.last_stack = ref

@@ -62,18 +62,15 @@ class AccessKind(Enum):
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One memory access.
-
-    ``stack_ref`` is the id of the call stack the owning thread was
-    executing under when the access happened, or None if unknown.
-    Instances are treated as immutable once handed out.
-    """
+    """One memory access, as one event line states it. The call stack
+    it ran under is not part of the event: it is the stack the last
+    StackActivation before it set for its thread. Instances are treated
+    as immutable once handed out."""
 
     kind: AccessKind
     address: int
     size: int
     thread: int = 0
-    stack_ref: int | None = None
 
 
 @dataclass(slots=True)
@@ -220,17 +217,16 @@ def parse_record(
     line: str,
     lineno: int,
     stacks: dict[int, tuple[str, ...]],
-    current: dict[int, int],
     strict: bool,
-) -> TraceEvent | CallStackDecl | None:
-    """parse_line plus the bookkeeping of the stack records: a
-    declaration's frames go into ``stacks`` (id -> frames), and an
-    activation sets its thread's entry in ``current`` (thread -> id).
+) -> TraceEvent | CallStackDecl | StackActivation | None:
+    """parse_line plus the checks that need the stacks declared so far:
+    a declaration's frames go into ``stacks`` (id -> frames), and an
+    activation must name a declared stack.
 
-    Returns the event or declaration the line holds, or None when it
-    holds neither. A malformed line, a duplicate stack id or the
-    activation of an undeclared stack raises TraceParseError in strict
-    mode; in lenient mode the line is skipped with a logged warning.
+    Returns the record the line holds, or None when it holds none. A
+    malformed line, a duplicate stack id or the activation of an
+    undeclared stack raises TraceParseError in strict mode; in lenient
+    mode the line is skipped with a logged warning.
     """
     try:
         rec = parse_line(line, lineno)
@@ -239,13 +235,8 @@ def parse_record(
             if rec.id in stacks:
                 raise TraceParseError(f"duplicate call stack id {rec.id}", lineno)
             stacks[rec.id] = rec.frames
-        elif cls is StackActivation:
-            if rec.stack not in stacks:
-                raise TraceParseError(
-                    f"activation of undeclared stack id {rec.stack}", lineno
-                )
-            current[rec.thread] = rec.stack
-            return None
+        elif cls is StackActivation and rec.stack not in stacks:
+            raise TraceParseError(f"activation of undeclared stack id {rec.stack}", lineno)
         return rec
     except TraceParseError as exc:
         if strict:
@@ -256,14 +247,15 @@ def parse_record(
 
 def read_trace(
     lines: Iterable[str], strict: bool = True
-) -> Iterator[TraceEvent | CallStackDecl]:
+) -> Iterator[TraceEvent | CallStackDecl | StackActivation]:
     """Stream records out of a line iterable (an open file works).
 
-    Yields events and call stack declarations in order. Activation
-    records are consumed internally: each event is stamped with the
-    stack id its thread was last switched to, if any. Memory use is
-    bounded by the number of distinct declared stacks, not trace
-    length, so arbitrarily long traces can be piped through.
+    Yields one record per event, ``C`` or ``U`` line, in order: a
+    TraceEvent, a CallStackDecl or a StackActivation. Which stack an
+    event ran under is left to the consumer, which follows the
+    activations per thread (run_analysis does). Memory use is bounded
+    by the number of distinct declared stacks, not trace length, so
+    arbitrarily long traces can be piped through.
 
     In strict mode (default) malformed lines raise TraceParseError; in
     lenient mode they are skipped with a logged warning.
@@ -271,51 +263,37 @@ def read_trace(
     Traces of looping programs repeat event lines heavily, so each
     distinct event line's parsed event is memoized (bounded; the memo
     resets when full) and yielded again on a repeat, without building a
-    new object. A fresh event replaces the memo entry only when the
-    thread's current stack differs from the one the cached event
-    carries. Events are never mutated once yielded, so one yielded
-    earlier keeps its stack_ref when the thread switches stacks later.
-    Event parsing is context-free, which makes the memo invisible apart
-    from the speedup and the sharing of equal events.
+    new object. Events are context-free, which makes the memo invisible
+    apart from the speedup and the sharing of equal events.
 
     This is the record API for library users. To analyze trace text,
     run_analysis takes the lines themselves and skips building the
     records.
     """
     stacks: dict[int, tuple[str, ...]] = {}
-    current: dict[int, int] = {}
     memo: dict[str, TraceEvent] = {}
     for lineno, raw in enumerate(lines, 1):
         rec = memo.get(raw)
-        if rec is not None:
-            ref = current.get(rec.thread)
-            if ref != rec.stack_ref:
-                rec = memo[raw] = TraceEvent(rec.kind, rec.address, rec.size, rec.thread, ref)
-            yield rec
-            continue
-        rec = parse_record(raw, lineno, stacks, current, strict)
         if rec is None:
-            continue
-        if rec.__class__ is TraceEvent:
-            if len(memo) >= LINE_MEMO_SIZE:
-                memo.clear()
-            rec.stack_ref = current.get(rec.thread)
-            memo[raw] = rec
+            rec = parse_record(raw, lineno, stacks, strict)
+            if rec is None:
+                continue
+            if rec.__class__ is TraceEvent:
+                if len(memo) >= LINE_MEMO_SIZE:
+                    memo.clear()
+                memo[raw] = rec
         yield rec
 
 
 def write_trace(
     records: Iterable[TraceEvent | CallStackDecl | StackActivation], out: TextIO
 ) -> None:
-    """Serialize records to ``out`` in the trace text format.
-
-    Stack attribution is re-encoded as activation lines: a ``U`` line
-    is emitted whenever an event's stack_ref differs from what the
-    reader would currently assume for that thread, so a read/write
-    round trip reproduces the record sequence exactly.
+    """Serialize records to ``out`` in the trace text format, one line
+    per record: the line-for-line inverse of read_trace, so a
+    read/write round trip reproduces the record sequence exactly, and
+    a write/read round trip the canonical text.
     """
     declared: set[int] = set()
-    current: dict[int, int] = {}
     write = out.write
     for rec in records:
         cls = rec.__class__
@@ -326,17 +304,6 @@ def write_trace(
                 )
             if not 0 <= rec.address < ADDRESS_LIMIT:
                 raise ValueError(f"event address must be in 0..2**64-1, got {rec.address:#x}")
-            ref = rec.stack_ref
-            if ref is not None:
-                if ref != current.get(rec.thread):
-                    if ref not in declared:
-                        raise ValueError(f"event references undeclared stack id {ref}")
-                    write(f"U {rec.thread} {ref}\n")
-                    current[rec.thread] = ref
-            elif rec.thread in current:
-                raise ValueError(
-                    "cannot serialize an event that clears its thread's stack context"
-                )
             suffix = f" t{rec.thread}\n" if rec.thread else "\n"
             kind = rec.kind
             if kind is AccessKind.INSN_FETCH:
@@ -357,6 +324,5 @@ def write_trace(
             if rec.stack not in declared:
                 raise ValueError(f"activation of undeclared stack id {rec.stack}")
             write(f"U {rec.thread} {rec.stack}\n")
-            current[rec.thread] = rec.stack
         else:
             raise TypeError(f"cannot serialize record of type {cls.__name__}")

@@ -7,12 +7,15 @@ data working set ramps up and down accordingly. ``gen_step`` produces a
 flat working set with a single short bump, which is the canonical input
 for peak detector tests.
 
-Both are fully deterministic: the same config yields the same record
-sequence, byte for byte once serialized. Events are shared: a
-generator builds one fetch event per code offset and one store event
-per data page, and yields that event again on every later access to
-the offset or page, as long as there are at most EVENT_MEMO_SIZE of
-them. Consumers must treat yielded events as immutable.
+Each takes one config object (PagerampConfig, StepConfig), which holds
+every default, including those of the ``workset gen`` flags, and checks
+every range when it is built. Both are fully deterministic: the same
+config yields the same record sequence, one record per trace line and
+byte for byte once serialized. Events are shared: a generator builds
+one fetch event per code offset and one store event per data page,
+and yields that event again on every later access to the offset or
+page, as long as there are at most EVENT_MEMO_SIZE of them. Consumers
+must treat yielded events as immutable.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
-from .trace import ADDRESS_LIMIT, AccessKind, CallStackDecl, TraceEvent
+from .trace import ADDRESS_LIMIT, AccessKind, CallStackDecl, StackActivation, TraceEvent
 
 # All generated instruction fetches walk a small fixed code region so the
 # instruction working set stays a few pages, like a tight loop would.
@@ -67,26 +70,21 @@ def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], T
     return cache(make) if keys <= EVENT_MEMO_SIZE else make
 
 
-def _code_fetches(page_size: int, stack_ref: int | None) -> Iterator[TraceEvent]:
-    """Endless instruction fetches cycling through the code pages, all
-    under ``stack_ref``."""
+def _code_fetches(page_size: int) -> Iterator[TraceEvent]:
+    """Endless instruction fetches cycling through the code pages."""
     addresses = range(CODE_BASE, CODE_BASE + CODE_PAGES * page_size, INSN_BYTES)
     fetch = _memoized(
-        lambda address: TraceEvent(AccessKind.INSN_FETCH, address, INSN_BYTES, 0, stack_ref),
+        lambda address: TraceEvent(AccessKind.INSN_FETCH, address, INSN_BYTES),
         len(addresses),
     )
     return map(fetch, chain.from_iterable(repeat(addresses)))
 
 
-def _data_stores(
-    base_address: int, page_size: int, stack_ref: int | None, pages: int
-) -> Callable[[int], TraceEvent]:
+def _data_stores(base_address: int, page_size: int, pages: int) -> Callable[[int], TraceEvent]:
     """Single-byte store event at the start of a page, by index below
     ``pages``."""
     return _memoized(
-        lambda page: TraceEvent(
-            AccessKind.DATA_STORE, base_address + page * page_size, 1, 0, stack_ref
-        ),
+        lambda page: TraceEvent(AccessKind.DATA_STORE, base_address + page * page_size, 1),
         pages,
     )
 
@@ -128,8 +126,12 @@ class PagerampConfig:
         return self.insns_per_step + self.insns_per_touch * full_touches
 
 
-def gen_pageramp(config: PagerampConfig | None = None) -> Iterator[TraceEvent | CallStackDecl]:
-    """Yield the sawtooth workload as a lazy record stream.
+def gen_pageramp(
+    config: PagerampConfig | None = None,
+) -> Iterator[TraceEvent | CallStackDecl | StackActivation]:
+    """Yield the sawtooth workload as a lazy record stream: the
+    declaration of its one call stack and the activation of that stack
+    on thread 0, then the events.
 
     Per cycle the claimed page count rises from 0 to max_pages and
     falls back to 0 in pages_per_step increments. After every step the
@@ -139,10 +141,10 @@ def gen_pageramp(config: PagerampConfig | None = None) -> Iterator[TraceEvent | 
     [base_address, base_address + max_pages * page_size).
     """
     cfg = config if config is not None else PagerampConfig()
-    ref = _PAGERAMP_STACK_ID
-    yield CallStackDecl(ref, _PAGERAMP_FRAMES)
-    code = _code_fetches(cfg.page_size, ref)
-    store = _data_stores(cfg.base_address, cfg.page_size, ref, cfg.max_pages)
+    yield CallStackDecl(_PAGERAMP_STACK_ID, _PAGERAMP_FRAMES)
+    yield StackActivation(0, _PAGERAMP_STACK_ID)
+    code = _code_fetches(cfg.page_size)
+    store = _data_stores(cfg.base_address, cfg.page_size, cfg.max_pages)
     per_touch = cfg.insns_per_touch
 
     def pass_records(claimed: int) -> Iterator[TraceEvent]:
@@ -169,58 +171,47 @@ def gen_pageramp(config: PagerampConfig | None = None) -> Iterator[TraceEvent | 
 class StepConfig:
     """Step workload parameters.
 
+    The pattern is ``flat_samples`` intervals touching ``flat_pages``
+    distinct pages, one interval touching ``flat_pages + step_pages``,
+    repeated ``repeats`` times, then a flat tail of ``flat_samples``
+    intervals. ``step_pages = 0`` degenerates to a constant series.
     Every emitted interval is exactly ``interval_insns`` instructions
     long, so analyzing with tau = every = interval_insns yields one
     sample per interval whose data WSS equals the page count touched
-    in it. ``repeats`` repeats the flat-then-bump pattern.
+    in it.
     """
 
     interval_insns: int = 1000
     repeats: int = 1
     base_address: int = 0x2000_0000
     page_size: int = 4096
+    flat_pages: int = 10
+    step_pages: int = 50
+    flat_samples: int = 20
 
     def __post_init__(self) -> None:
         _check_positive("interval_insns", self.interval_insns)
         _check_positive("repeats", self.repeats)
         _check_positive("base_address", self.base_address, minimum=0)
         _check_page_size(self.page_size)
+        _check_positive("flat_pages", self.flat_pages)
+        _check_positive("step_pages", self.step_pages, minimum=0)
+        _check_positive("flat_samples", self.flat_samples)
+        pages = self.flat_pages + self.step_pages
+        _check_end(self.base_address, pages, self.page_size)
+        if self.interval_insns < pages:
+            raise ValueError(
+                f"interval_insns ({self.interval_insns}) must cover "
+                f"flat_pages + step_pages ({pages})"
+            )
 
 
-def gen_step(
-    flat_pages: int,
-    step_pages: int,
-    flat_samples: int,
-    config: StepConfig | None = None,
-) -> Iterator[TraceEvent]:
-    """Yield a flat workload with one short working set bump per repeat.
-
-    The pattern is flat_samples intervals touching flat_pages distinct
-    pages, one interval touching flat_pages + step_pages, repeated
-    ``config.repeats`` times, then a flat tail of flat_samples
-    intervals. step_pages = 0 degenerates to a constant series.
-    """
+def gen_step(config: StepConfig | None = None) -> Iterator[TraceEvent]:
+    """Yield the step workload as a lazy record stream: a flat working
+    set with one short bump per repeat, and no call stacks."""
     cfg = config if config is not None else StepConfig()
-    _check_positive("flat_pages", flat_pages)
-    _check_positive("step_pages", step_pages, minimum=0)
-    _check_positive("flat_samples", flat_samples)
-    _check_end(cfg.base_address, flat_pages + step_pages, cfg.page_size)
-    if cfg.interval_insns < flat_pages + step_pages:
-        raise ValueError(
-            f"interval_insns ({cfg.interval_insns}) must cover "
-            f"flat_pages + step_pages ({flat_pages + step_pages})"
-        )
-    return _step_events(flat_pages, step_pages, flat_samples, cfg)
-
-
-def _step_events(
-    flat_pages: int,
-    step_pages: int,
-    flat_samples: int,
-    cfg: StepConfig,
-) -> Iterator[TraceEvent]:
-    code = _code_fetches(cfg.page_size, None)
-    store = _data_stores(cfg.base_address, cfg.page_size, None, flat_pages + step_pages)
+    code = _code_fetches(cfg.page_size)
+    store = _data_stores(cfg.base_address, cfg.page_size, cfg.flat_pages + cfg.step_pages)
 
     def interval(npages: int) -> Iterator[TraceEvent]:
         return chain(
@@ -229,8 +220,8 @@ def _step_events(
         )
 
     for _ in range(cfg.repeats):
-        for _ in range(flat_samples):
-            yield from interval(flat_pages)
-        yield from interval(flat_pages + step_pages)
-    for _ in range(flat_samples):
-        yield from interval(flat_pages)
+        for _ in range(cfg.flat_samples):
+            yield from interval(cfg.flat_pages)
+        yield from interval(cfg.flat_pages + cfg.step_pages)
+    for _ in range(cfg.flat_samples):
+        yield from interval(cfg.flat_pages)

@@ -15,6 +15,7 @@ from workset.trace import (
     MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
+    StackActivation,
     Stream,
     TraceEvent,
     TraceParseError,
@@ -83,19 +84,24 @@ def expand_accesses(events, page_size, thread=None):
 
 def slow_hot_pages(records, page_size, thread=None):
     """Brute force hot page ranking: count every access page by page and
-    note the stack id of each page's first access; declarations anywhere
-    in the stream name the stacks. Returns one list per stream, insn then
-    data, of (count, page, info) with the most accessed page first and
-    the page number breaking ties; info is the innermost frame of the
-    first access's declared stack, else "". ``thread`` filters as in
-    expand_accesses."""
+    note the stack id of each page's first access, which is the stack
+    the last activation for the access's thread named; declarations
+    anywhere in the stream name the stacks. Returns one list per stream,
+    insn then data, of (count, page, info) with the most accessed page
+    first and the page number breaking ties; info is the innermost frame
+    of the first access's declared stack, else "". ``thread`` filters as
+    in expand_accesses."""
     shift = page_size.bit_length() - 1
     stacks = {}
+    current = {}
     counts = ({}, {})
     first_refs = ({}, {})
     for rec in records:
         if isinstance(rec, CallStackDecl):
             stacks[rec.id] = rec.frames
+            continue
+        if isinstance(rec, StackActivation):
+            current[rec.thread] = rec.stack
             continue
         if thread is not None and rec.thread != thread:
             continue
@@ -104,7 +110,7 @@ def slow_hot_pages(records, page_size, thread=None):
         last = (rec.address + rec.size - 1) >> shift
         for page in range(first, last + 1):
             counts[stream][page] = counts[stream].get(page, 0) + 1
-            first_refs[stream].setdefault(page, rec.stack_ref)
+            first_refs[stream].setdefault(page, current.get(rec.thread))
     ranked = []
     for count, refs in zip(counts, first_refs):
         rows = []

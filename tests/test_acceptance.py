@@ -20,7 +20,7 @@ import workset
 from workset.engine import AnalysisConfig, run_analysis
 from workset.peak import detect_series
 from workset.report import emit_text, result_from_json, emit_json
-from workset.trace import CallStackDecl, read_trace, write_trace
+from workset.trace import CallStackDecl, StackActivation, read_trace, write_trace
 from workset.workloads import PagerampConfig, gen_pageramp
 
 PAGE = 4096
@@ -265,7 +265,7 @@ def test_c5_text_report_consistent_with_trace_contents():
 
 
 def decorated_records(rng, n):
-    decls = [
+    records = [
         CallStackDecl(0, ("gen.c:12", "gen.c:90")),
         CallStackDecl(1, ("lib.c:3",)),
     ]
@@ -277,8 +277,9 @@ def decorated_records(rng, n):
         i = seen[ev.thread]
         seen[ev.thread] += 1
         if i >= switch[ev.thread]:
-            ev.stack_ref = rng.choice((0, 1))
-    return decls + events
+            records.append(StackActivation(ev.thread, rng.choice((0, 1))))
+        records.append(ev)
+    return records
 
 
 def test_c6_trace_and_json_round_trips():

@@ -30,7 +30,9 @@ def rendered(records):
 
 
 def step_trace_text(flat=10, step=50, samples=20, interval=1000):
-    return rendered(gen_step(flat, step, samples, StepConfig(interval_insns=interval)))
+    return rendered(gen_step(StepConfig(
+        interval_insns=interval, flat_pages=flat, step_pages=step, flat_samples=samples
+    )))
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +51,9 @@ def test_gen_step_to_file(tmp_path):
         "--flat-samples", "4", "--interval-insns", "64", "-o", str(out),
     ]
     assert main(argv) == 0
-    expected = rendered(gen_step(3, 7, 4, StepConfig(interval_insns=64)))
+    expected = rendered(gen_step(
+        StepConfig(interval_insns=64, flat_pages=3, step_pages=7, flat_samples=4)
+    ))
     assert out.read_text() == expected
 
 
@@ -69,7 +73,7 @@ def test_gen_is_deterministic(capsys):
 
 def test_gen_defaults_are_the_configs(capsys):
     assert main(["gen", "step"]) == 0
-    assert capsys.readouterr().out == rendered(gen_step(10, 50, 20, StepConfig()))
+    assert capsys.readouterr().out == rendered(gen_step())
     assert main(["gen", "pageramp", "--max-pages", "4", "--cycles", "1"]) == 0
     expected = rendered(gen_pageramp(PagerampConfig(max_pages=4, cycles=1)))
     assert capsys.readouterr().out == expected
@@ -315,6 +319,7 @@ OUT_OF_RANGE = [
     (["analyze", "--peak-alpha", "1.5"], "alpha"),
     (["analyze", "--peak-phi", "0"], "phi"),
     (["analyze", "--top-n", "-5"], "top_n"),
+    (["analyze", "--page-size", "0x1" + "0" * 275], "page_size"),  # 2**1100
 ]
 
 

@@ -217,16 +217,15 @@ def test_per_thread_matches_slow_oracle_property(seed, n, tau, every, nthreads, 
 
 
 def with_stack_switches(rng, events, nstacks, switch_p):
-    """Copies of ``events`` stamped the way read_trace stamps U lines:
-    each thread keeps its stack until it switches, which it does before
-    an event with probability ``switch_p``, so switches fall in the
-    middle of sampling intervals. Stack id ``nstacks`` is never declared."""
-    current = {}
+    """``events`` with activation records in between: each thread keeps
+    its stack until it switches, which it does before an event with
+    probability ``switch_p``, so switches fall in the middle of sampling
+    intervals. Stack id ``nstacks`` is never declared."""
     out = []
     for ev in events:
         if rng.random() < switch_p:
-            current[ev.thread] = rng.randrange(nstacks + 1)
-        out.append(TraceEvent(ev.kind, ev.address, ev.size, ev.thread, current.get(ev.thread)))
+            out.append(StackActivation(ev.thread, rng.randrange(nstacks + 1)))
+        out.append(ev)
     return out
 
 
@@ -482,8 +481,8 @@ def test_per_thread_with_empty_trace():
 
 
 def test_peak_flags_on_step_workload():
-    cfg = StepConfig(interval_insns=400)
-    records = gen_step(6, 40, 12, cfg)
+    cfg = StepConfig(interval_insns=400, flat_pages=6, step_pages=40, flat_samples=12)
+    records = gen_step(cfg)
     res = run_analysis(records, AnalysisConfig(tau=400, every=400, peak_detect=True))
     assert [s.peak_data for s in res.samples] == [False] * 12 + [True] + [False] * 12
     spike = res.samples[12]
@@ -496,7 +495,9 @@ def test_peak_flags_on_step_workload():
 
 
 def test_peaks_off_by_default():
-    records = gen_step(6, 40, 12, StepConfig(interval_insns=400))
+    records = gen_step(
+        StepConfig(interval_insns=400, flat_pages=6, step_pages=40, flat_samples=12)
+    )
     res = run_analysis(records, AnalysisConfig(tau=400, every=400))
     assert not any(s.peak_insn or s.peak_data for s in res.samples)
     assert res.annotations == []
@@ -557,6 +558,7 @@ def test_annotation_captures_the_active_stack(decl, frames, refs):
         dict(peak_alpha=0.0),
         dict(peak_phi=1.5),
         dict(peak_g=0.0),
+        dict(page_size=2**65),  # a power of two, but above 2**64
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -566,9 +568,9 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_rejects_non_event_records():
     with pytest.raises(TypeError):
-        run_analysis([StackActivation(0, 1)])
-    with pytest.raises(TypeError):
         run_analysis([b"I 00400000,4\n"])  # lines of a file opened in binary mode
+    with pytest.raises(TypeError):
+        run_analysis([fetch(), (FETCH, 0x1000, 4)])
 
 
 def test_accepts_stack_declarations():

@@ -6,28 +6,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, status=0):
     proc = subprocess.run(
         [sys.executable, "-X", "dev", str(SCRIPTS / name), *map(str, args)],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     assert "ResourceWarning" not in proc.stderr
-    return proc.stdout
+    return proc
 
 
 def test_tau_sweep_closes_its_input(tmp_path):
     trace = tmp_path / "trace.txt"
     lines = (f"I  {0x400000 + 4 * i:08x},4\n L {0x1000 * i:x},8\n" for i in range(50))
     trace.write_text("".join(lines))
-    out = run_script("tau_sweep.py", trace, "--tau-min", 5, "--tau-max", 20, "--points", 2)
+    out = run_script("tau_sweep.py", trace, "--tau-min", 5, "--tau-max", 20, "--points", 2).stdout
     assert len(out.splitlines()) == 2 + 2
 
 
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--points", "--every"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_tau_sweep_rejects_non_positive_arguments(flag, value):
+    err = run_script("tau_sweep.py", flag, value, status=2).stderr
+    assert err.startswith("usage: ")
+    assert f"argument {flag}: invalid positive value" in err
+    assert "Traceback" not in err
+
+
 def test_pageramp_demo(tmp_path):
-    out = run_script("pageramp_demo.py", "--max-pages", 16, "--cycles", 1, "--outdir", tmp_path)
+    out = run_script("pageramp_demo.py", "--max-pages", 16, "--cycles", 1, "--outdir", tmp_path).stdout
     assert "samples" in out
     assert {p.name for p in tmp_path.iterdir()} == {"wss.csv", "wss.svg", "summary.txt"}

@@ -217,7 +217,8 @@ I  04010176,2
 def test_read_trace_yields_records_in_order():
     records = list(read_trace(io.StringIO(SAMPLE)))
     assert isinstance(records[0], CallStackDecl)
-    kinds = [r.kind for r in records[1:]]
+    assert isinstance(records[2], StackActivation)
+    kinds = [r.kind for r in records if isinstance(r, TraceEvent)]
     assert kinds == [
         AccessKind.INSN_FETCH,
         AccessKind.INSN_FETCH,
@@ -228,21 +229,30 @@ def test_read_trace_yields_records_in_order():
 
 def test_read_trace_attaches_stack_refs_per_thread():
     records = list(read_trace(io.StringIO(SAMPLE)))
-    events = [r for r in records if isinstance(r, TraceEvent)]
-    assert events[0].stack_ref is None        # before any activation
-    assert events[1].stack_ref == 4           # thread 0 switched
-    assert events[2].stack_ref == 4           # sticks for thread 0
-    assert events[3].stack_ref is None        # thread 1 never activated
+    # the activation stands where its U line does: after the first
+    # fetch, before the events thread 0 runs under stack 4; thread 1
+    # is never activated
+    assert [type(r).__name__ for r in records] == [
+        "CallStackDecl", "TraceEvent", "StackActivation", "TraceEvent", "TraceEvent",
+        "TraceEvent",
+    ]
+    assert records[2] == StackActivation(0, 4)
+    assert records[5].thread == 1
 
 
 def test_repeated_line_after_stack_switch_gets_new_stack_ref():
     text = "C 1: a\nC 2: b\nI  1000,4\nU 0 1\nI  1000,4\nI  1000,4\nU 0 2\nI  1000,4\n"
-    events = [r for r in read_trace(io.StringIO(text)) if isinstance(r, TraceEvent)]
-    # all read before checking: later switches must not reach earlier events
-    assert [e.stack_ref for e in events] == [None, 1, 1, 2]
-    assert all(e.address == 0x1000 and e.kind is AccessKind.INSN_FETCH for e in events)
-    # a repeat under an unchanged stack is the memoized event itself
-    assert events[1] is events[2]
+    records = list(read_trace(io.StringIO(text)))
+    # the switches are records of their own, so the stack of each event
+    # is the last activation before it
+    assert records[2:] == [
+        TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4), StackActivation(0, 1),
+        TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4), TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4),
+        StackActivation(0, 2), TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4),
+    ]
+    # events are context-free: every repeat is the memoized event itself
+    events = [r for r in records if isinstance(r, TraceEvent)]
+    assert all(e is events[0] for e in events)
 
 
 def test_read_trace_strict_raises_with_line_number():
@@ -292,7 +302,8 @@ def test_empty_input():
 def test_write_trace_canonical_lines():
     records = [
         CallStackDecl(4, ("pageramp.c:37", "pageramp.c:77")),
-        TraceEvent(AccessKind.INSN_FETCH, 0x04010173, 3, 0, 4),
+        StackActivation(0, 4),
+        TraceEvent(AccessKind.INSN_FETCH, 0x04010173, 3, 0),
         TraceEvent(AccessKind.DATA_STORE, 0x1FFEFFFD70, 8, 1),
     ]
     buf = io.StringIO()
@@ -306,21 +317,30 @@ def test_write_trace_canonical_lines():
 
 
 def test_write_trace_emits_activation_only_on_change():
+    # U lines come from activation records alone, one each, redundant
+    # or not; events never add one
     records = [
         CallStackDecl(0, ("a",)),
         CallStackDecl(1, ("b",)),
-        TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4, 0, 0),
-        TraceEvent(AccessKind.INSN_FETCH, 0x1004, 4, 0, 0),
-        TraceEvent(AccessKind.INSN_FETCH, 0x1008, 4, 0, 1),
+        StackActivation(0, 0),
+        TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4, 0),
+        TraceEvent(AccessKind.INSN_FETCH, 0x1004, 4, 1),
+        StackActivation(0, 1),
+        StackActivation(0, 1),
+        TraceEvent(AccessKind.INSN_FETCH, 0x1008, 4, 0),
     ]
     buf = io.StringIO()
     write_trace(records, buf)
-    assert buf.getvalue().count("U 0 ") == 2
+    lines = buf.getvalue().splitlines()
+    assert [line for line in lines if line.startswith("U")] == ["U 0 0", "U 0 1", "U 0 1"]
+    assert len(lines) == len(records)
 
 
 def test_write_rejects_undeclared_ref_and_bad_frames():
     with pytest.raises(ValueError):
-        write_trace([TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4, 0, 7)], io.StringIO())
+        write_trace([StackActivation(0, 7)], io.StringIO())
+    with pytest.raises(ValueError):  # declared only after its activation
+        write_trace([StackActivation(0, 7), CallStackDecl(7, ("a",))], io.StringIO())
     with pytest.raises(ValueError):
         write_trace([CallStackDecl(0, ("a|b",))], io.StringIO())
     with pytest.raises(ValueError):
@@ -356,7 +376,8 @@ def test_round_trip_simple():
     records = [
         CallStackDecl(2, ("f (x.c:1)", "g (x.c:9)")),
         TraceEvent(AccessKind.INSN_FETCH, 0xABC, 2),
-        TraceEvent(AccessKind.DATA_MODIFY, 0xFFFF_FFFF_FFFF, 16, 3, 2),
+        StackActivation(3, 2),
+        TraceEvent(AccessKind.DATA_MODIFY, 0xFFFF_FFFF_FFFF, 16, 3),
         TraceEvent(AccessKind.DATA_LOAD, 0x0, 1),
     ]
     buf = io.StringIO()
@@ -374,16 +395,19 @@ _frame = st.text(
 
 @st.composite
 def record_sequences(draw):
+    """Declarations, then events and activations in any order: redundant
+    activations, switches back and forth, and activations that no event
+    follows."""
     n_decls = draw(st.integers(0, 3))
     records = [
         CallStackDecl(i, tuple(draw(st.lists(_frame, min_size=1, max_size=3))))
         for i in range(n_decls)
     ]
-    current: dict[int, int] = {}
     for _ in range(draw(st.integers(0, 30))):
         thread = draw(st.integers(0, 2))
         if n_decls and draw(st.booleans()):
-            current[thread] = draw(st.integers(0, n_decls - 1))
+            records.append(StackActivation(thread, draw(st.integers(0, n_decls - 1))))
+            continue
         kind = draw(st.sampled_from(list(AccessKind)))
         records.append(
             TraceEvent(
@@ -391,15 +415,30 @@ def record_sequences(draw):
                 draw(st.integers(0, 2**48 - 1)),
                 draw(st.integers(1, 64)),
                 thread,
-                current.get(thread),
             )
         )
     return records
 
 
-@given(record_sequences())
-def test_round_trip_property(records):
+def _text(records):
     buf = io.StringIO()
     write_trace(records, buf)
-    buf.seek(0)
-    assert list(read_trace(buf)) == records
+    return buf.getvalue()
+
+
+@given(record_sequences())
+def test_round_trip_property(records):
+    assert list(read_trace(io.StringIO(_text(records)))) == records
+
+
+@given(record_sequences())
+@example([
+    CallStackDecl(1, ("a",)), CallStackDecl(2, ("b",)),
+    StackActivation(0, 1), StackActivation(0, 1),
+    TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4),
+    StackActivation(1, 2), StackActivation(0, 2), StackActivation(0, 1),
+    TraceEvent(AccessKind.DATA_STORE, 0x2000, 8),
+])
+def test_text_round_trip_property(records):
+    text = _text(records)
+    assert _text(read_trace(io.StringIO(text))) == text

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from workset.engine import AnalysisConfig, run_analysis
-from workset.trace import AccessKind, CallStackDecl, TraceEvent, read_trace, write_trace
+from workset.trace import AccessKind, TraceEvent, read_trace, write_trace
 from workset.workloads import (
     CODE_BASE,
     CODE_PAGES,
@@ -75,7 +75,7 @@ def store_page_sets(records, page_size=4096, base=0x1000_0000):
     current = None
     run_of_fetches = 0
     for rec in records:
-        if isinstance(rec, CallStackDecl):
+        if not isinstance(rec, TraceEvent):
             continue
         if rec.kind is AccessKind.INSN_FETCH:
             run_of_fetches += 1
@@ -122,7 +122,9 @@ def test_peak_distinct_pages_per_pass():
 def test_events_are_shared_per_code_offset_and_page():
     # 4 code pages of 256 bytes hold 256 fetch offsets
     ramp = gen_pageramp(PagerampConfig(max_pages=8, stride=1, cycles=2, page_size=256))
-    step = gen_step(3, 5, 4, StepConfig(interval_insns=300, page_size=256))
+    step = gen_step(StepConfig(
+        interval_insns=300, page_size=256, flat_pages=3, step_pages=5, flat_samples=4
+    ))
     for records in (ramp, step):
         events = [r for r in records if isinstance(r, TraceEvent)]
         for kind, distinct in ((AccessKind.INSN_FETCH, 256), (AccessKind.DATA_STORE, 8)):
@@ -139,9 +141,9 @@ def test_huge_page_size_starts_quickly_with_bounded_memory():
     )
     records = gen_pageramp(cfg)
     t0 = time.perf_counter()
-    head = list(islice(records, 41))
+    head = list(islice(records, 42))  # the stack's declaration and activation first
     assert time.perf_counter() - t0 < 1.0
-    assert [r.address for r in head[1:]] == [CODE_BASE + 4 * i for i in range(40)]
+    assert [r.address for r in head[2:]] == [CODE_BASE + 4 * i for i in range(40)]
     tracemalloc.start()
     try:
         held = []
@@ -229,51 +231,51 @@ def wss_data_series(records, interval):
 
 def test_step_series_shape():
     cfg = StepConfig(interval_insns=200)
-    series = wss_data_series(gen_step(10, 50, 20, cfg), 200)
+    series = wss_data_series(gen_step(cfg), 200)
     assert series == [10] * 20 + [60] + [10] * 20
 
 
 def test_step_zero_is_flat():
-    cfg = StepConfig(interval_insns=100)
-    series = wss_data_series(gen_step(10, 0, 5, cfg), 100)
+    cfg = StepConfig(interval_insns=100, step_pages=0, flat_samples=5)
+    series = wss_data_series(gen_step(cfg), 100)
     assert series == [10] * 11
 
 
 def test_step_repeats_twice():
     cfg = StepConfig(interval_insns=200, repeats=2)
-    series = wss_data_series(gen_step(10, 50, 20, cfg), 200)
+    series = wss_data_series(gen_step(cfg), 200)
     assert series == ([10] * 20 + [60]) * 2 + [10] * 20
     assert sum(1 for v in series if v > 10) == 2
 
 
 def test_step_interval_exactly_tiles_instructions():
-    cfg = StepConfig(interval_insns=64)
+    cfg = StepConfig(interval_insns=64, flat_pages=3, step_pages=5, flat_samples=4)
     fetches = sum(
         1
-        for r in gen_step(3, 5, 4, cfg)
+        for r in gen_step(cfg)
         if r.kind is AccessKind.INSN_FETCH
     )
     assert fetches == 64 * (4 + 1 + 4)
 
 
 def test_step_validation():
-    with pytest.raises(ValueError):
-        gen_step(0, 5, 3)
-    with pytest.raises(ValueError):
-        gen_step(3, -1, 3)
-    with pytest.raises(ValueError):
-        gen_step(3, 5, 0)
-    with pytest.raises(ValueError):
-        list(gen_step(10, 50, 3, StepConfig(interval_insns=30)))
-    with pytest.raises(ValueError):
-        StepConfig(repeats=0)
+    for bad in (
+        dict(flat_pages=0),
+        dict(step_pages=-1),
+        dict(flat_samples=0),
+        dict(interval_insns=30),  # below flat_pages + step_pages
+        dict(repeats=0),
+    ):
+        with pytest.raises(ValueError):
+            StepConfig(**bad)
 
 
 def test_data_pages_end_at_or_below_2_64():
     top = 2**64 - 2 * 4096
     PagerampConfig(max_pages=2, base_address=top)
-    gen_step(1, 1, 1, StepConfig(interval_insns=4, base_address=top))
+    step = dict(interval_insns=4, base_address=top, step_pages=1, flat_samples=1)
+    StepConfig(flat_pages=1, **step)
     with pytest.raises(ValueError):
         PagerampConfig(max_pages=3, base_address=top)
     with pytest.raises(ValueError):
-        gen_step(2, 1, 1, StepConfig(interval_insns=4, base_address=top))
+        StepConfig(flat_pages=2, **step)
