@@ -14,7 +14,7 @@ from dataclasses import fields
 
 from .engine import AnalysisConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
-from .trace import TraceParseError, write_trace
+from .trace import TraceParseError, excerpt, write_trace
 from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 USAGE_ERROR = 1
@@ -32,7 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _int(text: str) -> int:
     # base 0 accepts hex, so addresses can be given as 0x...
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError:
+        # a decimal value past int()'s digit limit also lands here
+        raise argparse.ArgumentTypeError(f"expected an integer, got {excerpt(text)}") from None
 
 
 def _config(cls, args: argparse.Namespace):

@@ -32,10 +32,11 @@ stream has touched.
 run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
 or the trace's text lines. A text line never becomes a TraceEvent: the
 engine decodes it with the trace module's event grammar (decode_event)
-and memoizes the line as (is_fetch, first_page, last_page, thread), and
-it checks C and U lines through the trace module's parse_record, the
-same code read_trace uses. Either way an event's stack is the one the
-last activation for its thread named.
+and offers the line's (is_fetch, first_page, last_page, thread) to a
+LineMemo, which keeps it while lines repeat; it checks C and U lines
+through the trace module's parse_record, the same code read_trace
+uses. Either way an event's stack is the one the last activation for
+its thread named.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ from .peak import PeakDetector, PeakParams
 from .report import HotPageEntry, Summary, hot_pages, summarize
 from .trace import (
     ADDRESS_LIMIT,
-    LINE_MEMO_SIZE,
     AccessKind,
     CallStackDecl,
+    LineMemo,
     StackActivation,
     Stream,
     TraceEvent,
     decode_event,
     parse_record,
+    show_int,
 )
 
 BATCH_LIMIT = 1024
@@ -85,17 +87,18 @@ class AnalysisConfig:
         if self.every is None:
             self.every = self.tau
         if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+            raise ValueError(f"tau must be >= 1, got {show_int(self.tau)}")
         if self.every < 1:
-            raise ValueError(f"every must be >= 1, got {self.every}")
+            raise ValueError(f"every must be >= 1, got {show_int(self.every)}")
         # one page of 2**64 bytes already covers every address
         if (self.page_size < 1 or self.page_size & (self.page_size - 1)
                 or self.page_size > ADDRESS_LIMIT):
             raise ValueError(
-                f"page_size must be a power of two up to 2**64, got {self.page_size}"
+                "page_size must be a power of two up to 2**64, "
+                f"got {show_int(self.page_size)}"
             )
         if self.top_n < 0:
-            raise ValueError(f"top_n must be >= 0, got {self.top_n}")
+            raise ValueError(f"top_n must be >= 0, got {show_int(self.top_n)}")
         # validates the peak knobs even when detection is off
         self.peak_params()
 
@@ -424,11 +427,12 @@ def run_analysis(
     first. An event's stack is looked up when its thread differs from
     the previous event's or an activation came in between.
 
-    Text lines are decoded here, without building a TraceEvent: each
-    distinct event line maps, through a memo with read_trace's bound,
-    to its stream, page range and thread, so a repeated line costs a
-    dict lookup. ``strict`` applies to text lines as in read_trace, and
-    line numbers in errors and warnings count the text lines.
+    Text lines are decoded here, without building a TraceEvent: an
+    event line maps, through a LineMemo like read_trace's, to its
+    stream, page range and thread, so while lines repeat a repeated
+    line costs a dict lookup. ``strict`` applies to text lines as in
+    read_trace, and line numbers in errors and warnings count the text
+    lines.
     """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
@@ -450,7 +454,7 @@ def run_analysis(
     moves_at = (expires + 1) * every - cfg.tau + 1
     pending = False
     # text lines: event line -> (is_fetch, first_page, last_page, thread)
-    memo: dict[str, tuple[bool, int, int, int]] = {}
+    memo = LineMemo()
     memo_get = memo.get
     lineno = 0
     # each thread's current stack as the activations set it, and the
@@ -496,9 +500,7 @@ def run_analysis(
                 last_page = (address + size - 1) >> shift
                 if last_page == page:
                     last_page = page  # the entry holds one int for both
-                if len(memo) >= LINE_MEMO_SIZE:
-                    memo.clear()
-                memo[rec] = (fetch, page, last_page, thread)
+                memo.add(rec, (fetch, page, last_page, thread), lineno)
         elif rec.__class__ is StackActivation:
             current[rec.thread] = rec.stack
             ref_thread = None
@@ -560,7 +562,7 @@ def run_analysis(
         flush(now, expires)
     # the memo is dead weight from here on, and building the results
     # (ranking the hot pages) takes memory of its own
-    memo.clear()
+    del memo, memo_get
 
     thread_results = (
         {tid: threads[tid].result(cfg, label_map) for tid in sorted(threads)}

@@ -102,8 +102,85 @@ class TraceParseError(ValueError):
 _KIND_BY_TAG = {k.value: k for k in AccessKind}
 
 LINE_MEMO_SIZE = 65536
-"""Entries a line memo (read_trace's, and the engine's for trace text)
+"""Entries a LineMemo (read_trace's, and the engine's for trace text)
 holds before it is cleared and refilled."""
+
+# the admission rule's constants; see LineMemo
+_MEMO_WINDOW = 512
+_MEMO_MAX_BYPASS = 65536
+_MEMO_STALE_LIMIT = 8 * _MEMO_WINDOW
+
+
+class LineMemo:
+    """A bounded map from trace lines to their decoded value, which
+    admits lines only while they repeat.
+
+    A lookup is ``get``, the entries' own bound ``dict.get``, so a hit
+    costs one dict lookup and is not counted. A miss is reported to
+    ``add`` with its 1-based line number, and only there is the
+    admission rule applied:
+
+    - A window is _MEMO_WINDOW (512) admitted misses. It is bad when it
+      had fewer than one hit per 8 misses, the hits being the lines it
+      spanned minus its misses.
+    - After a bad window nothing is admitted for the next 512 lines;
+      each further bad window doubles that bypass, up to
+      _MEMO_MAX_BYPASS (65536) lines. A good window resets it to 512.
+    - Once bad windows have admitted _MEMO_STALE_LIMIT (4096) entries
+      since the last good window, the memo is cleared, so entries of
+      lines that did not repeat do not pile up.
+    - At LINE_MEMO_SIZE entries the memo is cleared before an insert.
+
+    So the memo of a trace that never repeats holds at most 4096
+    entries. When a trace turns from distinct lines to a loop of fewer
+    than 512 distinct lines, its lines are admitted again once the
+    bypass in progress ends: after at most 65536 lines. Whatever the
+    trace, the memo holds at most LINE_MEMO_SIZE entries: about 13 MB
+    with the engine's entries for 20-character lines, the lines
+    included. Whether a repeated line hits the memo thus depends on
+    the lines around it, so a caller must get the same result on a hit
+    as on a miss.
+    """
+
+    __slots__ = ("get", "_entries", "_misses", "_start", "_resume", "_bypass", "_stale")
+
+    def __init__(self) -> None:
+        self._entries: dict[str, object] = {}
+        self.get = self._entries.get
+        self._misses = 0  # admitted misses in the current window
+        self._start = 0  # the line number before the window's first line
+        self._resume = 0  # the first line number admitted again
+        self._bypass = _MEMO_WINDOW
+        self._stale = 0  # entries bad windows admitted since a good one
+
+    def add(self, line: str, value: object, lineno: int) -> None:
+        """Memoize ``value`` for ``line``, a miss at line number
+        ``lineno``, if the admission rule admits it. Line numbers must
+        increase from call to call."""
+        if lineno < self._resume:
+            return
+        entries = self._entries
+        if len(entries) >= LINE_MEMO_SIZE:
+            entries.clear()
+        entries[line] = value
+        misses = self._misses + 1
+        if misses < _MEMO_WINDOW:
+            self._misses = misses
+            return
+        self._misses = 0
+        if (lineno - self._start - misses) * 8 >= misses:
+            self._bypass = _MEMO_WINDOW
+            self._stale = 0
+            self._start = lineno
+            return
+        self._stale += _MEMO_WINDOW
+        if self._stale >= _MEMO_STALE_LIMIT:
+            entries.clear()
+            self._stale = 0
+        self._start = lineno + self._bypass
+        self._resume = self._start + 1
+        self._bypass = min(2 * self._bypass, _MEMO_MAX_BYPASS)
+
 
 # the ASCII characters str.split() splits on; an event record is ASCII
 _WS = "[ \t\n\x0b\x0c\r\x1c-\x1f]"
@@ -132,18 +209,30 @@ def decode_event(line: str) -> tuple[str, int, int, int] | None:
     return tag, address, size, thread
 
 
-# most characters of a malformed line that an error message quotes, so
-# a long junk line costs a bounded amount of error and warning text
+# most characters of malformed input that an error message quotes, so
+# a long junk line or flag value costs a bounded amount of error text
 _EXCERPT_LIMIT = 80
+# an integer this large or larger is shown by its bit length
+_SHOW_INT_LIMIT = 10**20
 
 
-def _excerpt(text: str) -> str:
+def excerpt(text: str) -> str:
     """``text`` stripped and quoted, cut to _EXCERPT_LIMIT characters
     plus ``...``."""
     text = text.strip()
     if len(text) > _EXCERPT_LIMIT:
         return repr(text[:_EXCERPT_LIMIT]) + "..."
     return repr(text)
+
+
+def show_int(value: int) -> str:
+    """``value`` for an error message: in decimal up to 20 digits, else
+    as its bit length, so the message stays short and never meets the
+    digit limit of int-to-text conversion."""
+    if -_SHOW_INT_LIMIT < value < _SHOW_INT_LIMIT:
+        return str(value)
+    sign = "negative " if value < 0 else ""
+    return f"a {sign}{value.bit_length()}-bit integer"
 
 
 def _decimal(text: str) -> int | None:
@@ -177,7 +266,7 @@ def parse_line(
         return None
     if tag in _KIND_BY_TAG:
         raise TraceParseError(
-            f"malformed event record {_excerpt(line)}: expected "
+            f"malformed event record {excerpt(line)}: expected "
             f"'<hexaddr>,<size>[ t<tid>]' in ASCII, address below 2**64, "
             f"size 1..{MAX_ACCESS_SIZE}",
             lineno,
@@ -187,7 +276,7 @@ def parse_line(
         ident = _decimal(head[1:].strip())
         if not sep or ident is None:
             raise TraceParseError(
-                f"malformed call stack declaration {_excerpt(line)}", lineno
+                f"malformed call stack declaration {excerpt(line)}", lineno
             )
         if not rest.isascii():
             # frames may be any text, but not undecodable input bytes,
@@ -207,10 +296,10 @@ def parse_line(
         fields = [_decimal(p) for p in parts[1:]]
         if len(fields) != 2 or None in fields:
             raise TraceParseError(
-                f"malformed stack activation {_excerpt(line)}", lineno
+                f"malformed stack activation {excerpt(line)}", lineno
             )
         return StackActivation(fields[0], fields[1])
-    raise TraceParseError(f"unknown record tag {_excerpt(tag)}", lineno)
+    raise TraceParseError(f"unknown record tag {excerpt(tag)}", lineno)
 
 
 def parse_record(
@@ -260,28 +349,29 @@ def read_trace(
     In strict mode (default) malformed lines raise TraceParseError; in
     lenient mode they are skipped with a logged warning.
 
-    Traces of looping programs repeat event lines heavily, so each
-    distinct event line's parsed event is memoized (bounded; the memo
-    resets when full) and yielded again on a repeat, without building a
-    new object. Events are context-free, which makes the memo invisible
-    apart from the speedup and the sharing of equal events.
+    Traces of looping programs repeat event lines heavily, so event
+    lines go through a LineMemo: while lines repeat, a repeated line
+    yields the event its earlier occurrence was parsed into, without
+    building a new object. Events are context-free, which makes the
+    memo invisible apart from the speedup and the sharing of equal
+    events; which repeats share an event object depends on the memo's
+    admission rule.
 
     This is the record API for library users. To analyze trace text,
     run_analysis takes the lines themselves and skips building the
     records.
     """
     stacks: dict[int, tuple[str, ...]] = {}
-    memo: dict[str, TraceEvent] = {}
+    memo = LineMemo()
+    memo_get = memo.get
     for lineno, raw in enumerate(lines, 1):
-        rec = memo.get(raw)
+        rec = memo_get(raw)
         if rec is None:
             rec = parse_record(raw, lineno, stacks, strict)
             if rec is None:
                 continue
             if rec.__class__ is TraceEvent:
-                if len(memo) >= LINE_MEMO_SIZE:
-                    memo.clear()
-                memo[raw] = rec
+                memo.add(raw, rec, lineno)
         yield rec
 
 
@@ -304,6 +394,8 @@ def write_trace(
                 )
             if not 0 <= rec.address < ADDRESS_LIMIT:
                 raise ValueError(f"event address must be in 0..2**64-1, got {rec.address:#x}")
+            if rec.thread < 0:
+                raise ValueError(f"event thread must be >= 0, got {show_int(rec.thread)}")
             suffix = f" t{rec.thread}\n" if rec.thread else "\n"
             kind = rec.kind
             if kind is AccessKind.INSN_FETCH:
@@ -314,13 +406,21 @@ def write_trace(
             if not rec.frames:
                 raise ValueError("call stack declaration needs at least one frame")
             for frame in rec.frames:
-                if "|" in frame or "\n" in frame or frame != frame.strip() or not frame:
+                # a reader in text mode also ends a line at a "\r"
+                if ("|" in frame or "\n" in frame or "\r" in frame
+                        or frame != frame.strip() or not frame):
                     raise ValueError(f"unserializable stack frame {frame!r}")
+            if rec.id < 0:
+                raise ValueError(f"call stack id must be >= 0, got {show_int(rec.id)}")
             if rec.id in declared:
                 raise ValueError(f"duplicate call stack id {rec.id}")
             declared.add(rec.id)
             write(f"C {rec.id}: {'|'.join(rec.frames)}\n")
         elif cls is StackActivation:
+            if rec.thread < 0:
+                raise ValueError(
+                    f"activation thread must be >= 0, got {show_int(rec.thread)}"
+                )
             if rec.stack not in declared:
                 raise ValueError(f"activation of undeclared stack id {rec.stack}")
             write(f"U {rec.thread} {rec.stack}\n")

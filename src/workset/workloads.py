@@ -25,7 +25,14 @@ from functools import cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterator
 
-from .trace import ADDRESS_LIMIT, AccessKind, CallStackDecl, StackActivation, TraceEvent
+from .trace import (
+    ADDRESS_LIMIT,
+    AccessKind,
+    CallStackDecl,
+    StackActivation,
+    TraceEvent,
+    show_int,
+)
 
 # All generated instruction fetches walk a small fixed code region so the
 # instruction working set stays a few pages, like a tight loop would.
@@ -49,18 +56,20 @@ _PAGERAMP_FRAMES = ("pageramp.c:21", "pageramp.c:48")
 
 def _check_positive(name: str, value: int, minimum: int = 1) -> None:
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise ValueError(f"{name} must be >= {minimum}, got {show_int(value)}")
 
 
 def _check_page_size(page_size: int) -> None:
     if page_size < 256 or page_size & (page_size - 1):
-        raise ValueError(f"page_size must be a power of two >= 256, got {page_size}")
+        raise ValueError(
+            f"page_size must be a power of two >= 256, got {show_int(page_size)}"
+        )
 
 
 def _check_end(base_address: int, pages: int, page_size: int) -> None:
     end = base_address + pages * page_size
     if end > ADDRESS_LIMIT:
-        raise ValueError(f"data pages must end at or below 2**64, got end {end:#x}")
+        raise ValueError(f"data pages must end at or below 2**64, got end {show_int(end)}")
 
 
 def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], TraceEvent]:

@@ -320,6 +320,12 @@ OUT_OF_RANGE = [
     (["analyze", "--peak-phi", "0"], "phi"),
     (["analyze", "--top-n", "-5"], "top_n"),
     (["analyze", "--page-size", "0x1" + "0" * 275], "page_size"),  # 2**1100
+    # values past int-to-text conversion's 4300-digit limit
+    (["analyze", "--page-size", "0x1" + "0" * 4000], "page_size"),  # 2**16000
+    (["analyze", "--tau=-0x1" + "0" * 4000], "tau"),
+    (["analyze", "--top-n=-0x1" + "0" * 4000], "top_n"),
+    (["gen", "pageramp", "--base-address=-0x1" + "0" * 4000], "base_address"),
+    (["gen", "step", "--repeats=-0x1" + "0" * 4000], "repeats"),
 ]
 
 
@@ -348,6 +354,32 @@ def test_out_of_range_value_names_the_field(argv, field, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{field} must" in err
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["analyze", "--page-size", "0x1" + "0" * 4000],
+         "page_size must be a power of two up to 2**64, got a 16001-bit integer"),
+        (["gen", "step", "--repeats=-0x1" + "0" * 4000],
+         "repeats must be >= 1, got a negative 16001-bit integer"),
+        # past the digit limit of int(): not an integer to argparse, which
+        # prints its usage text (about 430 characters) before the message
+        (["analyze", "--tau", "-9" + "9" * 4400],
+         "argument --tau: expected an integer, got '-9999"),
+        (["gen", "pageramp", "--cycles", "9" * 4400],
+         "argument --cycles: expected an integer, got '9999"),
+    ],
+)
+def test_huge_flag_value_error_text_is_bounded(argv, says, capsys):
+    assert main(argv) == USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = err.splitlines()[-1]
+    assert says in message
+    assert len(message) < 400
+    if "argument" not in says:
+        assert len(err) < 400
 
 
 def test_analyze_bad_peak_params_exit_1(monkeypatch, capsys):

@@ -25,6 +25,7 @@ from workset.trace import (
     Stream,
     TraceEvent,
     TraceParseError,
+    decode_event,
     read_trace,
     write_trace,
 )
@@ -433,6 +434,106 @@ def test_memory_does_not_grow_with_trace_length(tau, every, make_lines, text):
         assert res4.samples == []
     # keeping one pointer per extra sample would already cost about 25 kB
     assert long <= short + 16 * 1024, (short, long)
+
+
+def test_line_memo_stays_small_on_distinct_lines():
+    # lines that never repeat are not worth memoizing: a memo that kept
+    # each of the 70000 would take about 8.6 MB
+    cfg = AnalysisConfig(tau=528, every=528)
+    run_analysis(_distinct_lines(1), cfg)  # warm, as the test above does
+    lines = _distinct_lines(1)
+    transient, _ = _transient_bytes(lines, cfg)
+    assert transient < 2 * 1024 * 1024, transient
+
+
+def _counting_decodes(monkeypatch, lines):
+    """``lines`` as a lazy iterable, and the list that gets the index of
+    the line being read each time the engine decodes an event line."""
+    position = [0]
+    decoded_at = []
+
+    def counting(line):
+        fields = decode_event(line)
+        if fields is not None:
+            decoded_at.append(position[0])
+        return fields
+
+    def feed():
+        for position[0], line in enumerate(lines):
+            yield line
+
+    monkeypatch.setattr("workset.engine.decode_event", counting)
+    return feed(), decoded_at
+
+
+def test_line_memo_hits_again_after_distinct_lines(monkeypatch):
+    # 150000 distinct lines push the memo's bypass to its longest, 65536
+    # lines; then a loop of 200 lines must be memoized again, within
+    # that bypass plus two windows of 512 misses
+    distinct = _distinct_lines(3)[:150_000]
+    loop = [f"I  {0x50_0000 + 8 * i:x},4\n" for i in range(100)]
+    loop += [f" S {0x2000_0000 + 64 * i:x},8\n" for i in range(100)]
+    lines = distinct + loop * 500
+    feed, decoded_at = _counting_decodes(monkeypatch, lines)
+    res = run_analysis(feed, AnalysisConfig(tau=528, every=528))
+    assert res.samples
+    assert decoded_at[:150_000] == list(range(150_000))
+    second = decoded_at[150_000:]
+    assert len(second) <= 65536 + 2 * 512
+    # and after that, every line of the loop is a memo hit
+    assert max(second) < 150_000 + 65536 + 2 * 512
+
+
+def _three_phase_records(rng):
+    """Stack declarations, then events in three phases of 3000: lines
+    that never repeat, a loop of 100 lines, lines that never repeat
+    again; two threads switch stacks now and then. Long enough for the
+    line memo to pass through bad windows and bypasses."""
+    records = [CallStackDecl(i, (f"f{i}.c:1", "main.c:9")) for i in range(3)]
+    fresh = iter(range(10**6))
+
+    def unique_event():
+        i = next(fresh)
+        thread = rng.randrange(2)
+        if rng.random() < 0.5:
+            return TraceEvent(FETCH, 0x40_0000 + 4 * i, 4, thread)
+        # 300 data pages, offsets below 4000 so no access straddles
+        address = 0x1000_0000 + i % 300 * 4096 + i // 300
+        return TraceEvent(AccessKind.DATA_LOAD, address, rng.choice((1, 8, 16)), thread)
+
+    loop = [unique_event() for _ in range(100)]
+    events = [unique_event() for _ in range(3000)]
+    events += loop * 30
+    events += [unique_event() for _ in range(3000)]
+    return records + with_stack_switches(rng, events, 2, 0.01)
+
+
+def test_results_on_the_line_memo_bypass_path(monkeypatch):
+    records = _three_phase_records(random.Random(11))
+    buf = io.StringIO()
+    write_trace(records, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    events = [r for r in records if isinstance(r, TraceEvent)]
+    cfg = AnalysisConfig(tau=300, every=100, per_thread=True, top_n=10**6)
+    expected = (slow_wss_series(events, 300, 100, 4096), slow_hot_pages(records, 4096))
+    per_thread = {
+        tid: (slow_wss_series(events, 300, 100, 4096, thread=tid),
+              slow_hot_pages(records, 4096, thread=tid))
+        for tid in (0, 1)
+    }
+    feed, decoded_at = _counting_decodes(monkeypatch, lines)
+    from_text = run_analysis(feed, cfg)
+    # the loop's lines were decoded again while the memo bypassed them,
+    # and hit it once it admitted them
+    event_lines = [line for line in lines if not line.startswith(("C", "U"))]
+    assert len(set(event_lines)) < len(decoded_at) < len(event_lines)
+    for res in (from_text, run_analysis(read_trace(lines), cfg)):
+        assert (triples(res.samples), (ranking(res.insn), ranking(res.data))) == expected
+        for tid, (series, hot) in per_thread.items():
+            sub = res.threads[tid]
+            # both threads run from the first instant on
+            assert triples(sub.samples) == series
+            assert (ranking(sub.insn), ranking(sub.data)) == hot
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from workset.trace import (
     TraceEvent,
     TraceParseError,
     parse_line,
+    parse_record,
     read_trace,
     write_trace,
 )
@@ -255,6 +256,35 @@ def test_repeated_line_after_stack_switch_gets_new_stack_ref():
     assert all(e is events[0] for e in events)
 
 
+def test_read_trace_memo_hits_again_after_distinct_lines(monkeypatch):
+    # 150000 distinct event lines push the line memo's bypass to its
+    # longest, 65536 lines; then a loop of 200 lines must be memoized
+    # again, within that bypass plus two windows of 512 misses
+    distinct = [f" L {0x1000_0000 + 4 * i:x},4\n" for i in range(150_000)]
+    loop = [f"I  {0x40_0000 + 4 * i:x},4 t{i % 3}\n" for i in range(200)]
+    lines = distinct + loop * 500
+    position = [0]
+    parsed_at = []
+
+    def counting(*args):
+        parsed_at.append(position[0])
+        return parse_record(*args)
+
+    def feed():
+        for position[0], line in enumerate(lines):
+            yield line
+
+    monkeypatch.setattr("workset.trace.parse_record", counting)
+    records = list(read_trace(feed()))
+    assert records == [parse_line(line) for line in lines]
+    assert parsed_at[:150_000] == list(range(150_000))
+    second = parsed_at[150_000:]
+    assert len(second) <= 65536 + 2 * 512
+    # after that, every line of the loop is a memo hit: the same event
+    assert max(second) < 150_000 + 65536 + 2 * 512
+    assert all(a is b for a, b in zip(records[-200:], records[-400:-200]))
+
+
 def test_read_trace_strict_raises_with_line_number():
     bad = "I  1000,4\nnonsense\n"
     with pytest.raises(TraceParseError) as exc:
@@ -347,6 +377,22 @@ def test_write_rejects_undeclared_ref_and_bad_frames():
         write_trace([CallStackDecl(0, ())], io.StringIO())
 
 
+@pytest.mark.parametrize(
+    "records",
+    [
+        pytest.param([TraceEvent(AccessKind.DATA_LOAD, 0x10, 4, -1)], id="negative-thread"),
+        pytest.param([CallStackDecl(-1, ("a",))], id="negative-stack-id"),
+        pytest.param([CallStackDecl(0, ("a",)), StackActivation(-2, 0)],
+                     id="negative-activation-thread"),
+        # a reader in text mode ends the line at the "\r"
+        pytest.param([CallStackDecl(0, ("a\rb",))], id="carriage-return-in-frame"),
+    ],
+)
+def test_write_rejects_records_read_trace_would_reject(records):
+    with pytest.raises(ValueError):
+        write_trace(records, io.StringIO())
+
+
 def test_access_size_cap():
     assert MAX_ACCESS_SIZE == 65536
     largest = TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE)
@@ -386,27 +432,28 @@ def test_round_trip_simple():
     assert list(read_trace(buf)) == records
 
 
-_frame = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz0123456789.:_()/",
-    min_size=1,
-    max_size=12,
-)
+_FRAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789.:_()/"
 
 
 @st.composite
-def record_sequences(draw):
+def record_sequences(draw, unwritable=False):
     """Declarations, then events and activations in any order: redundant
     activations, switches back and forth, and activations that no event
-    follows."""
+    follows. With ``unwritable``, some records may hold what the text
+    format cannot: negative ids and threads, a "\r" inside a frame."""
+    low = -1 if unwritable else 0
+    frame = st.text(_FRAME_CHARS + "\r" * unwritable, min_size=1, max_size=12)
     n_decls = draw(st.integers(0, 3))
+    first = draw(st.integers(low, 0))
     records = [
-        CallStackDecl(i, tuple(draw(st.lists(_frame, min_size=1, max_size=3))))
-        for i in range(n_decls)
+        CallStackDecl(i, tuple(draw(st.lists(frame, min_size=1, max_size=3))))
+        for i in range(first, first + n_decls)
     ]
     for _ in range(draw(st.integers(0, 30))):
-        thread = draw(st.integers(0, 2))
+        thread = draw(st.integers(low, 2))
         if n_decls and draw(st.booleans()):
-            records.append(StackActivation(thread, draw(st.integers(0, n_decls - 1))))
+            stack = draw(st.integers(first, first + n_decls - 1))
+            records.append(StackActivation(thread, stack))
             continue
         kind = draw(st.sampled_from(list(AccessKind)))
         records.append(
@@ -431,14 +478,33 @@ def test_round_trip_property(records):
     assert list(read_trace(io.StringIO(_text(records)))) == records
 
 
-@given(record_sequences())
-@example([
+def _unwritable(rec):
+    if isinstance(rec, CallStackDecl):
+        return rec.id < 0 or any("\r" in frame for frame in rec.frames)
+    return rec.thread < 0
+
+
+@given(records=record_sequences(unwritable=True))
+@example(records=[
     CallStackDecl(1, ("a",)), CallStackDecl(2, ("b",)),
     StackActivation(0, 1), StackActivation(0, 1),
     TraceEvent(AccessKind.INSN_FETCH, 0x1000, 4),
     StackActivation(1, 2), StackActivation(0, 2), StackActivation(0, 1),
     TraceEvent(AccessKind.DATA_STORE, 0x2000, 8),
 ])
-def test_text_round_trip_property(records):
-    text = _text(records)
-    assert _text(read_trace(io.StringIO(text))) == text
+def test_text_round_trip_property(tmp_path_factory, records):
+    # through a real file, read in text mode as the CLI reads it: what
+    # write_trace writes, read_trace reads back, and it refuses only
+    # records the format cannot hold
+    path = tmp_path_factory.mktemp("round-trip") / "trace.txt"
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            write_trace(records, f)
+    except ValueError:
+        assert any(_unwritable(rec) for rec in records)
+        return
+    assert not any(_unwritable(rec) for rec in records)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    with open(path, encoding="utf-8") as f:
+        assert _text(read_trace(f)) == text
