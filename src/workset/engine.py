@@ -33,10 +33,10 @@ run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
 or the trace's text lines. A text line never becomes a TraceEvent: the
 engine decodes it with the trace module's event grammar (decode_event)
 and offers the line's (is_fetch, first_page, last_page, thread) to a
-LineMemo, which keeps it while lines repeat; it checks C and U lines
-through the trace module's parse_record, the same code read_trace
-uses. Either way an event's stack is the one the last activation for
-its thread named.
+LineMemo, which keeps the lines its admission rule admits; it checks C
+and U lines through the trace module's parse_record, the same code
+read_trace uses. Either way an event's stack is the one the last
+activation for its thread named.
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ def run_analysis(
 
     Text lines are decoded here, without building a TraceEvent: an
     event line maps, through a LineMemo like read_trace's, to its
-    stream, page range and thread, so while lines repeat a repeated
-    line costs a dict lookup. ``strict`` applies to text lines as in
+    stream, page range and thread, so a repeat of an admitted line
+    costs a dict lookup. ``strict`` applies to text lines as in
     read_trace, and line numbers in errors and warnings count the text
     lines.
     """
@@ -457,6 +457,7 @@ def run_analysis(
     memo = LineMemo()
     memo_get = memo.get
     lineno = 0
+    others = 0  # text lines that are not events, which never hit the memo
     # each thread's current stack as the activations set it, and the
     # stack ``ref`` of thread ``ref_thread``, the last event's thread;
     # None forces a lookup
@@ -489,6 +490,7 @@ def run_analysis(
                 fields = decode_event(rec)
                 if fields is None:
                     # blank, comment, stack record or malformed line
+                    others += 1
                     rec = parse_record(rec, lineno, stacks, strict)
                     if rec.__class__ is StackActivation:
                         current[rec.thread] = rec.stack
@@ -500,7 +502,7 @@ def run_analysis(
                 last_page = (address + size - 1) >> shift
                 if last_page == page:
                     last_page = page  # the entry holds one int for both
-                memo.add(rec, (fetch, page, last_page, thread), lineno)
+                memo.add(rec, (fetch, page, last_page, thread), lineno - others)
         elif rec.__class__ is StackActivation:
             current[rec.thread] = rec.stack
             ref_thread = None

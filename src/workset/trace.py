@@ -107,79 +107,104 @@ holds before it is cleared and refilled."""
 
 # the admission rule's constants; see LineMemo
 _MEMO_WINDOW = 512
-_MEMO_MAX_BYPASS = 65536
-_MEMO_STALE_LIMIT = 8 * _MEMO_WINDOW
+_MEMO_RATIO = 64
+_MEMO_FREE = LINE_MEMO_SIZE // 8
+_SEEN_BITS = 18
+_SEEN_KEEP = 8
+_SEEN_MASK = (1 << _SEEN_BITS) - 1
 
 
 class LineMemo:
     """A bounded map from trace lines to their decoded value, which
-    admits lines only while they repeat.
+    admits a line on its first miss while the memo is small or earns
+    its keep, and on its second miss otherwise.
 
     A lookup is ``get``, the entries' own bound ``dict.get``, so a hit
     costs one dict lookup and is not counted. A miss is reported to
-    ``add`` with its 1-based line number, and only there is the
-    admission rule applied:
+    ``add`` with the event's number among the event lines so far, and
+    only there is the admission rule applied:
 
-    - A window is _MEMO_WINDOW (512) admitted misses. It is bad when it
-      had fewer than one hit per 8 misses, the hits being the lines it
-      spanned minus its misses.
-    - After a bad window nothing is admitted for the next 512 lines;
-      each further bad window doubles that bypass, up to
-      _MEMO_MAX_BYPASS (65536) lines. A good window resets it to 512.
-    - Once bad windows have admitted _MEMO_STALE_LIMIT (4096) entries
-      since the last good window, the memo is cleared, so entries of
-      lines that did not repeat do not pile up.
+    - A window is _MEMO_WINDOW (512) misses. It is bad when it had
+      fewer than one hit per _MEMO_RATIO (64) misses, the hits being
+      the event lines it spanned minus its misses, and the memo then
+      held at least _MEMO_FREE (8192) entries.
+    - Until the first bad window and after a window that is not bad,
+      every miss is admitted.
+    - After a bad window a miss is admitted only if its line missed
+      before. A table of 2**18 16-bit fingerprints (512 KB, indexed by
+      the low bits of the line's hash) remembers recent misses, and a
+      first miss only writes its line's fingerprint. After
+      _SEEN_KEEP (8) windows in a row that are not bad, the table is
+      dropped, so a memo that earns its keep costs no more than one
+      that admits every miss; the next bad window makes a new one.
     - At LINE_MEMO_SIZE entries the memo is cleared before an insert.
 
-    So the memo of a trace that never repeats holds at most 4096
-    entries. When a trace turns from distinct lines to a loop of fewer
-    than 512 distinct lines, its lines are admitted again once the
-    bypass in progress ends: after at most 65536 lines. Whatever the
-    trace, the memo holds at most LINE_MEMO_SIZE entries: about 13 MB
-    with the engine's entries for 20-character lines, the lines
-    included. Whether a repeated line hits the memo thus depends on
-    the lines around it, so a caller must get the same result on a hit
-    as on a miss.
+    So the memo of a trace whose event lines never repeat holds about
+    its first 8700 lines (a window ends every 512 misses) and the
+    few lines whose fingerprint matched by chance, about one in 65536
+    misses, however long the trace is. While every miss is admitted,
+    a line is decoded once, as it is in a loop of up to 8192 lines
+    that starts the trace. A loop whose lines miss after a bad window
+    is decoded twice: its lines are admitted on their second pass,
+    except for those whose fingerprint another line of the loop
+    overwrote in between (about one in 9 for a loop of 30000 lines),
+    which are admitted on a later pass or after a window that is not
+    bad. Whatever the trace, the memo holds at most LINE_MEMO_SIZE
+    entries, about 13 MB with the engine's entries for 20-character
+    lines, the lines included, and the table 512 KB more. Whether a repeated line hits the memo
+    thus depends on the lines around it, so a caller must get the
+    same result on a hit as on a miss.
     """
 
-    __slots__ = ("get", "_entries", "_misses", "_start", "_resume", "_bypass", "_stale")
+    __slots__ = ("get", "_entries", "_seen", "_streak", "_open", "_misses", "_start")
 
     def __init__(self) -> None:
         self._entries: dict[str, object] = {}
         self.get = self._entries.get
-        self._misses = 0  # admitted misses in the current window
-        self._start = 0  # the line number before the window's first line
-        self._resume = 0  # the first line number admitted again
-        self._bypass = _MEMO_WINDOW
-        self._stale = 0  # entries bad windows admitted since a good one
+        self._seen: memoryview | None = None  # made at a bad window
+        self._streak = 0  # windows in a row that were not bad
+        self._open = True  # whether every miss is admitted
+        self._misses = 0  # misses in the current window
+        self._start = 0  # the event number before the window's first event
 
-    def add(self, line: str, value: object, lineno: int) -> None:
-        """Memoize ``value`` for ``line``, a miss at line number
-        ``lineno``, if the admission rule admits it. Line numbers must
+    def add(self, line: str, value: object, count: int) -> None:
+        """Memoize ``value`` for ``line``, a miss at event number
+        ``count``, if the admission rule admits it. Event numbers must
         increase from call to call."""
-        if lineno < self._resume:
-            return
+        misses = self._misses + 1
+        if misses < _MEMO_WINDOW:
+            self._misses = misses
+        else:
+            self._misses = 0
+            self._open = ((count - self._start - misses) * _MEMO_RATIO >= misses
+                          or len(self._entries) < _MEMO_FREE)
+            self._start = count
+            if not self._open:
+                self._streak = 0
+                if self._seen is None:
+                    # pages of an anonymous map are returned to the system
+                    # when it is dropped, and count only once written;
+                    # imported here, so traces that never need one pay
+                    # nothing for the module
+                    from mmap import mmap
+
+                    self._seen = memoryview(mmap(-1, 2 << _SEEN_BITS)).cast("H")
+            else:
+                self._streak += 1
+                if self._streak >= _SEEN_KEEP:
+                    self._seen = None
+        if not self._open:
+            h = hash(line)
+            slot = h & _SEEN_MASK
+            mark = (h >> _SEEN_BITS) & 0xFFFF
+            seen = self._seen
+            if seen[slot] != mark:
+                seen[slot] = mark
+                return
         entries = self._entries
         if len(entries) >= LINE_MEMO_SIZE:
             entries.clear()
         entries[line] = value
-        misses = self._misses + 1
-        if misses < _MEMO_WINDOW:
-            self._misses = misses
-            return
-        self._misses = 0
-        if (lineno - self._start - misses) * 8 >= misses:
-            self._bypass = _MEMO_WINDOW
-            self._stale = 0
-            self._start = lineno
-            return
-        self._stale += _MEMO_WINDOW
-        if self._stale >= _MEMO_STALE_LIMIT:
-            entries.clear()
-            self._stale = 0
-        self._start = lineno + self._bypass
-        self._resume = self._start + 1
-        self._bypass = min(2 * self._bypass, _MEMO_MAX_BYPASS)
 
 
 # the ASCII characters str.split() splits on; an event record is ASCII
@@ -350,9 +375,9 @@ def read_trace(
     lenient mode they are skipped with a logged warning.
 
     Traces of looping programs repeat event lines heavily, so event
-    lines go through a LineMemo: while lines repeat, a repeated line
-    yields the event its earlier occurrence was parsed into, without
-    building a new object. Events are context-free, which makes the
+    lines go through a LineMemo: a repeat of an admitted line yields
+    the event its earlier occurrence was parsed into, without building
+    a new object. Events are context-free, which makes the
     memo invisible apart from the speedup and the sharing of equal
     events; which repeats share an event object depends on the memo's
     admission rule.
@@ -364,14 +389,17 @@ def read_trace(
     stacks: dict[int, tuple[str, ...]] = {}
     memo = LineMemo()
     memo_get = memo.get
+    others = 0  # lines that are not events, which never hit the memo
     for lineno, raw in enumerate(lines, 1):
         rec = memo_get(raw)
         if rec is None:
             rec = parse_record(raw, lineno, stacks, strict)
-            if rec is None:
-                continue
             if rec.__class__ is TraceEvent:
-                memo.add(raw, rec, lineno)
+                memo.add(raw, rec, lineno - others)
+            else:
+                others += 1
+                if rec is None:
+                    continue
         yield rec
 
 

@@ -438,7 +438,8 @@ def test_memory_does_not_grow_with_trace_length(tau, every, make_lines, text):
 
 def test_line_memo_stays_small_on_distinct_lines():
     # lines that never repeat are not worth memoizing: a memo that kept
-    # each of the 70000 would take about 8.6 MB
+    # each of the 70000 would take about 8.6 MB, and this one keeps about
+    # the first 8700
     cfg = AnalysisConfig(tau=528, every=528)
     run_analysis(_distinct_lines(1), cfg)  # warm, as the test above does
     lines = _distinct_lines(1)
@@ -467,9 +468,12 @@ def _counting_decodes(monkeypatch, lines):
 
 
 def test_line_memo_hits_again_after_distinct_lines(monkeypatch):
-    # 150000 distinct lines push the memo's bypass to its longest, 65536
-    # lines; then a loop of 200 lines must be memoized again, within
-    # that bypass plus two windows of 512 misses
+    # after 150000 distinct lines the line memo admits a line on its
+    # second miss only; then a loop of 200 lines must be memoized again.
+    # Each of its lines is decoded twice, but lines whose fingerprints
+    # share a slot miss on every pass, at least two a pass, until a
+    # window of 512 misses ends and finds the memo hitting: within two
+    # windows, and 256 passes after the one that ends the first
     distinct = _distinct_lines(3)[:150_000]
     loop = [f"I  {0x50_0000 + 8 * i:x},4\n" for i in range(100)]
     loop += [f" S {0x2000_0000 + 64 * i:x},8\n" for i in range(100)]
@@ -479,16 +483,17 @@ def test_line_memo_hits_again_after_distinct_lines(monkeypatch):
     assert res.samples
     assert decoded_at[:150_000] == list(range(150_000))
     second = decoded_at[150_000:]
-    assert len(second) <= 65536 + 2 * 512
+    assert len(second) <= 3 * 200 + 2 * 512
     # and after that, every line of the loop is a memo hit
-    assert max(second) < 150_000 + 65536 + 2 * 512
+    assert max(second) < 150_000 + 260 * 200
 
 
 def _three_phase_records(rng):
-    """Stack declarations, then events in three phases of 3000: lines
-    that never repeat, a loop of 100 lines, lines that never repeat
-    again; two threads switch stacks now and then. Long enough for the
-    line memo to pass through bad windows and bypasses."""
+    """Stack declarations, then events in three phases: 10000 lines that
+    never repeat, 30 passes of a loop of 100 lines, 3000 lines that
+    never repeat; two threads switch stacks now and then. Long enough
+    for the line memo to fill past 8192 entries and then admit lines on
+    their second miss only."""
     records = [CallStackDecl(i, (f"f{i}.c:1", "main.c:9")) for i in range(3)]
     fresh = iter(range(10**6))
 
@@ -502,13 +507,13 @@ def _three_phase_records(rng):
         return TraceEvent(AccessKind.DATA_LOAD, address, rng.choice((1, 8, 16)), thread)
 
     loop = [unique_event() for _ in range(100)]
-    events = [unique_event() for _ in range(3000)]
+    events = [unique_event() for _ in range(10_000)]
     events += loop * 30
     events += [unique_event() for _ in range(3000)]
     return records + with_stack_switches(rng, events, 2, 0.01)
 
 
-def test_results_on_the_line_memo_bypass_path(monkeypatch):
+def test_results_when_the_line_memo_admits_on_second_miss(monkeypatch):
     records = _three_phase_records(random.Random(11))
     buf = io.StringIO()
     write_trace(records, buf)
@@ -523,8 +528,8 @@ def test_results_on_the_line_memo_bypass_path(monkeypatch):
     }
     feed, decoded_at = _counting_decodes(monkeypatch, lines)
     from_text = run_analysis(feed, cfg)
-    # the loop's lines were decoded again while the memo bypassed them,
-    # and hit it once it admitted them
+    # the loop's lines were decoded again on their second pass, and hit
+    # the memo once it admitted them
     event_lines = [line for line in lines if not line.startswith(("C", "U"))]
     assert len(set(event_lines)) < len(decoded_at) < len(event_lines)
     for res in (from_text, run_analysis(read_trace(lines), cfg)):

@@ -257,9 +257,10 @@ def test_repeated_line_after_stack_switch_gets_new_stack_ref():
 
 
 def test_read_trace_memo_hits_again_after_distinct_lines(monkeypatch):
-    # 150000 distinct event lines push the line memo's bypass to its
-    # longest, 65536 lines; then a loop of 200 lines must be memoized
-    # again, within that bypass plus two windows of 512 misses
+    # after 150000 distinct event lines the line memo admits a line on
+    # its second miss only; then a loop of 200 lines must be memoized
+    # again (see test_line_memo_hits_again_after_distinct_lines in
+    # test_engine.py for the bounds)
     distinct = [f" L {0x1000_0000 + 4 * i:x},4\n" for i in range(150_000)]
     loop = [f"I  {0x40_0000 + 4 * i:x},4 t{i % 3}\n" for i in range(200)]
     lines = distinct + loop * 500
@@ -279,9 +280,9 @@ def test_read_trace_memo_hits_again_after_distinct_lines(monkeypatch):
     assert records == [parse_line(line) for line in lines]
     assert parsed_at[:150_000] == list(range(150_000))
     second = parsed_at[150_000:]
-    assert len(second) <= 65536 + 2 * 512
+    assert len(second) <= 3 * 200 + 2 * 512
     # after that, every line of the loop is a memo hit: the same event
-    assert max(second) < 150_000 + 65536 + 2 * 512
+    assert max(second) < 150_000 + 260 * 200
     assert all(a is b for a, b in zip(records[-200:], records[-400:-200]))
 
 
@@ -478,13 +479,7 @@ def test_round_trip_property(records):
     assert list(read_trace(io.StringIO(_text(records)))) == records
 
 
-def _unwritable(rec):
-    if isinstance(rec, CallStackDecl):
-        return rec.id < 0 or any("\r" in frame for frame in rec.frames)
-    return rec.thread < 0
-
-
-@given(records=record_sequences(unwritable=True))
+@given(records=record_sequences())
 @example(records=[
     CallStackDecl(1, ("a",)), CallStackDecl(2, ("b",)),
     StackActivation(0, 1), StackActivation(0, 1),
@@ -493,18 +488,27 @@ def _unwritable(rec):
     TraceEvent(AccessKind.DATA_STORE, 0x2000, 8),
 ])
 def test_text_round_trip_property(tmp_path_factory, records):
-    # through a real file, read in text mode as the CLI reads it: what
-    # write_trace writes, read_trace reads back, and it refuses only
-    # records the format cannot hold
+    # through a real file, read in text mode as the CLI reads it
     path = tmp_path_factory.mktemp("round-trip") / "trace.txt"
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            write_trace(records, f)
-    except ValueError:
-        assert any(_unwritable(rec) for rec in records)
-        return
-    assert not any(_unwritable(rec) for rec in records)
+    with open(path, "w", encoding="utf-8") as f:
+        write_trace(records, f)
     with open(path, encoding="utf-8") as f:
         text = f.read()
+    assert text == _text(records)
     with open(path, encoding="utf-8") as f:
         assert _text(read_trace(f)) == text
+
+
+def _unwritable(rec):
+    if isinstance(rec, CallStackDecl):
+        return rec.id < 0 or any("\r" in frame for frame in rec.frames)
+    return rec.thread < 0
+
+
+@given(record_sequences(unwritable=True))
+def test_write_refuses_exactly_what_the_format_cannot_hold(records):
+    if any(_unwritable(rec) for rec in records):
+        with pytest.raises(ValueError):
+            _text(records)
+    else:
+        assert list(read_trace(io.StringIO(_text(records)))) == records
