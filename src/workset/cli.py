@@ -8,6 +8,7 @@ strict mode).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -22,6 +23,13 @@ INPUT_ERROR = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only decimal negative numbers for values; _int
+        # also reads -0x10, -0o7 and -0b1. No option name starts with "-"
+        # and a digit, so such an argument is always a value
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     # argparse exits 2 on usage problems by default; this tool reserves 2
     # for input errors, so downgrade to 1
     def error(self, message: str):

@@ -29,6 +29,14 @@ per expiry index (see PageTable); a sample reads a running count and
 retires one expiry bucket, so it costs O(1) however many pages the
 stream has touched.
 
+An event is appended to the combined scope's batches only. With
+per-thread scopes, the pages appended since the running thread's run
+began are handed to that thread's batches as one slice when the thread
+changes (an activation counts as a change) and whenever the combined
+scope drains, so a thread's batches are complete before every sample
+and expiry move. The clock is tested once per fetch: ``cut`` is the
+next fetch at which a sample falls due or the expiry index moves.
+
 run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
 or the trace's text lines. A text line never becomes a TraceEvent: the
 engine decodes it with the trace module's event grammar (decode_event)
@@ -333,7 +341,14 @@ class _ScopeState:
     A scope created at time ``now`` takes its first sample at the next
     global sampling instant, so its tables start at that sample index.
     ``insn_batch`` and ``data_batch`` hold the page numbers touched since
-    the last drain; they all carry the stack ``last_stack``."""
+    the last drain; they all carry the stack ``last_stack``.
+
+    run_analysis appends each event to the combined scope only. A
+    thread's scope receives its pages a run at a time, through
+    ``take_run``, when the thread stops running or the combined scope
+    drains; so its batches, and ``last_stack``, lag the trace by at most
+    the run in progress, and are up to date at every sample and expiry
+    move."""
 
     __slots__ = ("insn", "data", "insn_batch", "data_batch", "samples",
                  "annotations", "detector_insn", "detector_data", "last_stack",
@@ -363,6 +378,18 @@ class _ScopeState:
             if batch:
                 table.add(batch, expires, self.last_stack)
                 batch.clear()
+
+    def take_run(self, insn: list[int], data: list[int], stack: int | None,
+                 expires: int) -> None:
+        """Append one run of accesses, all under ``stack`` and with expiry
+        index ``expires``: ``insn`` and ``data`` are page numbers."""
+        if stack != self.last_stack:
+            self.drain(expires)
+            self.last_stack = stack
+        self.insn_batch += insn
+        self.data_batch += data
+        if len(self.insn_batch) >= BATCH_LIMIT or len(self.data_batch) >= BATCH_LIMIT:
+            self.drain(expires)
 
     def _annotate(self, t: int, stream: Stream) -> int:
         ref = self.last_stack
@@ -452,7 +479,10 @@ def run_analysis(
     # it moves on by one when the clock reaches ``moves_at``
     expires = (cfg.tau - 1) // every
     moves_at = (expires + 1) * every - cfg.tau + 1
-    pending = False
+    # the sample at t = sample_at - 1 is taken before fetch sample_at
+    sample_at = every + 1
+    # the next fetch at which the clock has work: min(sample_at, moves_at)
+    cut = moves_at
     # text lines: event line -> (is_fetch, first_page, last_page, thread)
     memo = LineMemo()
     memo_get = memo.get
@@ -463,6 +493,11 @@ def run_analysis(
     # None forces a lookup
     current: dict[int, int] = {}
     ref = ref_thread = None
+    # per thread: the scope of the thread whose run is in progress, and
+    # where the run begins in the combined batches. The run is handed to
+    # that scope when the thread changes or the combined batches drain
+    run = None
+    run_insn = run_data = 0
 
     def drain(expires: int) -> None:
         combined.drain(expires)
@@ -475,13 +510,7 @@ def run_analysis(
             state.take_sample(t, expires)
 
     for rec in records:
-        if rec.__class__ is TraceEvent:
-            address = rec.address
-            page = address >> shift
-            last_page = (address + rec.size - 1) >> shift
-            fetch = rec.kind is insn_fetch
-            thread = rec.thread
-        elif rec.__class__ is str:
+        if rec.__class__ is str:
             lineno += 1
             entry = memo_get(rec)
             if entry is not None:
@@ -503,6 +532,12 @@ def run_analysis(
                 if last_page == page:
                     last_page = page  # the entry holds one int for both
                 memo.add(rec, (fetch, page, last_page, thread), lineno - others)
+        elif rec.__class__ is TraceEvent:
+            address = rec.address
+            page = address >> shift
+            last_page = (address + rec.size - 1) >> shift
+            fetch = rec.kind is insn_fetch
+            thread = rec.thread
         elif rec.__class__ is StackActivation:
             current[rec.thread] = rec.stack
             ref_thread = None
@@ -516,18 +551,21 @@ def run_analysis(
                 "feed trace text lines, read_trace or generator output"
             )
         if fetch:
-            # flush before looking at the event so a thread first seen here
-            # does not pick up a sample for a boundary it predates
-            if pending:
-                flush(now, expires)
-                pending = False
             now += 1
-            if now == moves_at:
-                drain(expires)
-                expires += 1
-                moves_at += every
-            if now % every == 0:
-                pending = True
+            if now == cut:
+                # sample before looking at the event, so a thread first
+                # seen here does not pick up a boundary it predates
+                if run is not None:
+                    run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
+                    run_insn = run_data = 0
+                if now == sample_at:
+                    flush(now - 1, expires)
+                    sample_at += every
+                if now == moves_at:
+                    drain(expires)
+                    expires += 1
+                    moves_at += every
+                cut = sample_at if sample_at < moves_at else moves_at
             batch = insn_batch
         else:
             batch = data_batch
@@ -535,32 +573,32 @@ def run_analysis(
         # Drain before it does: a batch carries one stack, and a peak
         # annotation names the stack of the event before the sample
         if thread != ref_thread:
+            if per_thread:
+                if run is not None:
+                    run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
+                run = threads.get(thread)
+                if run is None:
+                    run = threads[thread] = _ScopeState(cfg, stacks, now)
             ref_thread = thread
             ref = current.get(thread)
             if ref != stack:
                 combined.drain(expires)
                 stack = combined.last_stack = ref
+            run_insn = len(insn_batch)
+            run_data = len(data_batch)
         batch.append(page)
         if page != last_page:
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
+            if run is not None:
+                run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
+                run_insn = run_data = 0
             combined.drain(expires)
-        if per_thread:
-            scope = threads.get(thread)
-            if scope is None:
-                scope = threads[thread] = _ScopeState(cfg, stacks, now)
-            if ref != scope.last_stack:
-                scope.drain(expires)
-                scope.last_stack = ref
-            batch = scope.insn_batch if fetch else scope.data_batch
-            batch.append(page)
-            if page != last_page:
-                batch.extend(range(page + 1, last_page + 1))
-            if len(batch) >= BATCH_LIMIT:
-                scope.drain(expires)
 
+    if run is not None:
+        run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
     drain(expires)
-    if pending:
+    if now and now % every == 0:
         flush(now, expires)
     # the memo is dead weight from here on, and building the results
     # (ranking the hot pages) takes memory of its own

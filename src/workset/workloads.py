@@ -39,6 +39,8 @@ from .trace import (
 CODE_BASE = 0x0040_0000
 CODE_PAGES = 4
 INSN_BYTES = 4
+# log2 of the largest page size whose code region ends at or below 2**64
+_PAGE_SIZE_BITS = ((ADDRESS_LIMIT - CODE_BASE) // CODE_PAGES).bit_length() - 1
 
 EVENT_MEMO_SIZE = 65536
 """Most code offsets, and most data pages, a generator keeps one event
@@ -60,9 +62,12 @@ def _check_positive(name: str, value: int, minimum: int = 1) -> None:
 
 
 def _check_page_size(page_size: int) -> None:
-    if page_size < 256 or page_size & (page_size - 1):
+    # the code region must end at or below 2**64 like the data pages
+    if (page_size < 256 or page_size & (page_size - 1)
+            or CODE_BASE + CODE_PAGES * page_size > ADDRESS_LIMIT):
         raise ValueError(
-            f"page_size must be a power of two >= 256, got {show_int(page_size)}"
+            f"page_size must be a power of two from 256 up to 2**{_PAGE_SIZE_BITS}, "
+            f"got {show_int(page_size)}"
         )
 
 

@@ -194,14 +194,17 @@ def make_random_events(
     page_size: int = 4096,
     threads: tuple[int, ...] = (0,),
     straddle: bool = False,
+    run: int = 0,
 ):
-    """Random but well-formed event list over small page pools."""
+    """Random but well-formed event list over small page pools. Each
+    event's thread is drawn from ``threads``, or with ``run`` > 0 the
+    threads take turns, ``run`` events each."""
     insn_base = 0x0040_0000
     data_base = 0x1000_0000
     events = []
-    for _ in range(n):
+    for i in range(n):
         roll = rng.random()
-        thread = rng.choice(threads)
+        thread = threads[i // run % len(threads)] if run else rng.choice(threads)
         if roll < 0.5:
             page = rng.randrange(insn_pages)
             # fetches stay aligned so one fetch touches one page

@@ -326,6 +326,14 @@ OUT_OF_RANGE = [
     (["analyze", "--top-n=-0x1" + "0" * 4000], "top_n"),
     (["gen", "pageramp", "--base-address=-0x1" + "0" * 4000], "base_address"),
     (["gen", "step", "--repeats=-0x1" + "0" * 4000], "repeats"),
+    # page sizes above 2**64, whose data pages would also end past it
+    (["gen", "pageramp", "--page-size", "0x1" + "0" * 40], "page_size"),
+    (["gen", "step", "--page-size", "0x1" + "0" * 4000], "page_size"),
+    # negative numbers other than decimal ones, given as separate arguments
+    (["analyze", "--tau", "-0x10"], "tau"),
+    (["analyze", "--top-n", "-0o7"], "top_n"),
+    (["gen", "pageramp", "--base-address", "-0x1000"], "base_address"),
+    (["gen", "step", "--repeats", "-0b1"], "repeats"),
 ]
 
 
@@ -369,6 +377,8 @@ def test_out_of_range_value_names_the_field(argv, field, capsys):
          "argument --tau: expected an integer, got '-9999"),
         (["gen", "pageramp", "--cycles", "9" * 4400],
          "argument --cycles: expected an integer, got '9999"),
+        (["gen", "pageramp", "--page-size", "0x1" + "0" * 4000],
+         "page_size must be a power of two from 256 up to 2**61, got a 16001-bit integer"),
     ],
 )
 def test_huge_flag_value_error_text_is_bounded(argv, says, capsys):
@@ -380,6 +390,12 @@ def test_huge_flag_value_error_text_is_bounded(argv, says, capsys):
     assert len(message) < 400
     if "argument" not in says:
         assert len(err) < 400
+
+
+def test_negative_hex_flag_value_reaches_the_range_check(capsys):
+    # argparse alone would take -0x10 for an option: "expected one argument"
+    assert main(["analyze", "--tau", "-0x10"]) == USAGE_ERROR
+    assert capsys.readouterr().err == "workset analyze: tau must be >= 1, got -16\n"
 
 
 def test_analyze_bad_peak_params_exit_1(monkeypatch, capsys):

@@ -192,6 +192,23 @@ def test_matches_slow_oracle_property(seed, n, tau, every, straddle):
     assert triples(res.samples) == slow_wss_series(events, tau, every, 4096)
 
 
+def hand_off_examples(test):
+    """``test`` with the edge cases of handing a thread's run to its
+    scope, which happens at thread switches and when the combined
+    batches drain: a run longer than BATCH_LIMIT between two switches
+    (no sample comes first), a switch on every event with no stack, and
+    activations for the running thread in the middle of its run."""
+    for kwargs in (
+        dict(seed=1, n=4000, tau=3000, every=1000, nthreads=2, straddle=True, run=1500,
+             switch_p=0.0),
+        dict(seed=2, n=400, tau=13, every=5, nthreads=3, straddle=True, run=1, switch_p=0.0),
+        dict(seed=3, n=600, tau=20, every=7, nthreads=2, straddle=False, run=150,
+             switch_p=0.05),
+    ):
+        test = example(**kwargs)(test)
+    return test
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 300),
@@ -199,11 +216,18 @@ def test_matches_slow_oracle_property(seed, n, tau, every, straddle):
     every=st.integers(1, 60),
     nthreads=st.integers(2, 3),
     straddle=st.booleans(),
+    run=st.sampled_from((0, 1, 40)),
+    switch_p=st.sampled_from((0.0, 0.02, 0.3)),
 )
-def test_per_thread_matches_slow_oracle_property(seed, n, tau, every, nthreads, straddle):
+@hand_off_examples
+def test_per_thread_matches_slow_oracle_property(
+    seed, n, tau, every, nthreads, straddle, run, switch_p
+):
+    rng = random.Random(seed)
     threads = tuple(range(nthreads))
-    events = make_random_events(random.Random(seed), n, straddle=straddle, threads=threads)
-    res = run_analysis(events, AnalysisConfig(tau=tau, every=every, per_thread=True))
+    events = make_random_events(rng, n, straddle=straddle, threads=threads, run=run)
+    records = with_stack_switches(rng, events, 3, switch_p)
+    res = run_analysis(records, AnalysisConfig(tau=tau, every=every, per_thread=True))
     assert triples(res.samples) == slow_wss_series(events, tau, every, 4096)
     first_seen = {}
     now = 0
@@ -241,13 +265,19 @@ def ranking(stream):
     every=st.integers(1, 60),
     nthreads=st.integers(1, 3),
     straddle=st.booleans(),
+    run=st.sampled_from((0, 1, 40)),
     switch_p=st.sampled_from((0.0, 0.02, 0.3)),
 )
 # no sample and no stack switch: only the batch length bound drains
-@example(seed=7, n=6000, tau=10**6, every=10**6, nthreads=2, straddle=True, switch_p=0.0)
-def test_hot_pages_match_slow_oracle_property(seed, n, tau, every, nthreads, straddle, switch_p):
+@example(seed=7, n=6000, tau=10**6, every=10**6, nthreads=2, straddle=True, run=0,
+         switch_p=0.0)
+@hand_off_examples
+def test_hot_pages_match_slow_oracle_property(
+    seed, n, tau, every, nthreads, straddle, run, switch_p
+):
     rng = random.Random(seed)
-    events = make_random_events(rng, n, straddle=straddle, threads=tuple(range(nthreads)))
+    threads = tuple(range(nthreads))
+    events = make_random_events(rng, n, straddle=straddle, threads=threads, run=run)
     records = [CallStackDecl(i, (f"f{i}.c:1", "main.c:9")) for i in range(3)]
     records += with_stack_switches(rng, events, 3, switch_p)
     cfg = AnalysisConfig(tau=tau, every=every, per_thread=True, top_n=10**6)
@@ -646,6 +676,87 @@ def test_annotation_captures_the_active_stack(decl, frames, refs):
     assert ann.t == 7 * 50
     assert ann.frames == frames
     assert ann.refs == refs
+
+
+def test_per_thread_annotation_names_its_own_stack():
+    """Thread 1's data series peaks at an instant that thread 0 ran up
+    to: the combined annotation names thread 0's stack, thread 1's own
+    annotation names thread 1's."""
+    lines = [
+        "C 0: idle.c:3|main.c:40",
+        "C 1: alloc.c:12|worker.c:7|main.c:40",
+        "U 0 0",
+        "U 1 1",
+    ]
+
+    def interval(npages):
+        for p in range(npages):
+            lines.append("I  00400000,4 t1")
+            lines.append(f" S {0x3000_0000 + p * 4096:08x},1 t1")
+        lines.extend("I  00500000,4" for _ in range(50 - npages))
+
+    for _ in range(6):
+        interval(2)
+    interval(40)
+    cfg = AnalysisConfig(tau=50, every=50, per_thread=True, peak_detect=True)
+    res = run_analysis(lines, cfg)
+    assert [s.peak_data for s in res.samples] == [False] * 6 + [True]
+    assert res.annotations[res.samples[6].annotation].frames == ("idle.c:3", "main.c:40")
+    sub = res.threads[1]
+    assert [s.peak_data for s in sub.samples] == [False] * 6 + [True]
+    ann = sub.annotations[sub.samples[6].annotation]
+    assert (ann.t, ann.stream) == (350, Stream.DATA)
+    assert ann.frames == ("alloc.c:12", "worker.c:7", "main.c:40")
+    assert ann.refs == 3
+    assert res.threads[0].annotations == []
+
+
+def event_stacks(records, thread=None):
+    """(timestamp, stack id) of each event of ``thread``, or of every
+    event when None: the stack the last activation for the event's
+    thread named, None before the first."""
+    current = {}
+    now = 0
+    out = []
+    for rec in records:
+        if isinstance(rec, StackActivation):
+            current[rec.thread] = rec.stack
+        elif isinstance(rec, TraceEvent):
+            now += rec.kind is FETCH
+            if thread is None or rec.thread == thread:
+                out.append((now, current.get(rec.thread)))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    tau=st.integers(1, 60),
+    every=st.integers(1, 60),
+    nthreads=st.integers(1, 3),
+    straddle=st.booleans(),
+    run=st.sampled_from((0, 1, 40)),
+    switch_p=st.sampled_from((0.02, 0.3)),
+)
+@hand_off_examples
+def test_annotations_name_the_stack_of_the_last_event_property(
+    seed, n, tau, every, nthreads, straddle, run, switch_p
+):
+    rng = random.Random(seed)
+    threads = tuple(range(nthreads))
+    events = make_random_events(rng, n, straddle=straddle, threads=threads, run=run)
+    stacks = {i: (f"f{i}.c:1", f"g{i}.c:2", "main.c:9") for i in range(3)}
+    records = [CallStackDecl(i, frames) for i, frames in stacks.items()]
+    records += with_stack_switches(rng, events, 3, switch_p)
+    # a low sensitivity, so that random series fire peaks often
+    cfg = AnalysisConfig(tau=tau, every=every, per_thread=True, peak_detect=True, peak_g=0.2)
+    res = run_analysis(records, cfg)
+    for tid, scope in [(None, res), *res.threads.items()]:
+        seen = event_stacks(records, tid)
+        for ann in scope.annotations:
+            ref = [stack for ts, stack in seen if ts <= ann.t][-1]
+            frames = stacks.get(ref, ())
+            assert (ann.frames, ann.refs) == (frames, len(set(frames)))
 
 
 # --------------------------------------------------------------------------

@@ -270,6 +270,25 @@ def test_step_validation():
             StepConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "config, generate, fits",
+    [
+        (PagerampConfig, gen_pageramp, dict(max_pages=1)),
+        (StepConfig, gen_step, dict(flat_pages=1, step_pages=0, flat_samples=1,
+                                    interval_insns=4)),
+    ],
+)
+def test_page_size_keeps_the_code_region_below_2_64(config, generate, fits):
+    # the code pages from CODE_BASE end at or below 2**64 up to 2**61
+    assert CODE_BASE + CODE_PAGES * 2**61 <= 2**64 < CODE_BASE + CODE_PAGES * 2**62
+    head = islice(generate(config(page_size=2**61, base_address=0, **fits)), 10)
+    assert len(list(head)) == 10
+    for page_size in (2**62, 2**64, 2**65, 2**4000):
+        with pytest.raises(ValueError, match=r"^page_size must be a power of two "
+                                             r"from 256 up to 2\*\*61, got "):
+            config(page_size=page_size, base_address=0, **fits)
+
+
 def test_data_pages_end_at_or_below_2_64():
     top = 2**64 - 2 * 4096
     PagerampConfig(max_pages=2, base_address=top)
