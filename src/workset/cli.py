@@ -26,9 +26,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only decimal negative numbers for values; _int
-        # also reads -0x10, -0o7 and -0b1. No option name starts with "-"
-        # and a digit, so such an argument is always a value
-        self._negative_number_matcher = re.compile(r"^-\d")
+        # also reads -0x10, -0o7 and -0b1, and float flags read -.5. No
+        # option name starts with "-" and a digit or a dot, so such an
+        # argument is always a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # argparse exits 2 on usage problems by default; this tool reserves 2
     # for input errors, so downgrade to 1

@@ -29,13 +29,15 @@ per expiry index (see PageTable); a sample reads a running count and
 retires one expiry bucket, so it costs O(1) however many pages the
 stream has touched.
 
-An event is appended to the combined scope's batches only. With
-per-thread scopes, the pages appended since the running thread's run
-began are handed to that thread's batches as one slice when the thread
-changes (an activation counts as a change) and whenever the combined
-scope drains, so a thread's batches are complete before every sample
-and expiry move. The clock is tested once per fetch: ``cut`` is the
-next fetch at which a sample falls due or the expiry index moves.
+An event's pages are appended to one scope's batches: the combined
+scope's, or with per-thread scopes its thread's, whose batches a thread
+change (an activation counts as one) makes current. Then, whenever the
+combined scope drains, its tables take one slice per stream of what
+each thread that ran since its last drain has appended since; all of
+those pages carry its stack and expiry index, so their order does not
+matter. A thread change costs a lookup, and an event is appended once.
+The clock is tested once per fetch: ``cut`` is the next fetch at which
+a sample falls due or the expiry index moves.
 
 run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
 or the trace's text lines. A text line never becomes a TraceEvent: the
@@ -343,16 +345,15 @@ class _ScopeState:
     ``insn_batch`` and ``data_batch`` hold the page numbers touched since
     the last drain; they all carry the stack ``last_stack``.
 
-    run_analysis appends each event to the combined scope only. A
-    thread's scope receives its pages a run at a time, through
-    ``take_run``, when the thread stops running or the combined scope
-    drains; so its batches, and ``last_stack``, lag the trace by at most
-    the run in progress, and are up to date at every sample and expiry
-    move."""
+    With per-thread scopes, run_analysis appends each event to its
+    thread's batches only; when the combined scope drains, its tables
+    take the pages of a thread's batches from ``handed_insn`` and
+    ``handed_data`` on. A thread scope drains only once the combined
+    scope has taken all its pages."""
 
-    __slots__ = ("insn", "data", "insn_batch", "data_batch", "samples",
-                 "annotations", "detector_insn", "detector_data", "last_stack",
-                 "stacks")
+    __slots__ = ("insn", "data", "insn_batch", "data_batch", "handed_insn",
+                 "handed_data", "samples", "annotations", "detector_insn",
+                 "detector_data", "last_stack", "stacks")
 
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0):
         first_sample = max(1, -(-now // cfg.every))
@@ -360,6 +361,7 @@ class _ScopeState:
         self.data = PageTable(cfg.page_size, stacks, first_sample=first_sample)
         self.insn_batch: list[int] = []
         self.data_batch: list[int] = []
+        self.handed_insn = self.handed_data = 0
         self.samples: list[WssSample] = []
         self.annotations: list[PeakAnnotation] = []
         if cfg.peak_detect:
@@ -378,18 +380,7 @@ class _ScopeState:
             if batch:
                 table.add(batch, expires, self.last_stack)
                 batch.clear()
-
-    def take_run(self, insn: list[int], data: list[int], stack: int | None,
-                 expires: int) -> None:
-        """Append one run of accesses, all under ``stack`` and with expiry
-        index ``expires``: ``insn`` and ``data`` are page numbers."""
-        if stack != self.last_stack:
-            self.drain(expires)
-            self.last_stack = stack
-        self.insn_batch += insn
-        self.data_batch += data
-        if len(self.insn_batch) >= BATCH_LIMIT or len(self.data_batch) >= BATCH_LIMIT:
-            self.drain(expires)
+        self.handed_insn = self.handed_data = 0
 
     def _annotate(self, t: int, stream: Stream) -> int:
         ref = self.last_stack
@@ -469,8 +460,9 @@ def run_analysis(
     every = cfg.every
     shift = cfg.page_size.bit_length() - 1
     insn_fetch = AccessKind.INSN_FETCH
-    # the combined scope's batches and stack as locals: the loop runs
-    # once per trace event
+    # the batches events go to (the combined scope's, or per thread the
+    # running thread's) and the combined scope's stack as locals: the
+    # loop runs once per trace event
     insn_batch = combined.insn_batch
     data_batch = combined.data_batch
     stack = None
@@ -493,18 +485,34 @@ def run_analysis(
     # None forces a lookup
     current: dict[int, int] = {}
     ref = ref_thread = None
-    # per thread: the scope of the thread whose run is in progress, and
-    # where the run begins in the combined batches. The run is handed to
-    # that scope when the thread changes or the combined batches drain
-    run = None
-    run_insn = run_data = 0
+    # per thread: the scopes of the threads that ran since the combined
+    # scope last drained, once per run, the running thread's last
+    ran: list[_ScopeState] = []
+
+    def drain_combined(expires: int) -> None:
+        if not ran:
+            combined.drain(expires)
+            return
+        # per thread, the combined tables take what the threads appended
+        # since its last drain, all under its stack
+        for scope in ran if len(ran) == 1 else dict.fromkeys(ran):
+            batch = scope.insn_batch
+            if len(batch) != scope.handed_insn:
+                combined.insn.add(batch[scope.handed_insn:], expires, combined.last_stack)
+                scope.handed_insn = len(batch)
+            batch = scope.data_batch
+            if len(batch) != scope.handed_data:
+                combined.data.add(batch[scope.handed_data:], expires, combined.last_stack)
+                scope.handed_data = len(batch)
+        del ran[:-1]
 
     def drain(expires: int) -> None:
-        combined.drain(expires)
+        drain_combined(expires)
         for state in threads.values():
             state.drain(expires)
 
     def flush(t: int, expires: int) -> None:
+        drain_combined(expires)
         combined.take_sample(t, expires)
         for state in threads.values():
             state.take_sample(t, expires)
@@ -555,9 +563,6 @@ def run_analysis(
             if now == cut:
                 # sample before looking at the event, so a thread first
                 # seen here does not pick up a boundary it predates
-                if run is not None:
-                    run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
-                    run_insn = run_data = 0
                 if now == sample_at:
                     flush(now - 1, expires)
                     sample_at += every
@@ -573,30 +578,35 @@ def run_analysis(
         # Drain before it does: a batch carries one stack, and a peak
         # annotation names the stack of the event before the sample
         if thread != ref_thread:
-            if per_thread:
-                if run is not None:
-                    run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
-                run = threads.get(thread)
-                if run is None:
-                    run = threads[thread] = _ScopeState(cfg, stacks, now)
             ref_thread = thread
             ref = current.get(thread)
             if ref != stack:
-                combined.drain(expires)
+                drain_combined(expires)
+                # the combined scope took all of the run that ends here
+                ran.clear()
                 stack = combined.last_stack = ref
-            run_insn = len(insn_batch)
-            run_data = len(data_batch)
+            if per_thread:
+                scope = threads.get(thread)
+                if scope is None:
+                    scope = threads[thread] = _ScopeState(cfg, stacks, now)
+                # had this scope appended since the combined scope last
+                # drained, the two stacks would agree, and their change
+                # would have drained the combined scope above
+                if ref != scope.last_stack:
+                    scope.drain(expires)
+                    scope.last_stack = ref
+                ran.append(scope)
+                insn_batch = scope.insn_batch
+                data_batch = scope.data_batch
+                batch = insn_batch if fetch else data_batch
         batch.append(page)
         if page != last_page:
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
-            if run is not None:
-                run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
-                run_insn = run_data = 0
-            combined.drain(expires)
+            drain_combined(expires)
+            if per_thread:
+                scope.drain(expires)
 
-    if run is not None:
-        run.take_run(insn_batch[run_insn:], data_batch[run_data:], ref, expires)
     drain(expires)
     if now and now % every == 0:
         flush(now, expires)

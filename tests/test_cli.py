@@ -334,6 +334,9 @@ OUT_OF_RANGE = [
     (["analyze", "--top-n", "-0o7"], "top_n"),
     (["gen", "pageramp", "--base-address", "-0x1000"], "base_address"),
     (["gen", "step", "--repeats", "-0b1"], "repeats"),
+    (["analyze", "--peak-alpha", "-.5"], "alpha"),
+    (["analyze", "--peak-sensitivity", "-.5"], "g"),
+    (["analyze", "--peak-phi", "-.5"], "phi"),
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import fast_wss_series, make_random_events, slow_hot_pages, slow_wss_series
 from workset.engine import (
+    BATCH_LIMIT,
     AnalysisConfig,
     PageTable,
     WssSample,
@@ -193,11 +194,12 @@ def test_matches_slow_oracle_property(seed, n, tau, every, straddle):
 
 
 def hand_off_examples(test):
-    """``test`` with the edge cases of handing a thread's run to its
-    scope, which happens at thread switches and when the combined
-    batches drain: a run longer than BATCH_LIMIT between two switches
-    (no sample comes first), a switch on every event with no stack, and
-    activations for the running thread in the middle of its run."""
+    """``test`` with the edge cases of per-thread batching, where an
+    event goes to its thread's batches only and the combined scope takes
+    them when it drains: a run longer than BATCH_LIMIT between two
+    switches (no sample comes first), a switch on every event with no
+    stack, and activations for the running thread in the middle of its
+    run."""
     for kwargs in (
         dict(seed=1, n=4000, tau=3000, every=1000, nthreads=2, straddle=True, run=1500,
              switch_p=0.0),
@@ -287,6 +289,27 @@ def test_hot_pages_match_slow_oracle_property(
     for tid, sub in res.threads.items():
         expected = slow_hot_pages(records, 4096, thread=tid)
         assert (ranking(sub.insn), ranking(sub.data)) == expected
+
+
+@pytest.mark.parametrize("run", [1, 5000])
+def test_per_thread_batches_stay_bounded(monkeypatch, run):
+    """With no sample and no stack change, only the batch length bound
+    drains: no table takes more pages at once than BATCH_LIMIT plus one
+    access's, and every page reaches both its thread's table and the
+    combined one."""
+    sizes = []
+    add = PageTable.add
+
+    def recording_add(self, pages, expires, stack_ref=None):
+        sizes.append(len(pages))
+        add(self, pages, expires, stack_ref)
+
+    monkeypatch.setattr(PageTable, "add", recording_add)
+    events = make_random_events(random.Random(7), 6000, straddle=True, threads=(0, 1), run=run)
+    run_analysis(events, AnalysisConfig(tau=10**6, every=10**6, per_thread=True))
+    pages = sum(((e.address + e.size - 1) >> 12) - (e.address >> 12) + 1 for e in events)
+    assert sum(sizes) == 2 * pages
+    assert max(sizes) <= BATCH_LIMIT + 1
 
 
 BAD_LINES = [
