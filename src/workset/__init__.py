@@ -9,27 +9,19 @@ text/CSV/JSON/SVG reports. Synthetic workload generators and a CLI
 round out the toolkit.
 """
 
-from .engine import (
-    AnalysisConfig,
-    AnalysisResult,
-    PageTable,
-    PeakAnnotation,
-    StreamResult,
-    WssSample,
-    run_analysis,
-)
+from .engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
 from .peak import PeakDetector, PeakParams, PeakVerdict, detect_series
 from .report import (
     CSV_HEADER,
+    AnalysisResult,
     HotPageEntry,
+    PeakAnnotation,
+    StreamResult,
     Summary,
+    WssSample,
     emit,
     format_summary,
-    hot_pages,
     load_label_map,
-    result_from_json,
-    samples_from_csv,
-    summarize,
 )
 from .trace import (
     AccessKind,
@@ -76,9 +68,7 @@ __all__ = [
     "load_label_map",
     "parse_line",
     "read_trace",
-    "result_from_json",
     "run_analysis",
-    "samples_from_csv",
     "summarize",
     "write_trace",
 ]

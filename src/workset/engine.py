@@ -47,6 +47,9 @@ LineMemo, which keeps the lines its admission rule admits; it checks C
 and U lines through the trace module's parse_record, the same code
 read_trace uses. Either way an event's stack is the one the last
 activation for its thread named.
+
+The results are the report module's classes: summarize and hot_pages
+fold a stream's samples and table into its Summary and hot page list.
 """
 
 from __future__ import annotations
@@ -54,10 +57,17 @@ from __future__ import annotations
 import heapq
 from collections import Counter, _count_elements
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .peak import PeakDetector, PeakParams
-from .report import HotPageEntry, Summary, hot_pages, summarize
+from .report import (
+    AnalysisResult,
+    HotPageEntry,
+    PeakAnnotation,
+    StreamResult,
+    Summary,
+    WssSample,
+)
 from .trace import (
     ADDRESS_LIMIT,
     AccessKind,
@@ -194,18 +204,15 @@ class PageTable:
     def __len__(self) -> int:
         return len(self._first)
 
-    def top(self, n: int | None = None) -> list[tuple[int, int, str | None]]:
-        """The ``n`` most accessed pages (all when ``n`` is None) as
-        ``(page, access_count, frame)`` tuples, by count descending, page
-        number breaking ties. ``frame`` is the innermost frame of the
-        stack the first access carried, or None when it carried no
-        declared stack.
+    def top(self, n: int) -> list[tuple[int, int, str | None]]:
+        """The ``n`` most accessed pages as ``(page, access_count, frame)``
+        tuples, by count descending, page number breaking ties. ``frame``
+        is the innermost frame of the stack the first access carried, or
+        None when it carried no declared stack.
 
         Only pages whose count reaches the n-th largest count are sorted,
         and only the winners become tuples."""
         count = self._count
-        if n is None:
-            n = len(count)
         cut = heapq.nlargest(n, count.values())
         if not cut:
             return []
@@ -223,119 +230,35 @@ class PageTable:
         return out
 
 
-@dataclass(slots=True)
-class WssSample:
-    """One sampling instant: WSS of both streams, peak verdicts, and an
-    optional index into the annotation list."""
-
-    t: int
-    wss_insn: int
-    wss_data: int
-    peak_insn: bool = False
-    peak_data: bool = False
-    annotation: int | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "t": self.t,
-            "wss_insn": self.wss_insn,
-            "wss_data": self.wss_data,
-            "peak_insn": self.peak_insn,
-            "peak_data": self.peak_data,
-            "annotation": self.annotation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "WssSample":
-        return cls(
-            d["t"], d["wss_insn"], d["wss_data"],
-            d["peak_insn"], d["peak_data"], d["annotation"],
-        )
+def summarize(samples: Sequence[WssSample], page_table: PageTable, stream: Stream) -> Summary:
+    """Fold one stream's sample series and page table into a Summary."""
+    if stream is Stream.INSN:
+        values = [s.wss_insn for s in samples]
+    else:
+        values = [s.wss_data for s in samples]
+    avg = sum(values) / len(values) if values else 0.0
+    return Summary(stream, avg, max(values, default=0), len(page_table), page_table.page_size)
 
 
-@dataclass(slots=True)
-class PeakAnnotation:
-    """Context grabbed when a peak fires: which stream spiked and the
-    call stack the triggering thread was under. ``refs`` counts the
-    distinct frames captured."""
+def hot_pages(
+    page_table: PageTable,
+    n: int,
+    label_map: Mapping[int, str] | None = None,
+) -> list[HotPageEntry]:
+    """The ``n`` most accessed pages, by access count (descending), page
+    number breaking ties.
 
-    index: int
-    t: int
-    stream: Stream
-    refs: int
-    frames: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "t": self.t,
-            "stream": self.stream.value,
-            "refs": self.refs,
-            "frames": list(self.frames),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PeakAnnotation":
-        return cls(d["index"], d["t"], Stream(d["stream"]), d["refs"], tuple(d["frames"]))
-
-
-@dataclass
-class StreamResult:
-    """Summary plus hot page ranking for one access stream."""
-
-    summary: Summary
-    hot_pages: list[HotPageEntry]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "summary": self.summary.to_dict(),
-            "hot_pages": [e.to_dict() for e in self.hot_pages],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "StreamResult":
-        return cls(
-            Summary.from_dict(d["summary"]),
-            [HotPageEntry.from_dict(e) for e in d["hot_pages"]],
-        )
-
-
-@dataclass
-class AnalysisResult:
-    """Everything one analysis produces. ``threads`` holds per-thread
-    sub-results (sampled on the same global clock) when requested."""
-
-    samples: list[WssSample]
-    insn: StreamResult
-    data: StreamResult
-    annotations: list[PeakAnnotation]
-    threads: dict[int, "AnalysisResult"] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "samples": [s.to_dict() for s in self.samples],
-            "insn": self.insn.to_dict(),
-            "data": self.data.to_dict(),
-            "annotations": [a.to_dict() for a in self.annotations],
-            "threads": (
-                {str(tid): sub.to_dict() for tid, sub in sorted(self.threads.items())}
-                if self.threads is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "AnalysisResult":
-        threads = d["threads"]
-        return cls(
-            [WssSample.from_dict(s) for s in d["samples"]],
-            StreamResult.from_dict(d["insn"]),
-            StreamResult.from_dict(d["data"]),
-            [PeakAnnotation.from_dict(a) for a in d["annotations"]],
-            {int(tid): cls.from_dict(sub) for tid, sub in threads.items()}
-            if threads is not None
-            else None,
-        )
+    A page's info text comes from label_map when it has an entry, else
+    from the innermost stack frame recorded at the page's first touch,
+    else stays blank.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    labels = label_map if label_map is not None else {}
+    return [
+        HotPageEntry(count, page, labels[page] if page in labels else frame or "")
+        for page, count, frame in page_table.top(n)
+    ]
 
 
 class _ScopeState:

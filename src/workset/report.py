@@ -1,5 +1,8 @@
-"""Summaries, hot page rankings, and result emitters.
+"""The result document: its classes, and the emitters that render it.
 
+The classes here (WssSample, PeakAnnotation, Summary, HotPageEntry,
+StreamResult, AnalysisResult) are what an analysis returns, and their
+``to_dict`` methods spell the JSON document's field names and order.
 The text format is meant for eyeballs: per-stream one-line summaries,
 hot page tables, and one line per detected peak. CSV and JSON are
 stable machine formats (the CSV column set and JSON field names are
@@ -11,14 +14,56 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Sequence, TextIO
 
 from .trace import Stream
 
-if TYPE_CHECKING:  # avoid a runtime import cycle; engine imports us
-    from .engine import AnalysisResult, PageTable, WssSample
-
 CSV_HEADER = "t,WSS_insn,WSS_data,peak_insn,peak_data,annotation"
+
+
+@dataclass(slots=True)
+class WssSample:
+    """One sampling instant: WSS of both streams, peak verdicts, and an
+    optional index into the annotation list."""
+
+    t: int
+    wss_insn: int
+    wss_data: int
+    peak_insn: bool = False
+    peak_data: bool = False
+    annotation: int | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "t": self.t,
+            "wss_insn": self.wss_insn,
+            "wss_data": self.wss_data,
+            "peak_insn": self.peak_insn,
+            "peak_data": self.peak_data,
+            "annotation": self.annotation,
+        }
+
+
+@dataclass(slots=True)
+class PeakAnnotation:
+    """Context grabbed when a peak fires: which stream spiked and the
+    call stack the triggering thread was under. ``refs`` counts the
+    distinct frames captured."""
+
+    index: int
+    t: int
+    stream: Stream
+    refs: int
+    frames: tuple[str, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "index": self.index,
+            "t": self.t,
+            "stream": self.stream.value,
+            "refs": self.refs,
+            "frames": list(self.frames),
+        }
 
 
 @dataclass
@@ -53,16 +98,6 @@ class Summary:
             "page_size": self.page_size,
         }
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Summary":
-        return cls(
-            Stream(d["stream"]),
-            d["avg_pages"],
-            d["peak_pages"],
-            d["total_pages"],
-            d["page_size"],
-        )
-
 
 @dataclass
 class HotPageEntry:
@@ -73,41 +108,44 @@ class HotPageEntry:
     def to_dict(self) -> dict[str, Any]:
         return {"count": self.count, "page": self.page, "info": self.info}
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "HotPageEntry":
-        return cls(d["count"], d["page"], d["info"])
+
+@dataclass
+class StreamResult:
+    """Summary plus hot page ranking for one access stream."""
+
+    summary: Summary
+    hot_pages: list[HotPageEntry]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "summary": self.summary.to_dict(),
+            "hot_pages": [e.to_dict() for e in self.hot_pages],
+        }
 
 
-def summarize(
-    samples: Sequence["WssSample"], page_table: "PageTable", stream: Stream
-) -> Summary:
-    """Fold one stream's sample series and page table into a Summary."""
-    if stream is Stream.INSN:
-        values = [s.wss_insn for s in samples]
-    else:
-        values = [s.wss_data for s in samples]
-    avg = sum(values) / len(values) if values else 0.0
-    return Summary(stream, avg, max(values, default=0), len(page_table), page_table.page_size)
+@dataclass
+class AnalysisResult:
+    """Everything one analysis produces. ``threads`` holds per-thread
+    sub-results (sampled on the same global clock) when requested."""
 
+    samples: list[WssSample]
+    insn: StreamResult
+    data: StreamResult
+    annotations: list[PeakAnnotation]
+    threads: dict[int, AnalysisResult] | None = None
 
-def hot_pages(
-    page_table: "PageTable",
-    n: int | None = None,
-    label_map: Mapping[int, str] | None = None,
-) -> list[HotPageEntry]:
-    """Rank pages by access count (descending), page number breaking ties.
-
-    n limits the list length; None means all pages. A page's info text
-    comes from label_map when it has an entry, else from the innermost
-    stack frame recorded at the page's first touch, else stays blank.
-    """
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    labels = label_map if label_map is not None else {}
-    return [
-        HotPageEntry(count, page, labels[page] if page in labels else frame or "")
-        for page, count, frame in page_table.top(n)
-    ]
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "samples": [s.to_dict() for s in self.samples],
+            "insn": self.insn.to_dict(),
+            "data": self.data.to_dict(),
+            "annotations": [a.to_dict() for a in self.annotations],
+            "threads": (
+                {str(tid): sub.to_dict() for tid, sub in sorted(self.threads.items())}
+                if self.threads is not None
+                else None
+            ),
+        }
 
 
 def load_label_map(lines: Iterable[str]) -> dict[int, str]:
@@ -140,7 +178,7 @@ def load_label_map(lines: Iterable[str]) -> dict[int, str]:
 # emitters
 
 
-def emit(result: "AnalysisResult", format: str, sink: TextIO) -> None:
+def emit(result: AnalysisResult, format: str, sink: TextIO) -> None:
     """Render a result to ``sink`` in one of FORMATS."""
     emitter = _EMITTERS.get(format)
     if emitter is None:
@@ -166,7 +204,7 @@ def _annotation_loc(frames: Sequence[str]) -> str:
     return "|".join(frames) if frames else "?"
 
 
-def _emit_text_body(result: "AnalysisResult", write) -> None:
+def _emit_text_body(result: AnalysisResult, write) -> None:
     write(format_summary(result.insn.summary) + "\n")
     write(format_summary(result.data.summary) + "\n")
     for stream_result, name in ((result.insn, "Insn"), (result.data, "Data")):
@@ -185,7 +223,7 @@ def _emit_text_body(result: "AnalysisResult", write) -> None:
             write(f"[{ann.index}] refs={ann.refs}, loc={_annotation_loc(ann.frames)}\n")
 
 
-def emit_text(result: "AnalysisResult", sink: TextIO) -> None:
+def emit_text(result: AnalysisResult, sink: TextIO) -> None:
     _emit_text_body(result, sink.write)
     if result.threads:
         for tid in sorted(result.threads):
@@ -193,7 +231,7 @@ def emit_text(result: "AnalysisResult", sink: TextIO) -> None:
             _emit_text_body(result.threads[tid], sink.write)
 
 
-def emit_csv(result: "AnalysisResult", sink: TextIO) -> None:
+def emit_csv(result: AnalysisResult, sink: TextIO) -> None:
     """One row per sample; peak flags as 0/1, annotation index or empty."""
     write = sink.write
     write(CSV_HEADER + "\n")
@@ -204,34 +242,7 @@ def emit_csv(result: "AnalysisResult", sink: TextIO) -> None:
         )
 
 
-def samples_from_csv(lines: Iterable[str]) -> list["WssSample"]:
-    """Parse emit_csv output back into sample records."""
-    from .engine import WssSample
-
-    it = iter(lines)
-    header = next(it, "").strip()
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    out = []
-    for row in it:
-        row = row.strip()
-        if not row:
-            continue
-        t, wi, wd, pi, pd, ann = row.split(",")
-        out.append(
-            WssSample(
-                int(t),
-                int(wi),
-                int(wd),
-                bool(int(pi)),
-                bool(int(pd)),
-                int(ann) if ann else None,
-            )
-        )
-    return out
-
-
-def emit_json(result: "AnalysisResult", sink: TextIO) -> None:
+def emit_json(result: AnalysisResult, sink: TextIO) -> None:
     """Write ``result`` as the JSON document of docs/result-schema.md.
 
     The bytes are exactly ``json.dumps(result.to_dict(), indent=2)``
@@ -249,7 +260,7 @@ def emit_json(result: "AnalysisResult", sink: TextIO) -> None:
 _JSON_CHUNK = 512
 
 
-def _write_json_result(result: "AnalysisResult", write, pad: str) -> None:
+def _write_json_result(result: AnalysisResult, write, pad: str) -> None:
     """Write one result object whose opening brace sits at indent ``pad``;
     a per-thread sub-result nests one level deeper."""
     inner = pad + "  "
@@ -279,13 +290,14 @@ def _write_json_result(result: "AnalysisResult", write, pad: str) -> None:
     write("\n" + pad + "}")
 
 
-def _write_json_samples(samples: Sequence["WssSample"], write, pad: str) -> None:
+def _write_json_samples(samples: Sequence[WssSample], write, pad: str) -> None:
     """Write a sample list whose opening bracket sits at indent ``pad``."""
     if not samples:
         write("[]")
         return
     item = pad + "  "
     key = item + "  "
+    # WssSample.to_dict's keys, in its order
     template = (
         f'{item}{{\n{key}"t": %d,\n{key}"wss_insn": %d,\n{key}"wss_data": %d,\n'
         f'{key}"peak_insn": %s,\n{key}"peak_data": %s,\n{key}"annotation": %s\n{item}}}'
@@ -302,14 +314,6 @@ def _write_json_samples(samples: Sequence["WssSample"], write, pad: str) -> None
         ]))
         sep = ",\n"
     write("\n" + pad + "]")
-
-
-def result_from_json(source: str | TextIO) -> "AnalysisResult":
-    """Parse emit_json output back into an equal AnalysisResult."""
-    from .engine import AnalysisResult
-
-    data = json.loads(source) if isinstance(source, str) else json.load(source)
-    return AnalysisResult.from_dict(data)
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +348,7 @@ def _step_path(points: list[tuple[float, float]]) -> str:
     return "".join(parts)
 
 
-def emit_svg(result: "AnalysisResult", sink: TextIO) -> None:
+def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
     """Plot both WSS series over instruction time, marking peaks."""
     samples = result.samples
     t_max = max((s.t for s in samples), default=1)

@@ -151,9 +151,9 @@ class LineMemo:
     which are admitted on a later pass or after a window that is not
     bad. Whatever the trace, the memo holds at most LINE_MEMO_SIZE
     entries, about 13 MB with the engine's entries for 20-character
-    lines, the lines included, and the table 512 KB more. Whether a repeated line hits the memo
-    thus depends on the lines around it, so a caller must get the
-    same result on a hit as on a miss.
+    lines, the lines included, and the table 512 KB more. Whether a
+    repeated line hits the memo thus depends on the lines around it, so
+    a caller must get the same result on a hit as on a miss.
     """
 
     __slots__ = ("get", "_entries", "_seen", "_streak", "_open", "_misses", "_start")
@@ -282,8 +282,10 @@ def parse_line(
     if fields is not None:
         tag, address, size, thread = fields
         return TraceEvent(_KIND_BY_TAG[tag], address, size, thread)
-    # split() also swallows the newline and leading indentation
-    parts = line.split()
+    # split() also swallows the newline and leading indentation; three
+    # splits find the tag and a U line's fields, and keep the token list
+    # short however many words the line holds
+    parts = line.split(None, 3)
     if not parts:
         return None
     tag = parts[0]
@@ -318,12 +320,11 @@ def parse_line(
             raise TraceParseError("call stack declaration with empty frame", lineno)
         return CallStackDecl(ident, frames)
     if tag == "U":
-        fields = [_decimal(p) for p in parts[1:]]
-        if len(fields) != 2 or None in fields:
-            raise TraceParseError(
-                f"malformed stack activation {excerpt(line)}", lineno
-            )
-        return StackActivation(fields[0], fields[1])
+        if len(parts) == 3:
+            thread, stack = _decimal(parts[1]), _decimal(parts[2])
+            if thread is not None and stack is not None:
+                return StackActivation(thread, stack)
+        raise TraceParseError(f"malformed stack activation {excerpt(line)}", lineno)
     raise TraceParseError(f"unknown record tag {excerpt(tag)}", lineno)
 
 

@@ -252,8 +252,14 @@ def make_random_result(rng: random.Random, nested: bool = True):
     lists from empty (top_n = 0) up; frames and labels from _TEXT_BITS;
     and, when ``nested``, a per-thread breakdown that may be absent,
     empty or keyed by thread ids from 0 to large."""
-    from workset.engine import AnalysisResult, PeakAnnotation, StreamResult, WssSample
-    from workset.report import HotPageEntry, Summary
+    from workset.report import (
+        AnalysisResult,
+        HotPageEntry,
+        PeakAnnotation,
+        StreamResult,
+        Summary,
+        WssSample,
+    )
 
     samples, annotations = [], []
     t = 0

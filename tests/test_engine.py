@@ -52,7 +52,7 @@ def test_touch_counts_and_last_access():
     table.add([2], expires=3)
     table.add([2, 2], expires=9)
     assert len(table) == 1
-    assert table.top() == [(2, 3, None)]
+    assert table.top(len(table)) == [(2, 3, None)]
 
 
 def test_add_applies_each_distinct_page_once():
@@ -63,7 +63,7 @@ def test_add_applies_each_distinct_page_once():
     assert [table.sample() for _ in range(4)] == [3, 3, 2, 0]
     table.add([1, 4, 4], expires=5)  # expired pages come back
     assert table.sample() == 2
-    assert table.top() == [(1, 4, None), (4, 3, None), (2, 2, None), (3, 1, None)]
+    assert table.top(len(table)) == [(1, 4, None), (4, 3, None), (2, 2, None), (3, 1, None)]
     assert table.top(2) == [(1, 4, None), (4, 3, None)]
 
 
@@ -98,7 +98,7 @@ def test_records_capture_first_access_info():
     table.add([2], 1, stack_ref=3)
     table.add([2], 5)  # same page again, no stack
     table.add([9], 7, stack_ref=8)  # undeclared ref
-    assert table.top() == [(2, 2, "x.c:9"), (9, 1, None)]
+    assert table.top(len(table)) == [(2, 2, "x.c:9"), (9, 1, None)]
 
 
 # --------------------------------------------------------------------------

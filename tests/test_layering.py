@@ -1,0 +1,57 @@
+"""The package's module layering: a module imports only modules that come
+before it in LAYERS, so no import cycle can form between them."""
+
+import ast
+from pathlib import Path
+
+import workset
+
+LAYERS = ("trace", "peak", "report", "engine", "workloads", "cli")
+PACKAGE = Path(workset.__file__).resolve().parent
+
+
+def imported_modules(tree):
+    """The package modules a module imports, wherever the import sits:
+    at top level, under ``if TYPE_CHECKING:`` or inside a function. An
+    import of the package itself yields ``workset``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    yield node.module.split(".")[0]
+                else:  # from . import name
+                    yield from (alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "workset":
+                yield (node.module.split(".") + ["workset"])[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "workset":
+                    yield (parts + ["workset"])[1]
+
+
+def test_layers_name_every_module():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_modules_import_only_earlier_layers():
+    for depth, name in enumerate(LAYERS):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        for target in imported_modules(tree):
+            assert target in LAYERS[:depth], f"{name} imports {target}"
+
+
+def test_imported_modules_sees_every_form():
+    tree = ast.parse(
+        "from .a import x\n"
+        "from . import b\n"
+        "import workset.c\n"
+        "from workset.d import y\n"
+        "from workset import z\n"
+        "if TYPE_CHECKING:\n"
+        "    from .e import w\n"
+        "def f():\n"
+        "    from .g import v\n"
+    )
+    assert sorted(imported_modules(tree)) == ["a", "b", "c", "d", "e", "g", "workset"]

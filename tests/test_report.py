@@ -1,43 +1,38 @@
 """Output-side checks: summary arithmetic, hot page ranking, and the
-four emitters. CSV and JSON are asserted through their parse-back
-round trips because the column set / field names are contractual."""
+four emitters. CSV and JSON are checked field by field against the
+result they render, because the column set and field names are
+contractual (docs/result-schema.md)."""
 
 import io
+import json
 import random
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import make_random_events, make_random_result, random_text, slow_emit_json
-from workset.engine import (
-    AnalysisConfig,
-    AnalysisResult,
-    PageTable,
-    PeakAnnotation,
-    StreamResult,
-    WssSample,
-    run_analysis,
-)
+from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
 from workset.report import (
     CSV_HEADER,
+    AnalysisResult,
     HotPageEntry,
+    PeakAnnotation,
+    StreamResult,
     Summary,
+    WssSample,
     emit,
     emit_csv,
     emit_json,
     emit_svg,
     emit_text,
     format_summary,
-    hot_pages,
     load_label_map,
-    result_from_json,
-    samples_from_csv,
-    summarize,
 )
 from workset.trace import Stream
 
@@ -108,7 +103,8 @@ def hot_table():
 
 
 def test_hot_pages_rank_by_count_then_page():
-    entries = hot_pages(hot_table())
+    table = hot_table()
+    entries = hot_pages(table, len(table))
     assert [(e.count, e.page) for e in entries] == [(3, 2), (3, 5), (1, 9)]
 
 
@@ -126,7 +122,7 @@ def test_hot_pages_limit():
         st.tuples(st.lists(st.integers(0, 12), max_size=8), st.sampled_from([None, 1, 2, 9])),
         max_size=12,
     ),
-    n=st.one_of(st.none(), st.integers(0, 16)),
+    n=st.integers(0, 16),
     labels=st.dictionaries(st.integers(0, 12), st.sampled_from(["", "heap", "é"]), max_size=4),
 )
 @example(batches=[(list(range(8)) * 3, None)], n=3, labels={})  # one count for all
@@ -153,15 +149,16 @@ def test_hot_pages_match_a_full_sort(batches, n, labels):
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
     # hot_table() records seven accesses
-    assert sum(e.count for e in hot_pages(table)) == 7
+    assert sum(e.count for e in hot_pages(table, len(table))) == 7
 
 
 def test_hot_pages_info_resolution():
     # label map wins, then the first-touch stack frame, then blank
-    entries = hot_pages(hot_table(), label_map={2: "heap"})
+    table = hot_table()
+    entries = hot_pages(table, len(table), label_map={2: "heap"})
     info = {e.page: e.info for e in entries}
     assert info == {2: "heap", 5: "f.c:1", 9: ""}
-    entries = hot_pages(hot_table(), label_map={5: "code"})
+    entries = hot_pages(table, len(table), label_map={5: "code"})
     assert {e.page: e.info for e in entries}[5] == "code"
 
 
@@ -194,27 +191,24 @@ def test_csv_exact_rows():
     )
 
 
-def test_csv_round_trip():
-    result = manual_result()
+def assert_csv_rows_match(result):
     buf = io.StringIO()
     emit_csv(result, buf)
-    assert samples_from_csv(buf.getvalue().splitlines()) == result.samples
+    header, *rows = buf.getvalue().splitlines()
+    assert header == CSV_HEADER
+    assert [row.split(",") for row in rows] == [
+        [str(s.t), str(s.wss_insn), str(s.wss_data), str(int(s.peak_insn)),
+         str(int(s.peak_data)), "" if s.annotation is None else str(s.annotation)]
+        for s in result.samples
+    ]
+
+
+def test_csv_round_trip():
+    assert_csv_rows_match(manual_result())
 
 
 def test_csv_round_trip_analyzed():
-    result = analyzed(peak_detect=True)
-    buf = io.StringIO()
-    emit_csv(result, buf)
-    assert samples_from_csv(buf.getvalue().splitlines()) == result.samples
-
-
-def test_csv_header_only_means_no_samples():
-    assert samples_from_csv([CSV_HEADER, ""]) == []
-
-
-def test_csv_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        samples_from_csv(["time,wss", "1,2"])
+    assert_csv_rows_match(analyzed(peak_detect=True))
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +219,7 @@ def test_json_round_trip_manual():
     result = manual_result()
     buf = io.StringIO()
     emit_json(result, buf)
-    assert result_from_json(buf.getvalue()) == result
-    buf.seek(0)
-    assert result_from_json(buf) == result  # file-like source too
+    assert json.loads(buf.getvalue()) == result.to_dict()
 
 
 def test_json_round_trip_per_thread():
@@ -235,9 +227,45 @@ def test_json_round_trip_per_thread():
     assert result.threads  # the fixture really exercises the nesting
     buf = io.StringIO()
     emit_json(result, buf)
-    back = result_from_json(buf.getvalue())
-    assert back == result
-    assert sorted(back.threads) == sorted(result.threads)
+    back = json.loads(buf.getvalue())
+    assert back == result.to_dict()
+    assert list(back["threads"]) == [str(tid) for tid in sorted(result.threads)]
+
+
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "result-schema.md"
+
+
+def schema_tables(text):
+    """The field names of each '### <name>' table, in table order."""
+    tables, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("### "):
+            name = line[4:]
+            tables[name] = []
+        elif name is not None and (m := re.match(r"\| `(\w+)`\s*\|", line)):
+            tables[name].append(m.group(1))
+    return tables
+
+
+def test_to_dict_keys_follow_the_schema_doc():
+    text = SCHEMA.read_text(encoding="utf-8")
+    block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    top = re.findall(r'^  "(\w+)":', block, re.M)
+    stream = re.findall(r'"(\w+)":', re.search(r'^  "insn":.*$', block, re.M).group())[1:]
+    tables = schema_tables(text)
+    assert top and stream and all(tables.get(name) for name in
+                                  ("Sample", "Summary", "Hot page entry", "Annotation"))
+    result = manual_result()
+    result.threads = {1: manual_result()}
+    doc = result.to_dict()
+    assert list(doc) == top
+    assert list(doc["threads"]["1"]) == top
+    assert list(doc["insn"]) == list(doc["data"]) == stream
+    assert list(doc["samples"][0]) == tables["Sample"]
+    assert list(doc["insn"]["summary"]) == tables["Summary"]
+    assert list(doc["insn"]["hot_pages"][0]) == tables["Hot page entry"]
+    assert list(doc["annotations"][0]) == tables["Annotation"]
+    assert f"```\n{CSV_HEADER}\n```" in text
 
 
 def test_json_bytes_match_the_json_module():
@@ -310,14 +338,6 @@ def test_emit_json_holds_less_than_its_output():
         tracemalloc.stop()
     assert sink.size > 3_000_000
     assert peak < sink.size
-
-
-def test_json_thread_keys_are_ints_again():
-    result = analyzed(per_thread=True)
-    buf = io.StringIO()
-    emit_json(result, buf)
-    back = result_from_json(buf.getvalue())
-    assert all(isinstance(k, int) for k in back.threads)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import logging
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -198,6 +199,26 @@ def test_parse_error_carries_line_number():
         parse_line("garbage", lineno=17)
     assert exc.value.lineno == 17
     assert "line 17" in str(exc.value)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize(
+    "head", ["U 1 ", " L ", "Q "], ids=["activation", "event", "unknown-tag"]
+)
+def test_one_long_line_costs_memory_bounded_by_its_length(head, strict, caplog):
+    # a token list of the line's million words would cost tens of times
+    # the line; a bounded split costs a copy or two of it
+    line = head + "2 " * 1_000_000
+    tracemalloc.start()
+    try:
+        try:
+            assert parse_record(line, 1, {}, strict) is None
+        except TraceParseError as exc:
+            assert strict and exc.lineno == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(line)
 
 
 # --------------------------------------------------------------------------
