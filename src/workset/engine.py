@@ -70,6 +70,7 @@ from .report import (
 )
 from .trace import (
     ADDRESS_LIMIT,
+    MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
     LineMemo,
@@ -134,8 +135,8 @@ class PageTable:
     A page last touched at ts is counted by sample k iff
     k * every - tau < ts <= k * every, so the last sample that counts it
     is its expiry index (ts + tau - 1) // every. The table keeps, per
-    page, that expiry index, the stack id its first access carried and
-    its access count.
+    page, that expiry index, its access count and, if its first access
+    carried one, that access's stack id.
 
     Accesses arrive through ``add`` in batches that share one expiry
     index and one stack id. A batch costs one C-level count update plus
@@ -160,7 +161,7 @@ class PageTable:
         self._live = 0
         self._buckets: dict[int, int] = {}
         self._expiry: dict[int, int] = {}
-        self._first: dict[int, int | None] = {}
+        self._first: dict[int, int] = {}
         self._count: Counter[int] = Counter()
         self._stacks = stacks if stacks is not None else {}
 
@@ -184,7 +185,8 @@ class PageTable:
             expiry[page] = expires
             joined += 1
             if old is None:
-                first[page] = stack_ref
+                if stack_ref is not None:
+                    first[page] = stack_ref
             elif old >= upcoming:
                 buckets[old] -= 1
                 moved += 1
@@ -202,7 +204,7 @@ class PageTable:
         return live
 
     def __len__(self) -> int:
-        return len(self._first)
+        return len(self._expiry)
 
     def top(self, n: int) -> list[tuple[int, int, str | None]]:
         """The ``n`` most accessed pages as ``(page, access_count, frame)``
@@ -225,7 +227,7 @@ class PageTable:
         first = self._first
         out = []
         for page in ranked[:n]:
-            frames = stacks.get(first[page])
+            frames = stacks.get(first.get(page))
             out.append((page, count[page], frames[0] if frames else None))
         return out
 
@@ -373,7 +375,8 @@ def run_analysis(
     stream, page range and thread, so a repeat of an admitted line
     costs a dict lookup. ``strict`` applies to text lines as in
     read_trace, and line numbers in errors and warnings count the text
-    lines.
+    lines. A TraceEvent that spans more pages than an event line of
+    MAX_ACCESS_SIZE bytes can raises ValueError.
     """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
@@ -382,6 +385,8 @@ def run_analysis(
     per_thread = cfg.per_thread
     every = cfg.every
     shift = cfg.page_size.bit_length() - 1
+    # the most pages past its first that an event line, and so a record, may reach
+    max_span = (MAX_ACCESS_SIZE + cfg.page_size - 2) >> shift
     insn_fetch = AccessKind.INSN_FETCH
     # the batches events go to (the combined scope's, or per thread the
     # running thread's) and the combined scope's stack as locals: the
@@ -524,6 +529,9 @@ def run_analysis(
                 batch = insn_batch if fetch else data_batch
         batch.append(page)
         if page != last_page:
+            if last_page - page > max_span:  # only a TraceEvent can get here
+                raise ValueError(f"event {rec.kind.value} {rec.address:#x},{show_int(rec.size)} "
+                                 f"spans more than the {max_span + 1} pages a line can")
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
             drain_combined(expires)

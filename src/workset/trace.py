@@ -110,7 +110,6 @@ _MEMO_WINDOW = 512
 _MEMO_RATIO = 64
 _MEMO_FREE = LINE_MEMO_SIZE // 8
 _SEEN_BITS = 18
-_SEEN_KEEP = 8
 _SEEN_MASK = (1 << _SEEN_BITS) - 1
 
 
@@ -133,10 +132,9 @@ class LineMemo:
     - After a bad window a miss is admitted only if its line missed
       before. A table of 2**18 16-bit fingerprints (512 KB, indexed by
       the low bits of the line's hash) remembers recent misses, and a
-      first miss only writes its line's fingerprint. After
-      _SEEN_KEEP (8) windows in a row that are not bad, the table is
-      dropped, so a memo that earns its keep costs no more than one
-      that admits every miss; the next bad window makes a new one.
+      first miss only writes its line's fingerprint. The table is made
+      at the first bad window and kept from then on, so a memo that
+      never closes costs no more than one that admits every miss.
     - At LINE_MEMO_SIZE entries the memo is cleared before an insert.
 
     So the memo of a trace whose event lines never repeat holds about
@@ -156,13 +154,12 @@ class LineMemo:
     a caller must get the same result on a hit as on a miss.
     """
 
-    __slots__ = ("get", "_entries", "_seen", "_streak", "_open", "_misses", "_start")
+    __slots__ = ("get", "_entries", "_seen", "_open", "_misses", "_start")
 
     def __init__(self) -> None:
         self._entries: dict[str, object] = {}
         self.get = self._entries.get
-        self._seen: memoryview | None = None  # made at a bad window
-        self._streak = 0  # windows in a row that were not bad
+        self._seen: memoryview | None = None  # made at the first bad window
         self._open = True  # whether every miss is admitted
         self._misses = 0  # misses in the current window
         self._start = 0  # the event number before the window's first event
@@ -179,20 +176,13 @@ class LineMemo:
             self._open = ((count - self._start - misses) * _MEMO_RATIO >= misses
                           or len(self._entries) < _MEMO_FREE)
             self._start = count
-            if not self._open:
-                self._streak = 0
-                if self._seen is None:
-                    # pages of an anonymous map are returned to the system
-                    # when it is dropped, and count only once written;
-                    # imported here, so traces that never need one pay
-                    # nothing for the module
-                    from mmap import mmap
+            if not self._open and self._seen is None:
+                # pages of an anonymous map count only once written;
+                # imported here, so traces that never need one pay
+                # nothing for the module
+                from mmap import mmap
 
-                    self._seen = memoryview(mmap(-1, 2 << _SEEN_BITS)).cast("H")
-            else:
-                self._streak += 1
-                if self._streak >= _SEEN_KEEP:
-                    self._seen = None
+                self._seen = memoryview(mmap(-1, 2 << _SEEN_BITS)).cast("H")
         if not self._open:
             h = hash(line)
             slot = h & _SEEN_MASK
@@ -239,15 +229,18 @@ def decode_event(line: str) -> tuple[str, int, int, int] | None:
 _EXCERPT_LIMIT = 80
 # an integer this large or larger is shown by its bit length
 _SHOW_INT_LIMIT = 10**20
+_find_nonspace = re.compile(r"\S").search
 
 
 def excerpt(text: str) -> str:
     """``text`` stripped and quoted, cut to _EXCERPT_LIMIT characters
-    plus ``...``."""
-    text = text.strip()
-    if len(text) > _EXCERPT_LIMIT:
-        return repr(text[:_EXCERPT_LIMIT]) + "..."
-    return repr(text)
+    plus ``...``; only that prefix of ``text`` is copied."""
+    m = _find_nonspace(text)
+    start = m.start() if m else len(text)
+    head = text[start:start + _EXCERPT_LIMIT]
+    if _find_nonspace(text, start + _EXCERPT_LIMIT):
+        return repr(head) + "..."
+    return repr(head.rstrip())
 
 
 def show_int(value: int) -> str:
@@ -410,10 +403,14 @@ def write_trace(
     """Serialize records to ``out`` in the trace text format, one line
     per record: the line-for-line inverse of read_trace, so a
     read/write round trip reproduces the record sequence exactly, and
-    a write/read round trip the canonical text.
+    a write/read round trip the canonical text. A record the format
+    cannot hold raises ValueError: each ``C`` and ``U`` line is read
+    back through parse_record, which defines the stack rules, and must
+    give back its record.
     """
-    declared: set[int] = set()
+    stacks: dict[int, tuple[str, ...]] = {}
     write = out.write
+    insn_fetch = AccessKind.INSN_FETCH
     for rec in records:
         cls = rec.__class__
         if cls is TraceEvent:
@@ -425,33 +422,26 @@ def write_trace(
                 raise ValueError(f"event address must be in 0..2**64-1, got {rec.address:#x}")
             if rec.thread < 0:
                 raise ValueError(f"event thread must be >= 0, got {show_int(rec.thread)}")
-            suffix = f" t{rec.thread}\n" if rec.thread else "\n"
+            suffix = f" t{rec.thread:d}\n" if rec.thread else "\n"
             kind = rec.kind
-            if kind is AccessKind.INSN_FETCH:
-                write(f"I  {rec.address:08x},{rec.size}{suffix}")
+            if kind is insn_fetch:
+                write(f"I  {rec.address:08x},{rec.size:d}{suffix}")
             else:
-                write(f" {kind.value} {rec.address:08x},{rec.size}{suffix}")
-        elif cls is CallStackDecl:
-            if not rec.frames:
-                raise ValueError("call stack declaration needs at least one frame")
-            for frame in rec.frames:
-                # a reader in text mode also ends a line at a "\r"
-                if ("|" in frame or "\n" in frame or "\r" in frame
-                        or frame != frame.strip() or not frame):
-                    raise ValueError(f"unserializable stack frame {frame!r}")
-            if rec.id < 0:
-                raise ValueError(f"call stack id must be >= 0, got {show_int(rec.id)}")
-            if rec.id in declared:
-                raise ValueError(f"duplicate call stack id {rec.id}")
-            declared.add(rec.id)
-            write(f"C {rec.id}: {'|'.join(rec.frames)}\n")
+                write(f" {kind.value} {rec.address:08x},{rec.size:d}{suffix}")
+            continue
+        if cls is CallStackDecl:
+            line = f"C {rec.id}: {'|'.join(rec.frames)}"
+            # frames compare as a tuple, whatever sequence holds them
+            rec = CallStackDecl(rec.id, tuple(rec.frames))
         elif cls is StackActivation:
-            if rec.thread < 0:
-                raise ValueError(
-                    f"activation thread must be >= 0, got {show_int(rec.thread)}"
-                )
-            if rec.stack not in declared:
-                raise ValueError(f"activation of undeclared stack id {rec.stack}")
-            write(f"U {rec.thread} {rec.stack}\n")
+            line = f"U {rec.thread} {rec.stack}"
         else:
             raise TypeError(f"cannot serialize record of type {cls.__name__}")
+        try:
+            if "\n" in line or "\r" in line:  # a text-mode reader splits at "\r" too
+                raise ValueError("it holds a line break")
+            if parse_record(line, None, stacks, strict=True) != rec:
+                raise ValueError("it reads back as a different record")
+        except ValueError as exc:
+            raise ValueError(f"cannot write {excerpt(line)}: {exc}") from None
+        write(line + "\n")

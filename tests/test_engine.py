@@ -20,6 +20,7 @@ from workset.engine import (
     run_analysis,
 )
 from workset.trace import (
+    MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
     StackActivation,
@@ -75,6 +76,22 @@ def test_straddling_access_touches_every_page():
     res = run_analysis(events, AnalysisConfig(tau=1))
     assert sorted((e.page, e.count) for e in res.data.hot_pages) == [(0, 1), (1, 2), (2, 2)]
     assert triples(res.samples) == [(1, 1, 3)]
+
+
+@pytest.mark.parametrize("page_size", [256, 4096, 2**20])
+def test_a_record_spans_no_more_pages_than_a_line_can(page_size):
+    # the widest access a line may hold, at the worst alignment, is
+    # analyzed; a record that reaches one page further is refused, and
+    # a huge one before its pages are listed
+    cfg = AnalysisConfig(tau=1, page_size=page_size)
+    widest = TraceEvent(AccessKind.DATA_LOAD, page_size - 1, MAX_ACCESS_SIZE)
+    res = run_analysis([fetch(), widest], cfg)
+    span = (MAX_ACCESS_SIZE + page_size - 2) // page_size + 1
+    assert res.data.summary.total_pages == span
+    for size in (MAX_ACCESS_SIZE + page_size, 2**28, 2**36):
+        wider = TraceEvent(AccessKind.DATA_LOAD, page_size - 1, size)
+        with pytest.raises(ValueError, match=f"event L {page_size - 1:#x},{size} spans"):
+            run_analysis([fetch(), wider], cfg)
 
 
 def test_window_is_half_open_on_the_left():
