@@ -10,7 +10,8 @@ touched at t = 4, 5 and 6 of a 12-instruction trace give a data peak
 of 3 at tau = 3 but of 2 at tau = 4.
 
 Reads a trace file, or analyzes a built-in step workload when no input
-is given.
+is given. A malformed trace line or an unreadable file ends the sweep
+with a one-line error and exit status 2, as ``workset analyze`` does.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from workset.engine import AnalysisConfig, run_analysis
+from workset.trace import TraceParseError
 from workset.workloads import StepConfig, gen_step
 
 
@@ -54,13 +56,18 @@ def main() -> int:
 
     def analyze(cfg):
         if args.input:
-            with open(args.input) as f:
+            # as the CLI reads it: undecodable bytes make a malformed line
+            with open(args.input, encoding="utf-8", errors="surrogateescape") as f:
                 return run_analysis(f, cfg)
         return run_analysis(gen_step(StepConfig(interval_insns=10_000)), cfg)
 
     rows = []
     for tau in sweep_taus(args.tau_min, args.tau_max, args.points):
-        res = analyze(AnalysisConfig(tau=tau, every=args.every))
+        try:
+            res = analyze(AnalysisConfig(tau=tau, every=args.every))
+        except (TraceParseError, OSError) as exc:
+            sys.stderr.write(f"tau_sweep: {exc}\n")
+            return 2
         i, d = res.insn.summary, res.data.summary
         rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages, d.peak_pages))
 

@@ -40,12 +40,12 @@ The clock is tested once per fetch: ``cut`` is the next fetch at which
 a sample falls due or the expiry index moves.
 
 run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
-or the trace's text lines. A text line never becomes a TraceEvent: the
-engine decodes it with the trace module's event grammar (decode_event)
-and offers the line's (is_fetch, first_page, last_page, thread) to a
-LineMemo, which keeps the lines its admission rule admits; it checks C
-and U lines through the trace module's parse_record, the same code
-read_trace uses. Either way an event's stack is the one the last
+or the trace's text lines, both checked by the trace module's rules:
+decode_event and parse_record for lines, as in read_trace, TraceEvent
+and stack_line for records, as in write_trace. A text line never
+becomes a TraceEvent: the engine offers its (is_fetch, first_page,
+last_page, thread) to a LineMemo, which keeps the lines its admission
+rule admits. Either way an event's stack is the one the last
 activation for its thread named.
 
 The results are the report module's classes: summarize and hot_pages
@@ -70,7 +70,6 @@ from .report import (
 )
 from .trace import (
     ADDRESS_LIMIT,
-    MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
     LineMemo,
@@ -80,6 +79,7 @@ from .trace import (
     decode_event,
     parse_record,
     show_int,
+    stack_line,
 )
 
 BATCH_LIMIT = 1024
@@ -255,7 +255,7 @@ def hot_pages(
     else stays blank.
     """
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"n must be >= 0, got {show_int(n)}")
     labels = label_map if label_map is not None else {}
     return [
         HotPageEntry(count, page, labels[page] if page in labels else frame or "")
@@ -308,8 +308,7 @@ class _ScopeState:
         self.handed_insn = self.handed_data = 0
 
     def _annotate(self, t: int, stream: Stream) -> int:
-        ref = self.last_stack
-        frames = self.stacks.get(ref, ()) if ref is not None else ()
+        frames = self.stacks.get(self.last_stack, ())
         index = len(self.annotations)
         self.annotations.append(
             PeakAnnotation(index, t, stream, len(set(frames)), tuple(frames))
@@ -375,8 +374,8 @@ def run_analysis(
     stream, page range and thread, so a repeat of an admitted line
     costs a dict lookup. ``strict`` applies to text lines as in
     read_trace, and line numbers in errors and warnings count the text
-    lines. A TraceEvent that spans more pages than an event line of
-    MAX_ACCESS_SIZE bytes can raises ValueError.
+    lines. Records are analyzed exactly when write_trace writes them,
+    as the lines it writes are; else ValueError, strict or lenient.
     """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
@@ -385,8 +384,6 @@ def run_analysis(
     per_thread = cfg.per_thread
     every = cfg.every
     shift = cfg.page_size.bit_length() - 1
-    # the most pages past its first that an event line, and so a record, may reach
-    max_span = (MAX_ACCESS_SIZE + cfg.page_size - 2) >> shift
     insn_fetch = AccessKind.INSN_FETCH
     # the batches events go to (the combined scope's, or per thread the
     # running thread's) and the combined scope's stack as locals: the
@@ -474,18 +471,13 @@ def run_analysis(
             last_page = (address + rec.size - 1) >> shift
             fetch = rec.kind is insn_fetch
             thread = rec.thread
-        elif rec.__class__ is StackActivation:
-            current[rec.thread] = rec.stack
-            ref_thread = None
-            continue
-        elif rec.__class__ is CallStackDecl:
-            stacks[rec.id] = rec.frames
-            continue
         else:
-            raise TypeError(
-                f"cannot analyze record of type {rec.__class__.__name__}; "
-                "feed trace text lines, read_trace or generator output"
-            )
+            # declares a stack, checks an activation, refuses any other object
+            stack_line(rec, stacks)
+            if rec.__class__ is StackActivation:
+                current[rec.thread] = rec.stack
+                ref_thread = None
+            continue
         if fetch:
             now += 1
             if now == cut:
@@ -529,9 +521,6 @@ def run_analysis(
                 batch = insn_batch if fetch else data_batch
         batch.append(page)
         if page != last_page:
-            if last_page - page > max_span:  # only a TraceEvent can get here
-                raise ValueError(f"event {rec.kind.value} {rec.address:#x},{show_int(rec.size)} "
-                                 f"spans more than the {max_span + 1} pages a line can")
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
             drain_combined(expires)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
-from .trace import Stream
+from .trace import Stream, excerpt
 
 CSV_HEADER = "t,WSS_insn,WSS_data,peak_insn,peak_data,annotation"
 
@@ -167,7 +167,7 @@ def load_label_map(lines: Iterable[str]) -> dict[int, str]:
                 raise ValueError
             page = int(page_s, 16)
         except ValueError:
-            raise ValueError(f"label map line {lineno}: bad page {page_s!r}") from None
+            raise ValueError(f"label map line {lineno}: bad page {excerpt(page_s)}") from None
         if not label:
             raise ValueError(f"label map line {lineno}: missing label")
         out[page] = label

@@ -62,15 +62,30 @@ class AccessKind(Enum):
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One memory access, as one event line states it. The call stack
-    it ran under is not part of the event: it is the stack the last
-    StackActivation before it set for its thread. Instances are treated
-    as immutable once handed out."""
+    """One memory access, as one event line states it: building one
+    raises ValueError unless it holds an AccessKind, and int address,
+    size and thread within decode_event's bounds. Its call stack is the
+    one the last StackActivation before it set for its thread.
+    Instances are treated as immutable once handed out."""
 
     kind: AccessKind
     address: int
     size: int
     thread: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind.__class__ is not AccessKind:
+            field, rule, value = "kind", "an AccessKind", self.kind
+        elif self.address.__class__ is not int or not 0 <= self.address < ADDRESS_LIMIT:
+            field, rule, value = "address", "an int in 0..2**64-1", self.address
+        elif self.size.__class__ is not int or not 1 <= self.size <= MAX_ACCESS_SIZE:
+            field, rule, value = "size", f"an int in 1..{MAX_ACCESS_SIZE}", self.size
+        elif self.thread.__class__ is not int or self.thread < 0:
+            field, rule, value = "thread", "an int >= 0", self.thread
+        else:
+            return
+        shown = show_int(value) if value.__class__ is int else f"a {value.__class__.__name__}"
+        raise ValueError(f"event {field} must be {rule}, got {shown}")
 
 
 @dataclass(slots=True)
@@ -341,10 +356,11 @@ def parse_record(
         cls = rec.__class__
         if cls is CallStackDecl:
             if rec.id in stacks:
-                raise TraceParseError(f"duplicate call stack id {rec.id}", lineno)
+                raise TraceParseError(f"duplicate call stack id {show_int(rec.id)}", lineno)
             stacks[rec.id] = rec.frames
         elif cls is StackActivation and rec.stack not in stacks:
-            raise TraceParseError(f"activation of undeclared stack id {rec.stack}", lineno)
+            raise TraceParseError(f"activation of undeclared stack id {show_int(rec.stack)}",
+                                  lineno)
         return rec
     except TraceParseError as exc:
         if strict:
@@ -397,51 +413,45 @@ def read_trace(
         yield rec
 
 
+def stack_line(rec: CallStackDecl | StackActivation, stacks: dict[int, tuple[str, ...]]) -> str:
+    """The line, without its newline, that states ``rec``, read back
+    through parse_record against ``stacks`` (id -> frames), which a
+    declaration joins. Raises ValueError when no line states ``rec``,
+    TypeError when it is not a stack record."""
+    if rec.__class__ is CallStackDecl:
+        line = f"C {rec.id}: {'|'.join(rec.frames)}"
+        # frames compare as a tuple, whatever sequence holds them
+        rec = CallStackDecl(rec.id, tuple(rec.frames))
+    elif rec.__class__ is StackActivation:
+        line = f"U {rec.thread} {rec.stack}"
+    else:
+        raise TypeError(f"{rec.__class__.__name__} is not a trace record")
+    try:
+        # a text-mode reader splits a line at "\r" too
+        if "\n" in line or "\r" in line or parse_record(line, None, stacks, strict=True) != rec:
+            raise ValueError("it reads back as a different record")
+    except ValueError as exc:
+        raise ValueError(f"invalid stack record {excerpt(line)}: {exc}") from None
+    return line
+
+
 def write_trace(
     records: Iterable[TraceEvent | CallStackDecl | StackActivation], out: TextIO
 ) -> None:
     """Serialize records to ``out`` in the trace text format, one line
     per record: the line-for-line inverse of read_trace, so a
     read/write round trip reproduces the record sequence exactly, and
-    a write/read round trip the canonical text. A record the format
-    cannot hold raises ValueError: each ``C`` and ``U`` line is read
-    back through parse_record, which defines the stack rules, and must
-    give back its record.
+    a write/read round trip the canonical text. An event holds only
+    what a line can; a ``C`` or ``U`` line comes from stack_line, which
+    raises ValueError for a record the format cannot hold.
     """
     stacks: dict[int, tuple[str, ...]] = {}
     write = out.write
     insn_fetch = AccessKind.INSN_FETCH
     for rec in records:
-        cls = rec.__class__
-        if cls is TraceEvent:
-            if not 1 <= rec.size <= MAX_ACCESS_SIZE:
-                raise ValueError(
-                    f"event size must be in 1..{MAX_ACCESS_SIZE}, got {rec.size}"
-                )
-            if not 0 <= rec.address < ADDRESS_LIMIT:
-                raise ValueError(f"event address must be in 0..2**64-1, got {rec.address:#x}")
-            if rec.thread < 0:
-                raise ValueError(f"event thread must be >= 0, got {show_int(rec.thread)}")
-            suffix = f" t{rec.thread:d}\n" if rec.thread else "\n"
-            kind = rec.kind
-            if kind is insn_fetch:
-                write(f"I  {rec.address:08x},{rec.size:d}{suffix}")
-            else:
-                write(f" {kind.value} {rec.address:08x},{rec.size:d}{suffix}")
-            continue
-        if cls is CallStackDecl:
-            line = f"C {rec.id}: {'|'.join(rec.frames)}"
-            # frames compare as a tuple, whatever sequence holds them
-            rec = CallStackDecl(rec.id, tuple(rec.frames))
-        elif cls is StackActivation:
-            line = f"U {rec.thread} {rec.stack}"
+        if rec.__class__ is TraceEvent:
+            head = "I  " if rec.kind is insn_fetch else f" {rec.kind.value} "
+            tail = f" t{rec.thread:d}\n" if rec.thread else "\n"
+            write(f"{head}{rec.address:08x},{rec.size:d}{tail}")
         else:
-            raise TypeError(f"cannot serialize record of type {cls.__name__}")
-        try:
-            if "\n" in line or "\r" in line:  # a text-mode reader splits at "\r" too
-                raise ValueError("it holds a line break")
-            if parse_record(line, None, stacks, strict=True) != rec:
-                raise ValueError("it reads back as a different record")
-        except ValueError as exc:
-            raise ValueError(f"cannot write {excerpt(line)}: {exc}") from None
-        write(line + "\n")
+            write(stack_line(rec, stacks) + "\n")

@@ -81,17 +81,34 @@ def test_straddling_access_touches_every_page():
 @pytest.mark.parametrize("page_size", [256, 4096, 2**20])
 def test_a_record_spans_no_more_pages_than_a_line_can(page_size):
     # the widest access a line may hold, at the worst alignment, is
-    # analyzed; a record that reaches one page further is refused, and
-    # a huge one before its pages are listed
+    # analyzed; a wider record cannot be built (test_trace checks that)
     cfg = AnalysisConfig(tau=1, page_size=page_size)
     widest = TraceEvent(AccessKind.DATA_LOAD, page_size - 1, MAX_ACCESS_SIZE)
     res = run_analysis([fetch(), widest], cfg)
     span = (MAX_ACCESS_SIZE + page_size - 2) // page_size + 1
     assert res.data.summary.total_pages == span
-    for size in (MAX_ACCESS_SIZE + page_size, 2**28, 2**36):
-        wider = TraceEvent(AccessKind.DATA_LOAD, page_size - 1, size)
-        with pytest.raises(ValueError, match=f"event L {page_size - 1:#x},{size} spans"):
-            run_analysis([fetch(), wider], cfg)
+
+
+@pytest.mark.parametrize(
+    "records, says",
+    [
+        pytest.param([CallStackDecl(0, ("a",)), CallStackDecl(0, ("b",))],
+                     "duplicate call stack id 0", id="duplicate-id"),
+        pytest.param([CallStackDecl(0, ("a",)), StackActivation(0, 1)],
+                     "activation of undeclared stack id 1", id="undeclared-stack"),
+        pytest.param([StackActivation(0, 1), CallStackDecl(1, ("a",))],
+                     "activation of undeclared stack id 1", id="declared-too-late"),
+        pytest.param([CallStackDecl(0, ("a|b",))],
+                     "reads back as a different record", id="bar-in-frame"),
+        pytest.param([CallStackDecl(0, ("a",)), StackActivation(-1, 0)],
+                     "malformed stack activation", id="negative-thread"),
+    ],
+)
+def test_stack_records_follow_the_stack_line_rules(records, says):
+    # refused as their lines are in strict mode; records are refused in
+    # lenient mode too
+    with pytest.raises(ValueError, match=says):
+        run_analysis([fetch(), *records, fetch()], strict=False)
 
 
 def test_window_is_half_open_on_the_left():
@@ -245,7 +262,8 @@ def test_per_thread_matches_slow_oracle_property(
     rng = random.Random(seed)
     threads = tuple(range(nthreads))
     events = make_random_events(rng, n, straddle=straddle, threads=threads, run=run)
-    records = with_stack_switches(rng, events, 3, switch_p)
+    records = [CallStackDecl(i, (f"f{i}.c:1",)) for i in range(3)]
+    records += with_stack_switches(rng, events, 3, switch_p)
     res = run_analysis(records, AnalysisConfig(tau=tau, every=every, per_thread=True))
     assert triples(res.samples) == slow_wss_series(events, tau, every, 4096)
     first_seen = {}
@@ -264,11 +282,12 @@ def with_stack_switches(rng, events, nstacks, switch_p):
     """``events`` with activation records in between: each thread keeps
     its stack until it switches, which it does before an event with
     probability ``switch_p``, so switches fall in the middle of sampling
-    intervals. Stack id ``nstacks`` is never declared."""
+    intervals. The stack ids are below ``nstacks``; the caller declares
+    them."""
     out = []
     for ev in events:
         if rng.random() < switch_p:
-            out.append(StackActivation(ev.thread, rng.randrange(nstacks + 1)))
+            out.append(StackActivation(ev.thread, rng.randrange(nstacks)))
         out.append(ev)
     return out
 

@@ -1,0 +1,56 @@
+"""Every public validator keeps its error text short, however large the
+value it refuses: an int is shown by its bit length once it is long,
+and a string by a bounded excerpt or its type."""
+
+import io
+
+import pytest
+
+from workset.engine import AnalysisConfig, PageTable, hot_pages
+from workset.report import load_label_map
+from workset.trace import AccessKind, CallStackDecl, TraceEvent, parse_record, write_trace
+from workset.workloads import PagerampConfig, StepConfig
+
+HUGE = 2**20000
+LONG = "z" * 100_000
+
+# (validator, call that makes it refuse an oversized int, one that makes
+# it refuse an oversized string)
+CASES = [
+    ("AnalysisConfig",
+     lambda: AnalysisConfig(page_size=HUGE),
+     lambda: AnalysisConfig(tau=LONG)),
+    ("PagerampConfig",
+     lambda: PagerampConfig(base_address=HUGE),
+     lambda: PagerampConfig(max_pages=LONG)),
+    ("StepConfig",
+     lambda: StepConfig(flat_pages=HUGE),
+     lambda: StepConfig(interval_insns=LONG)),
+    ("TraceEvent",
+     lambda: TraceEvent(AccessKind.DATA_LOAD, HUGE, 4),
+     lambda: TraceEvent(AccessKind.DATA_LOAD, 0, LONG)),
+    ("hot_pages",
+     lambda: hot_pages(PageTable(4096), -HUGE),
+     lambda: hot_pages(PageTable(4096), LONG)),
+    ("load_label_map",
+     lambda: load_label_map([f"-{HUGE:x} heap"]),
+     lambda: load_label_map([LONG + " heap"])),
+    # a stack id of 4000 digits still parses, so the message shows it
+    ("parse_record",
+     lambda: parse_record("U 0 " + "9" * 4000, 1, {}, strict=True),
+     lambda: parse_record(LONG, 1, {}, strict=True)),
+    ("write_trace",
+     lambda: write_trace([TraceEvent(AccessKind.DATA_LOAD, HUGE, 4)], io.StringIO()),
+     lambda: write_trace([CallStackDecl(0, ("a|" + LONG,))], io.StringIO())),
+]
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [pytest.param(case[1], id=f"{case[0]}-int") for case in CASES]
+    + [pytest.param(case[2], id=f"{case[0]}-str") for case in CASES],
+)
+def test_error_text_is_bounded(refuse):
+    with pytest.raises((ValueError, TypeError)) as info:
+        refuse()
+    assert len(str(info.value)) < 300

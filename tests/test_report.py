@@ -114,6 +114,8 @@ def test_hot_pages_limit():
     assert hot_pages(table, 0) == []
     with pytest.raises(ValueError):
         hot_pages(table, -1)
+    with pytest.raises(ValueError, match="^n must be >= 0, got a negative 16610-bit integer$"):
+        hot_pages(table, -(10**5000))
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,6 +177,12 @@ def test_load_label_map():
 def test_load_label_map_rejects(bad):
     with pytest.raises(ValueError):
         load_label_map([bad])
+
+
+def test_load_label_map_quotes_an_excerpt_of_a_bad_page():
+    with pytest.raises(ValueError, match=r"^label map line 2: bad page 'zzzz") as info:
+        load_label_map(["1 heap", "z" * 100_000 + " heap"])
+    assert len(str(info.value)) < 150
 
 
 # --------------------------------------------------------------------------

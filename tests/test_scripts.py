@@ -29,6 +29,22 @@ def test_tau_sweep_closes_its_input(tmp_path):
     assert len(out.splitlines()) == 2 + 2
 
 
+@pytest.mark.parametrize(
+    "line, says",
+    [
+        (b" L 10,0\n", "line 2: malformed event record 'L 10,0': expected "),
+        # read as the CLI reads it, an undecodable byte makes a malformed line
+        (b"\xff\n", "line 2: unknown record tag '\\udcff'"),
+    ],
+)
+def test_tau_sweep_reports_a_malformed_line(tmp_path, line, says):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(b"I  00400000,4\n" + line)
+    err = run_script("tau_sweep.py", trace, "--points", 1, status=2).stderr
+    assert err.startswith(f"tau_sweep: {says}")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--points", "--every"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_tau_sweep_rejects_non_positive_arguments(flag, value):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import split_parse_event
+from workset.engine import AnalysisConfig, run_analysis
 from workset.trace import (
     AccessKind,
     CallStackDecl,
@@ -403,24 +404,52 @@ def test_write_rejects_undeclared_ref_and_bad_frames():
 @pytest.mark.parametrize(
     "records",
     [
-        pytest.param([TraceEvent(AccessKind.DATA_LOAD, 0x10, 4, -1)], id="negative-thread"),
-        pytest.param([CallStackDecl(-1, ("a",))], id="negative-stack-id"),
-        pytest.param([CallStackDecl(0, ("a",)), StackActivation(-2, 0)],
+        # an event refuses a bad field when it is built
+        pytest.param(lambda: [TraceEvent(AccessKind.DATA_LOAD, 0x10, 4, -1)],
+                     id="negative-thread"),
+        pytest.param(lambda: [CallStackDecl(-1, ("a",))], id="negative-stack-id"),
+        pytest.param(lambda: [CallStackDecl(0, ("a",)), StackActivation(-2, 0)],
                      id="negative-activation-thread"),
         # a reader in text mode ends the line at the "\r"
-        pytest.param([CallStackDecl(0, ("a\rb",))], id="carriage-return-in-frame"),
-        pytest.param([CallStackDecl(0, ("a\nb",))], id="newline-in-frame"),
-        pytest.param([CallStackDecl(0, (" a",))], id="padded-frame"),
+        pytest.param(lambda: [CallStackDecl(0, ("a\rb",))], id="carriage-return-in-frame"),
+        pytest.param(lambda: [CallStackDecl(0, ("a\nb",))], id="newline-in-frame"),
+        pytest.param(lambda: [CallStackDecl(0, (" a",))], id="padded-frame"),
         # an undecodable input byte, as errors="surrogateescape" reads it
-        pytest.param([CallStackDecl(0, ("a\udcffb",))], id="lone-surrogate-in-frame"),
-        pytest.param([CallStackDecl(True, ("a",))], id="bool-stack-id"),
-        pytest.param([CallStackDecl(1, ("a",)), StackActivation(True, 1)],
+        pytest.param(lambda: [CallStackDecl(0, ("a\udcffb",))], id="lone-surrogate-in-frame"),
+        pytest.param(lambda: [CallStackDecl(True, ("a",))], id="bool-stack-id"),
+        pytest.param(lambda: [CallStackDecl(1, ("a",)), StackActivation(True, 1)],
                      id="bool-activation-thread"),
     ],
 )
 def test_write_rejects_records_read_trace_would_reject(records):
     with pytest.raises(ValueError):
-        write_trace(records, io.StringIO())
+        write_trace(records(), io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kind", "L"),
+        ("kind", None),
+        ("address", -1),
+        ("address", 2**64),
+        pytest.param("address", 2**20000, id="address-2**20000"),
+        ("address", 16.0),
+        ("size", 0),
+        ("size", MAX_ACCESS_SIZE + 1),
+        ("size", True),
+        ("size", "4"),
+        ("thread", -3),
+        ("thread", True),
+        ("thread", 1.0),
+    ],
+)
+def test_event_refuses_a_field_no_line_can_hold(field, value):
+    fields = dict(kind=AccessKind.DATA_LOAD, address=0x10, size=4, thread=0)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^event {field} must be ") as info:
+        TraceEvent(**fields)
+    assert len(str(info.value)) < 100
 
 
 def test_access_size_cap():
@@ -431,9 +460,9 @@ def test_access_size_cap():
     write_trace([largest], buf)
     buf.seek(0)
     assert list(read_trace(buf)) == [largest]
-    too_big = TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE + 1)
     with pytest.raises(ValueError):
-        write_trace([too_big], io.StringIO())
+        write_trace([TraceEvent(AccessKind.DATA_LOAD, 0x1000, MAX_ACCESS_SIZE + 1)],
+                    io.StringIO())
 
 
 def test_address_bound():
@@ -469,10 +498,12 @@ _FRAME_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789.:_()/"
 def record_sequences(draw, unwritable=False):
     """Declarations, then events and activations in any order: redundant
     activations, switches back and forth, and activations that no event
-    follows. With ``unwritable``, some records may hold what the text
-    format cannot: negative and bool ids and threads, duplicate ids,
-    activations of undeclared stacks, and frames that are empty, padded
-    with spaces, or hold a "|", a line break or a lone surrogate."""
+    follows. With ``unwritable``, some stack records may hold what the
+    text format cannot: negative and bool ids and threads, duplicate
+    ids, activations of undeclared stacks, and frames that are empty,
+    padded with spaces, or hold a "|", a line break or a lone surrogate.
+    Events always hold what a line can, as TraceEvent refuses anything
+    else when it is built."""
     if unwritable:
         number = st.one_of(st.integers(-1, 3), st.booleans())
         frame = st.text(_FRAME_CHARS + "|\r\n \udcff", max_size=12)
@@ -486,8 +517,8 @@ def record_sequences(draw, unwritable=False):
         for i in ids
     ]
     for _ in range(draw(st.integers(0, 30))):
-        thread = draw(number)
         if ids and draw(st.booleans()):
+            thread = draw(number)
             stack = draw(number if unwritable else st.sampled_from(ids))
             records.append(StackActivation(thread, stack))
             continue
@@ -497,7 +528,7 @@ def record_sequences(draw, unwritable=False):
                 kind,
                 draw(st.integers(0, 2**48 - 1)),
                 draw(st.integers(1, 64)),
-                thread,
+                draw(st.integers(0, 2)),
             )
         )
     return records
@@ -539,7 +570,6 @@ def test_text_round_trip_property(tmp_path_factory, records):
 @example([CallStackDecl(1, ("a",)), StackActivation(True, 1)])
 @example([CallStackDecl(0, ("a",)), CallStackDecl(0, ("b",))])
 @example([CallStackDecl(0, ("a\nb",))])
-@example([TraceEvent(AccessKind.DATA_LOAD, 0x10, 4, True)])
 def test_write_refuses_exactly_what_the_format_cannot_hold(records):
     # a sequence is refused, or its text reads back as the sequence,
     # read as a text-mode file reads it; test_round_trip_property
@@ -549,3 +579,22 @@ def test_write_refuses_exactly_what_the_format_cannot_hold(records):
     except ValueError:
         return
     assert list(read_trace(io.StringIO(text, newline=None))) == records
+
+
+@given(record_sequences(unwritable=True))
+@example([CallStackDecl(0, ("a",)), CallStackDecl(0, ("b",))])
+@example([CallStackDecl(0, ("a",)), StackActivation(0, 1)])
+@example([CallStackDecl(0, ["a", "b"]), StackActivation(1, 0),
+          TraceEvent(AccessKind.DATA_LOAD, 0x1000, 4, 1)])
+def test_run_analysis_takes_exactly_what_write_trace_writes(records):
+    # records are analyzed iff write_trace writes them, with the result
+    # of analyzing the written lines
+    cfg = AnalysisConfig(tau=3, every=2, per_thread=True, peak_detect=True)
+    try:
+        text = _text(records)
+    except ValueError:
+        with pytest.raises(ValueError):
+            run_analysis(records, cfg)
+        return
+    expected = run_analysis(io.StringIO(text), cfg).to_dict()
+    assert run_analysis(records, cfg).to_dict() == expected
