@@ -22,7 +22,7 @@ only appends its page numbers to its scope's pending list for the
 stream, and the list is applied as one batch, once per distinct page
 in it, when it has to be. All accesses in a batch share one expiry
 index and one stack id, so a scope drains its batches when the clock's
-expiry index moves, when the scope's stack changes, before every
+expiry index moves, when the running stack changes, before every
 sample, at the end of the trace, and when a batch reaches BATCH_LIMIT
 entries. Sampling never scans the tables. Each table counts its pages
 per expiry index (see PageTable); a sample reads a running count and
@@ -31,11 +31,11 @@ stream has touched.
 
 An event's pages are appended to one scope's batches: the combined
 scope's, or with per-thread scopes its thread's, whose batches a thread
-change (an activation counts as one) makes current. Then, whenever the
-combined scope drains, its tables take one slice per stream of what
-each thread that ran since its last drain has appended since; all of
-those pages carry its stack and expiry index, so their order does not
-matter. A thread change costs a lookup, and an event is appended once.
+change (an activation counts as one) makes current. Every page waiting
+in any scope's batches carries the running stack, so every scope that
+ran since the last drain drains when that stack changes; a thread
+scope's drain applies each batch to its own table and to the combined
+one. A thread change costs a lookup, and an event is appended once.
 The clock is tested once per fetch: ``cut`` is the next fetch at which
 a sample falls due or the expiry index moves.
 
@@ -268,25 +268,28 @@ class _ScopeState:
     A scope created at time ``now`` takes its first sample at the next
     global sampling instant, so its tables start at that sample index.
     ``insn_batch`` and ``data_batch`` hold the page numbers touched since
-    the last drain; they all carry the stack ``last_stack``.
+    the last drain. ``last_stack`` is the stack of the scope's last
+    event; while the scope has pages waiting it is the running stack,
+    which all of them carry. A thread scope's drain applies its batches
+    to its own tables and to those of ``combined``, the whole trace's
+    scope."""
 
-    With per-thread scopes, run_analysis appends each event to its
-    thread's batches only; when the combined scope drains, its tables
-    take the pages of a thread's batches from ``handed_insn`` and
-    ``handed_data`` on. A thread scope drains only once the combined
-    scope has taken all its pages."""
+    __slots__ = ("insn", "data", "insn_batch", "data_batch", "feeds", "samples",
+                 "annotations", "detector_insn", "detector_data", "last_stack", "stacks")
 
-    __slots__ = ("insn", "data", "insn_batch", "data_batch", "handed_insn",
-                 "handed_data", "samples", "annotations", "detector_insn",
-                 "detector_data", "last_stack", "stacks")
-
-    def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0):
+    def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
+                 combined: _ScopeState | None = None):
         first_sample = max(1, -(-now // cfg.every))
         self.insn = PageTable(cfg.page_size, stacks, first_sample=first_sample)
         self.data = PageTable(cfg.page_size, stacks, first_sample=first_sample)
         self.insn_batch: list[int] = []
         self.data_batch: list[int] = []
-        self.handed_insn = self.handed_data = 0
+        insn_tables, data_tables = (self.insn,), (self.data,)
+        if combined is not None:
+            insn_tables += (combined.insn,)
+            data_tables += (combined.data,)
+        # each batch with the tables it feeds
+        self.feeds = ((self.insn_batch, insn_tables), (self.data_batch, data_tables))
         self.samples: list[WssSample] = []
         self.annotations: list[PeakAnnotation] = []
         if cfg.peak_detect:
@@ -300,12 +303,13 @@ class _ScopeState:
 
     def drain(self, expires: int) -> None:
         """Apply the pending batches, whose accesses all have expiry
-        index ``expires``."""
-        for table, batch in ((self.insn, self.insn_batch), (self.data, self.data_batch)):
+        index ``expires`` and stack ``last_stack``, to the tables they
+        feed."""
+        for batch, tables in self.feeds:
             if batch:
-                table.add(batch, expires, self.last_stack)
+                for table in tables:
+                    table.add(batch, expires, self.last_stack)
                 batch.clear()
-        self.handed_insn = self.handed_data = 0
 
     def _annotate(self, t: int, stream: Stream) -> int:
         frames = self.stacks.get(self.last_stack, ())
@@ -315,9 +319,8 @@ class _ScopeState:
         )
         return index
 
-    def take_sample(self, t: int, expires: int) -> None:
-        """Drain the batches (expiry index ``expires``), then sample."""
-        self.drain(expires)
+    def take_sample(self, t: int) -> None:
+        """Sample the tables, whose batches the caller has drained."""
         wss_insn = self.insn.sample()
         wss_data = self.data.sample()
         peak_insn = peak_data = False
@@ -385,9 +388,10 @@ def run_analysis(
     every = cfg.every
     shift = cfg.page_size.bit_length() - 1
     insn_fetch = AccessKind.INSN_FETCH
-    # the batches events go to (the combined scope's, or per thread the
-    # running thread's) and the combined scope's stack as locals: the
-    # loop runs once per trace event
+    # the scope events go to (the combined one, or per thread the running
+    # thread's), its batches and the running stack as locals: the loop
+    # runs once per trace event
+    scope = combined
     insn_batch = combined.insn_batch
     data_batch = combined.data_batch
     stack = None
@@ -410,37 +414,20 @@ def run_analysis(
     # None forces a lookup
     current: dict[int, int] = {}
     ref = ref_thread = None
-    # per thread: the scopes of the threads that ran since the combined
-    # scope last drained, once per run, the running thread's last
+    # the scopes that ran since the last drain, once per run, the
+    # running one's last: only their batches hold pages
     ran: list[_ScopeState] = []
 
-    def drain_combined(expires: int) -> None:
-        if not ran:
-            combined.drain(expires)
-            return
-        # per thread, the combined tables take what the threads appended
-        # since its last drain, all under its stack
-        for scope in ran if len(ran) == 1 else dict.fromkeys(ran):
-            batch = scope.insn_batch
-            if len(batch) != scope.handed_insn:
-                combined.insn.add(batch[scope.handed_insn:], expires, combined.last_stack)
-                scope.handed_insn = len(batch)
-            batch = scope.data_batch
-            if len(batch) != scope.handed_data:
-                combined.data.add(batch[scope.handed_data:], expires, combined.last_stack)
-                scope.handed_data = len(batch)
+    def drain(expires: int) -> None:
+        for state in ran if len(ran) == 1 else dict.fromkeys(ran):
+            state.drain(expires)
         del ran[:-1]
 
-    def drain(expires: int) -> None:
-        drain_combined(expires)
-        for state in threads.values():
-            state.drain(expires)
-
     def flush(t: int, expires: int) -> None:
-        drain_combined(expires)
-        combined.take_sample(t, expires)
+        drain(expires)
+        combined.take_sample(t)
         for state in threads.values():
-            state.take_sample(t, expires)
+            state.take_sample(t)
 
     for rec in records:
         if rec.__class__ is str:
@@ -501,31 +488,24 @@ def run_analysis(
             ref_thread = thread
             ref = current.get(thread)
             if ref != stack:
-                drain_combined(expires)
-                # the combined scope took all of the run that ends here
+                drain(expires)
+                # every batch is empty, so no scope still has to drain
                 ran.clear()
                 stack = combined.last_stack = ref
             if per_thread:
                 scope = threads.get(thread)
                 if scope is None:
-                    scope = threads[thread] = _ScopeState(cfg, stacks, now)
-                # had this scope appended since the combined scope last
-                # drained, the two stacks would agree, and their change
-                # would have drained the combined scope above
-                if ref != scope.last_stack:
-                    scope.drain(expires)
-                    scope.last_stack = ref
-                ran.append(scope)
+                    scope = threads[thread] = _ScopeState(cfg, stacks, now, combined)
+                scope.last_stack = ref
                 insn_batch = scope.insn_batch
                 data_batch = scope.data_batch
                 batch = insn_batch if fetch else data_batch
+            ran.append(scope)
         batch.append(page)
         if page != last_page:
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
-            drain_combined(expires)
-            if per_thread:
-                scope.drain(expires)
+            drain(expires)
 
     drain(expires)
     if now and now % every == 0:

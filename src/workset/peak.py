@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .trace import show_int
+
 # mean magnitudes at or below this count as zero, which makes the dispersion 0
 _MEAN_EPS = 1e-9
 
@@ -45,11 +47,11 @@ class PeakParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise ValueError(f"alpha must be in (0, 1], got {show_int(self.alpha)}")
         if not 0.0 < self.phi <= 1.0:
-            raise ValueError(f"phi must be in (0, 1], got {self.phi}")
+            raise ValueError(f"phi must be in (0, 1], got {show_int(self.phi)}")
         if not self.g > 0.0:
-            raise ValueError(f"g must be > 0, got {self.g}")
+            raise ValueError(f"g must be > 0, got {show_int(self.g)}")
 
 
 @dataclass(slots=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
 
@@ -84,8 +84,7 @@ class TraceEvent:
             field, rule, value = "thread", "an int >= 0", self.thread
         else:
             return
-        shown = show_int(value) if value.__class__ is int else f"a {value.__class__.__name__}"
-        raise ValueError(f"event {field} must be {rule}, got {shown}")
+        raise ValueError(f"event {field} must be {rule}, got {_show_field(value)}")
 
 
 @dataclass(slots=True)
@@ -258,14 +257,21 @@ def excerpt(text: str) -> str:
     return repr(head.rstrip())
 
 
-def show_int(value: int) -> str:
-    """``value`` for an error message: in decimal up to 20 digits, else
-    as its bit length, so the message stays short and never meets the
-    digit limit of int-to-text conversion."""
-    if -_SHOW_INT_LIMIT < value < _SHOW_INT_LIMIT:
+def show_int(value: int | float) -> str:
+    """``value`` for an error message: an int in decimal up to 20
+    digits, else as its bit length, so the message stays short and
+    never meets the digit limit of int-to-text conversion; any other
+    number as str gives it."""
+    if not isinstance(value, int) or -_SHOW_INT_LIMIT < value < _SHOW_INT_LIMIT:
         return str(value)
     sign = "negative " if value < 0 else ""
     return f"a {sign}{value.bit_length()}-bit integer"
+
+
+def _show_field(value: object) -> str:
+    """A record field for an error message: an int through show_int,
+    anything else by its type."""
+    return show_int(value) if value.__class__ is int else f"a {value.__class__.__name__}"
 
 
 def _decimal(text: str) -> int | None:
@@ -418,14 +424,22 @@ def stack_line(rec: CallStackDecl | StackActivation, stacks: dict[int, tuple[str
     through parse_record against ``stacks`` (id -> frames), which a
     declaration joins. Raises ValueError when no line states ``rec``,
     TypeError when it is not a stack record."""
-    if rec.__class__ is CallStackDecl:
-        line = f"C {rec.id}: {'|'.join(rec.frames)}"
-        # frames compare as a tuple, whatever sequence holds them
-        rec = CallStackDecl(rec.id, tuple(rec.frames))
-    elif rec.__class__ is StackActivation:
-        line = f"U {rec.thread} {rec.stack}"
-    else:
-        raise TypeError(f"{rec.__class__.__name__} is not a trace record")
+    try:
+        if rec.__class__ is CallStackDecl:
+            line = f"C {rec.id}: {'|'.join(rec.frames)}"
+            # frames compare as a tuple, whatever sequence holds them
+            rec = CallStackDecl(rec.id, tuple(rec.frames))
+        elif rec.__class__ is StackActivation:
+            line = f"U {rec.thread} {rec.stack}"
+        else:
+            raise TypeError(f"{rec.__class__.__name__} is not a trace record")
+    except ValueError:
+        # an int past the digit limit of int-to-text conversion
+        shown = ", ".join(f"{f.name}={_show_field(getattr(rec, f.name))}" for f in fields(rec))
+        raise ValueError(
+            f"invalid stack record {rec.__class__.__name__}({shown}): "
+            "a number too long to write as text"
+        ) from None
     try:
         # a text-mode reader splits a line at "\r" too
         if "\n" in line or "\r" in line or parse_record(line, None, stacks, strict=True) != rec:

@@ -2,12 +2,14 @@
 tests drive main(argv) in-process; one subprocess test covers the real
 gen | analyze pipe."""
 
+import importlib
 import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -445,3 +447,17 @@ def test_console_script_entry_point():
     proc = subprocess.run(["workset", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "analyze" in proc.stdout
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_declared_console_script_resolves(capsys):
+    """What the installed ``workset`` command runs, without installing:
+    the entry point pyproject.toml declares."""
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["workset"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["--help"]) == 0
+    assert "analyze" in capsys.readouterr().out

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import fast_wss_series, make_random_events, slow_hot_pages, slow_wss_series
+from oracles import (
+    expand_accesses,
+    fast_wss_series,
+    make_random_events,
+    slow_hot_pages,
+    slow_wss_series,
+)
 from workset.engine import (
     BATCH_LIMIT,
     AnalysisConfig,
@@ -229,17 +235,19 @@ def test_matches_slow_oracle_property(seed, n, tau, every, straddle):
 
 def hand_off_examples(test):
     """``test`` with the edge cases of per-thread batching, where an
-    event goes to its thread's batches only and the combined scope takes
-    them when it drains: a run longer than BATCH_LIMIT between two
-    switches (no sample comes first), a switch on every event with no
-    stack, and activations for the running thread in the middle of its
-    run."""
+    event goes to its thread's batches only and a thread's drain feeds
+    its own tables and the combined ones: a run longer than BATCH_LIMIT
+    between two switches (no sample comes first), a switch on every
+    event with no stack, activations for the running thread in the
+    middle of its run, and a switch on every event with each thread
+    under its own stack, where every event drains."""
     for kwargs in (
         dict(seed=1, n=4000, tau=3000, every=1000, nthreads=2, straddle=True, run=1500,
              switch_p=0.0),
         dict(seed=2, n=400, tau=13, every=5, nthreads=3, straddle=True, run=1, switch_p=0.0),
         dict(seed=3, n=600, tau=20, every=7, nthreads=2, straddle=False, run=150,
              switch_p=0.05),
+        dict(seed=4, n=400, tau=13, every=5, nthreads=3, straddle=True, run=1, switch_p=1.0),
     ):
         test = example(**kwargs)(test)
     return test
@@ -282,11 +290,18 @@ def with_stack_switches(rng, events, nstacks, switch_p):
     """``events`` with activation records in between: each thread keeps
     its stack until it switches, which it does before an event with
     probability ``switch_p``, so switches fall in the middle of sampling
-    intervals. The stack ids are below ``nstacks``; the caller declares
+    intervals. With ``switch_p`` 1, each thread instead runs under its
+    own stack, its id modulo ``nstacks``, activated before its first
+    event. The stack ids are below ``nstacks``; the caller declares
     them."""
     out = []
+    started = set()
     for ev in events:
-        if rng.random() < switch_p:
+        if switch_p == 1:
+            if ev.thread not in started:
+                started.add(ev.thread)
+                out.append(StackActivation(ev.thread, ev.thread % nstacks))
+        elif rng.random() < switch_p:
             out.append(StackActivation(ev.thread, rng.randrange(nstacks)))
         out.append(ev)
     return out
@@ -327,25 +342,40 @@ def test_hot_pages_match_slow_oracle_property(
         assert (ranking(sub.insn), ranking(sub.data)) == expected
 
 
-@pytest.mark.parametrize("run", [1, 5000])
-def test_per_thread_batches_stay_bounded(monkeypatch, run):
-    """With no sample and no stack change, only the batch length bound
-    drains: no table takes more pages at once than BATCH_LIMIT plus one
-    access's, and every page reaches both its thread's table and the
-    combined one."""
-    sizes = []
+@pytest.mark.parametrize(
+    "nthreads,run,own_stacks",
+    [pytest.param(2, 1, False, id="1"), pytest.param(2, 5000, False, id="5000"),
+     pytest.param(3, 1, True, id="1-own-stacks")],
+)
+def test_per_thread_batches_stay_bounded(monkeypatch, nthreads, run, own_stacks):
+    """With no sample, only the batch length bound and stack changes
+    drain: no table takes more pages at once than BATCH_LIMIT plus one
+    access's, and every page reaches its thread's table and the combined
+    one exactly once. Without stacks, only the bound drains; with each
+    thread under its own stack and a switch on every event, every event
+    drains."""
+    added = {}
     add = PageTable.add
 
     def recording_add(self, pages, expires, stack_ref=None):
-        sizes.append(len(pages))
+        added.setdefault(self, []).append(list(pages))
         add(self, pages, expires, stack_ref)
 
     monkeypatch.setattr(PageTable, "add", recording_add)
-    events = make_random_events(random.Random(7), 6000, straddle=True, threads=(0, 1), run=run)
-    run_analysis(events, AnalysisConfig(tau=10**6, every=10**6, per_thread=True))
-    pages = sum(((e.address + e.size - 1) >> 12) - (e.address >> 12) + 1 for e in events)
-    assert sum(sizes) == 2 * pages
-    assert max(sizes) <= BATCH_LIMIT + 1
+    rng = random.Random(7)
+    threads = tuple(range(nthreads))
+    events = make_random_events(rng, 6000, straddle=True, threads=threads, run=run)
+    records = [CallStackDecl(i, (f"f{i}.c:1",)) for i in threads]
+    records += with_stack_switches(rng, events, nthreads, 1.0 if own_stacks else 0.0)
+    run_analysis(records, AnalysisConfig(tau=10**6, every=10**6, per_thread=True))
+    expected = [
+        sorted(page for _, page in accesses)
+        for tid in (None, *threads)
+        for accesses in expand_accesses(events, 4096, thread=tid)[:2]
+    ]
+    tables = [sorted(page for batch in batches for page in batch) for batches in added.values()]
+    assert sorted(tables) == sorted(expected)
+    assert max(len(batch) for batches in added.values() for batch in batches) <= BATCH_LIMIT + 1
 
 
 BAD_LINES = [

@@ -6,9 +6,17 @@ import io
 
 import pytest
 
-from workset.engine import AnalysisConfig, PageTable, hot_pages
+from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis
+from workset.peak import PeakParams
 from workset.report import load_label_map
-from workset.trace import AccessKind, CallStackDecl, TraceEvent, parse_record, write_trace
+from workset.trace import (
+    AccessKind,
+    CallStackDecl,
+    StackActivation,
+    TraceEvent,
+    parse_record,
+    write_trace,
+)
 from workset.workloads import PagerampConfig, StepConfig
 
 HUGE = 2**20000
@@ -54,3 +62,44 @@ def test_error_text_is_bounded(refuse):
     with pytest.raises((ValueError, TypeError)) as info:
         refuse()
     assert len(str(info.value)) < 300
+
+
+# past int-to-text conversion's digit limit, where formatting the number
+# raises a message that names nothing
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: AnalysisConfig(peak_alpha=HUGE),
+         "alpha must be in (0, 1], got a 20001-bit integer"),
+        (lambda: PeakParams(phi=-HUGE), "phi must be in (0, 1], got a negative 20001-bit integer"),
+        (lambda: PeakParams(g=-HUGE), "g must be > 0, got a negative 20001-bit integer"),
+        # floats keep their own text
+        (lambda: PeakParams(g=float("nan")), "g must be > 0, got nan"),
+        (lambda: AnalysisConfig(peak_phi=float("inf")), "phi must be in (0, 1], got inf"),
+        (lambda: AnalysisConfig(tau=float("-inf")), "tau must be >= 1, got -inf"),
+    ],
+)
+def test_numbers_are_shown_bounded(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "record,shown",
+    [
+        (CallStackDecl(HUGE, ("a",)), "CallStackDecl(id=a 20001-bit integer, frames=a tuple)"),
+        (StackActivation(HUGE, 0), "StackActivation(thread=a 20001-bit integer, stack=0)"),
+        (StackActivation(0, -HUGE),
+         "StackActivation(thread=0, stack=a negative 20001-bit integer)"),
+    ],
+)
+@pytest.mark.parametrize(
+    "consume",
+    [lambda records: write_trace(records, io.StringIO()), run_analysis],
+    ids=["write_trace", "run_analysis"],
+)
+def test_stack_record_numbers_past_the_digit_limit(record, shown, consume):
+    with pytest.raises(ValueError) as info:
+        consume([record])
+    assert str(info.value) == f"invalid stack record {shown}: a number too long to write as text"
