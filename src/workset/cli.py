@@ -83,30 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic trace")
     gen_sub = gen.add_subparsers(dest="workload", required=True, parser_class=_Parser)
-
-    ramp = gen_sub.add_parser("pageramp", help="sawtooth working set workload", **leaf)
-    ramp.add_argument("--max-pages", type=_int)
-    ramp.add_argument("--stride", type=_int, help="touch every stride-th claimed page")
-    ramp.add_argument("--cycles", type=_int)
-    ramp.add_argument("--insns-per-touch", type=_int)
-    ramp.add_argument("--insns-per-step", type=_int,
-                      help="dwell instructions per claim/release step")
-    ramp.add_argument("--pages-per-step", type=_int)
-    ramp.add_argument("--base-address", type=_int)
-    ramp.add_argument("--page-size", type=_int)
-    ramp.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    ramp.set_defaults(func=_cmd_gen, config=PagerampConfig, generate=gen_pageramp)
-
-    step = gen_sub.add_parser("step", help="flat working set with one bump", **leaf)
-    step.add_argument("--flat-pages", type=_int)
-    step.add_argument("--step-pages", type=_int)
-    step.add_argument("--flat-samples", type=_int)
-    step.add_argument("--interval-insns", type=_int)
-    step.add_argument("--repeats", type=_int)
-    step.add_argument("--base-address", type=_int)
-    step.add_argument("--page-size", type=_int)
-    step.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    step.set_defaults(func=_cmd_gen, config=StepConfig, generate=gen_step)
+    helps = {"stride": "touch every stride-th claimed page",
+             "insns_per_step": "dwell instructions per claim/release step"}
+    for workload, config, generate, about in (
+        ("pageramp", PagerampConfig, gen_pageramp, "sawtooth working set workload"),
+        ("step", StepConfig, gen_step, "flat working set with one bump"),
+    ):
+        workload_parser = gen_sub.add_parser(workload, help=about, **leaf)
+        # one flag per field of the workload's config
+        for field in fields(config):
+            workload_parser.add_argument(f"--{field.name.replace('_', '-')}", type=_int,
+                                         help=helps.get(field.name))
+        workload_parser.add_argument("-o", "--output", default="-",
+                                     help="output file, '-' for stdout")
+        workload_parser.set_defaults(func=_cmd_gen, config=config, generate=generate)
 
     analyze = sub.add_parser("analyze", help="compute working set sizes from a trace", **leaf)
     analyze.add_argument("input", nargs="?", default="-",

@@ -76,6 +76,7 @@ from .trace import (
     StackActivation,
     Stream,
     TraceEvent,
+    check_int,
     decode_event,
     parse_record,
     show_int,
@@ -87,6 +88,10 @@ BATCH_LIMIT = 1024
 expiry move or stack change asks for it. It bounds the memory a scope's
 batches hold when samples are rare or absent (a window longer than the
 trace, a trace without instruction fetches)."""
+
+_STREAMS = (Stream.INSN, Stream.DATA)
+"""The access streams, in the order a scope holds its per-stream tables,
+batches and detectors."""
 
 
 @dataclass
@@ -105,12 +110,11 @@ class AnalysisConfig:
     top_n: int = 10
 
     def __post_init__(self) -> None:
+        check_int("tau", self.tau)
         if self.every is None:
             self.every = self.tau
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {show_int(self.tau)}")
-        if self.every < 1:
-            raise ValueError(f"every must be >= 1, got {show_int(self.every)}")
+        check_int("every", self.every)
+        check_int("page_size", self.page_size, minimum=None)
         # one page of 2**64 bytes already covers every address
         if (self.page_size < 1 or self.page_size & (self.page_size - 1)
                 or self.page_size > ADDRESS_LIMIT):
@@ -118,8 +122,7 @@ class AnalysisConfig:
                 "page_size must be a power of two up to 2**64, "
                 f"got {show_int(self.page_size)}"
             )
-        if self.top_n < 0:
-            raise ValueError(f"top_n must be >= 0, got {show_int(self.top_n)}")
+        check_int("top_n", self.top_n, minimum=0)
         # validates the peak knobs even when detection is off
         self.peak_params()
 
@@ -254,8 +257,7 @@ def hot_pages(
     from the innermost stack frame recorded at the page's first touch,
     else stays blank.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {show_int(n)}")
+    check_int("n", n, minimum=0)
     labels = label_map if label_map is not None else {}
     return [
         HotPageEntry(count, page, labels[page] if page in labels else frame or "")
@@ -267,37 +269,32 @@ class _ScopeState:
     """Accumulator for one sampling scope (the whole trace, or one thread).
     A scope created at time ``now`` takes its first sample at the next
     global sampling instant, so its tables start at that sample index.
-    ``insn_batch`` and ``data_batch`` hold the page numbers touched since
-    the last drain. ``last_stack`` is the stack of the scope's last
-    event; while the scope has pages waiting it is the running stack,
-    which all of them carry. A thread scope's drain applies its batches
-    to its own tables and to those of ``combined``, the whole trace's
-    scope."""
+    ``tables``, ``batches`` and ``detectors`` hold one entry per stream,
+    in _STREAMS order; ``detectors`` is empty when peak detection is
+    off. A batch holds the page numbers touched since the last drain.
+    ``last_stack`` is the stack of the scope's last event; while the
+    scope has pages waiting it is the running stack, which all of them
+    carry. ``feeds`` pairs each batch with the tables its drain applies
+    it to: the scope's own, and for a thread scope also those of
+    ``combined``, the whole trace's scope."""
 
-    __slots__ = ("insn", "data", "insn_batch", "data_batch", "feeds", "samples",
-                 "annotations", "detector_insn", "detector_data", "last_stack", "stacks")
+    __slots__ = ("tables", "batches", "feeds", "samples", "annotations", "detectors",
+                 "last_stack", "stacks")
 
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
                  combined: _ScopeState | None = None):
         first_sample = max(1, -(-now // cfg.every))
-        self.insn = PageTable(cfg.page_size, stacks, first_sample=first_sample)
-        self.data = PageTable(cfg.page_size, stacks, first_sample=first_sample)
-        self.insn_batch: list[int] = []
-        self.data_batch: list[int] = []
-        insn_tables, data_tables = (self.insn,), (self.data,)
-        if combined is not None:
-            insn_tables += (combined.insn,)
-            data_tables += (combined.data,)
-        # each batch with the tables it feeds
-        self.feeds = ((self.insn_batch, insn_tables), (self.data_batch, data_tables))
+        self.tables = tuple(
+            PageTable(cfg.page_size, stacks, first_sample=first_sample) for _ in _STREAMS
+        )
+        self.batches: tuple[list[int], ...] = tuple([] for _ in _STREAMS)
+        fed = (self.tables,) if combined is None else (self.tables, combined.tables)
+        self.feeds = tuple(zip(self.batches, zip(*fed)))
         self.samples: list[WssSample] = []
         self.annotations: list[PeakAnnotation] = []
-        if cfg.peak_detect:
-            self.detector_insn = PeakDetector(cfg.peak_params())
-            self.detector_data = PeakDetector(cfg.peak_params())
-        else:
-            self.detector_insn = None
-            self.detector_data = None
+        self.detectors = (
+            tuple(PeakDetector(cfg.peak_params()) for _ in _STREAMS) if cfg.peak_detect else ()
+        )
         self.last_stack: int | None = None
         self.stacks = stacks
 
@@ -311,29 +308,30 @@ class _ScopeState:
                     table.add(batch, expires, self.last_stack)
                 batch.clear()
 
-    def _annotate(self, t: int, stream: Stream) -> int:
-        frames = self.stacks.get(self.last_stack, ())
-        index = len(self.annotations)
-        self.annotations.append(
-            PeakAnnotation(index, t, stream, len(set(frames)), tuple(frames))
-        )
-        return index
-
     def take_sample(self, t: int) -> None:
-        """Sample the tables, whose batches the caller has drained."""
-        wss_insn = self.insn.sample()
-        wss_data = self.data.sample()
+        """Sample the tables, whose batches the caller has drained. With
+        peak detection each stream's detector judges its value, and each
+        peak appends one annotation, in _STREAMS order; the sample names
+        the first of them."""
+        insn, data = self.tables
+        wss_insn = insn.sample()
+        wss_data = data.sample()
         peak_insn = peak_data = False
         annotation = None
-        if self.detector_insn is not None:
-            peak_insn = self.detector_insn.update(wss_insn).is_peak
-            peak_data = self.detector_data.update(wss_data).is_peak
-            if peak_insn:
-                annotation = self._annotate(t, Stream.INSN)
-            if peak_data:
-                index = self._annotate(t, Stream.DATA)
-                if annotation is None:
-                    annotation = index
+        if self.detectors:
+            # judged straight-line: this runs per sample and scope, and
+            # most samples fire no peak
+            insn_detector, data_detector = self.detectors
+            peak_insn = insn_detector.update(wss_insn).is_peak
+            peak_data = data_detector.update(wss_data).is_peak
+            if peak_insn or peak_data:
+                annotations = self.annotations
+                annotation = len(annotations)
+                frames = self.stacks.get(self.last_stack, ())
+                for stream, peak in zip(_STREAMS, (peak_insn, peak_data)):
+                    if peak:
+                        annotations.append(PeakAnnotation(
+                            len(annotations), t, stream, len(set(frames)), tuple(frames)))
         self.samples.append(
             WssSample(t, wss_insn, wss_data, peak_insn, peak_data, annotation)
         )
@@ -351,7 +349,7 @@ class _ScopeState:
                 summarize(self.samples, table, stream),
                 hot_pages(table, cfg.top_n, label_map),
             )
-            for table, stream in ((self.insn, Stream.INSN), (self.data, Stream.DATA))
+            for table, stream in zip(self.tables, _STREAMS)
         )
         return AnalysisResult(self.samples, insn, data, self.annotations, threads)
 
@@ -392,8 +390,7 @@ def run_analysis(
     # thread's), its batches and the running stack as locals: the loop
     # runs once per trace event
     scope = combined
-    insn_batch = combined.insn_batch
-    data_batch = combined.data_batch
+    insn_batch, data_batch = combined.batches
     stack = None
     now = 0
     # expiry index (now + tau - 1) // every of the accesses at ``now``;
@@ -497,8 +494,7 @@ def run_analysis(
                 if scope is None:
                     scope = threads[thread] = _ScopeState(cfg, stacks, now, combined)
                 scope.last_stack = ref
-                insn_batch = scope.insn_batch
-                data_batch = scope.data_batch
+                insn_batch, data_batch = scope.batches
                 batch = insn_batch if fetch else data_batch
             ran.append(scope)
         batch.append(page)

@@ -274,6 +274,15 @@ def _show_field(value: object) -> str:
     return show_int(value) if value.__class__ is int else f"a {value.__class__.__name__}"
 
 
+def check_int(name: str, value: object, minimum: int | None = 1) -> None:
+    """Raise a ValueError that names ``name`` unless ``value`` is an int
+    (a bool is not one) and, when ``minimum`` is given, at least that."""
+    if value.__class__ is not int:
+        raise ValueError(f"{name} must be an int, got {_show_field(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {show_int(value)}")
+
+
 def _decimal(text: str) -> int | None:
     """The value of a field of ASCII digits 0-9, else None."""
     if text.isascii() and text.isdigit():

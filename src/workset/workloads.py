@@ -31,6 +31,7 @@ from .trace import (
     CallStackDecl,
     StackActivation,
     TraceEvent,
+    check_int,
     show_int,
 )
 
@@ -56,12 +57,8 @@ _PAGERAMP_STACK_ID = 0
 _PAGERAMP_FRAMES = ("pageramp.c:21", "pageramp.c:48")
 
 
-def _check_positive(name: str, value: int, minimum: int = 1) -> None:
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {show_int(value)}")
-
-
 def _check_page_size(page_size: int) -> None:
+    check_int("page_size", page_size, minimum=None)
     # the code region must end at or below 2**64 like the data pages
     if (page_size < 256 or page_size & (page_size - 1)
             or CODE_BASE + CODE_PAGES * page_size > ADDRESS_LIMIT):
@@ -123,13 +120,13 @@ class PagerampConfig:
     page_size: int = 4096
 
     def __post_init__(self) -> None:
-        _check_positive("max_pages", self.max_pages)
-        _check_positive("stride", self.stride)
-        _check_positive("cycles", self.cycles)
-        _check_positive("insns_per_touch", self.insns_per_touch)
-        _check_positive("insns_per_step", self.insns_per_step, minimum=0)
-        _check_positive("pages_per_step", self.pages_per_step)
-        _check_positive("base_address", self.base_address, minimum=0)
+        check_int("max_pages", self.max_pages)
+        check_int("stride", self.stride)
+        check_int("cycles", self.cycles)
+        check_int("insns_per_touch", self.insns_per_touch)
+        check_int("insns_per_step", self.insns_per_step, minimum=0)
+        check_int("pages_per_step", self.pages_per_step)
+        check_int("base_address", self.base_address, minimum=0)
         _check_page_size(self.page_size)
         _check_end(self.base_address, self.max_pages, self.page_size)
 
@@ -204,13 +201,13 @@ class StepConfig:
     flat_samples: int = 20
 
     def __post_init__(self) -> None:
-        _check_positive("interval_insns", self.interval_insns)
-        _check_positive("repeats", self.repeats)
-        _check_positive("base_address", self.base_address, minimum=0)
+        check_int("interval_insns", self.interval_insns)
+        check_int("repeats", self.repeats)
+        check_int("base_address", self.base_address, minimum=0)
         _check_page_size(self.page_size)
-        _check_positive("flat_pages", self.flat_pages)
-        _check_positive("step_pages", self.step_pages, minimum=0)
-        _check_positive("flat_samples", self.flat_samples)
+        check_int("flat_pages", self.flat_pages)
+        check_int("step_pages", self.step_pages, minimum=0)
+        check_int("flat_samples", self.flat_samples)
         pages = self.flat_pages + self.step_pages
         _check_end(self.base_address, pages, self.page_size)
         if self.interval_insns < pages:

@@ -828,6 +828,8 @@ def event_stacks(records, thread=None):
     switch_p=st.sampled_from((0.02, 0.3)),
 )
 @hand_off_examples
+# both streams peak at some samples of the combined scope
+@example(seed=0, n=200, tau=10, every=5, nthreads=2, straddle=False, run=0, switch_p=0.3)
 def test_annotations_name_the_stack_of_the_last_event_property(
     seed, n, tau, every, nthreads, straddle, run, switch_p
 ):
@@ -846,6 +848,15 @@ def test_annotations_name_the_stack_of_the_last_event_property(
             ref = [stack for ts, stack in seen if ts <= ann.t][-1]
             frames = stacks.get(ref, ())
             assert (ann.frames, ann.refs) == (frames, len(set(frames)))
+        # one annotation per peak flag, in sample order and insn before
+        # data at one instant; a sample names the first of its own
+        flags = []
+        for s in scope.samples:
+            first = len(flags) if s.peak_insn or s.peak_data else None
+            assert s.annotation == first
+            flags += [(s.t, Stream.INSN)] * s.peak_insn + [(s.t, Stream.DATA)] * s.peak_data
+        assert [(ann.t, ann.stream) for ann in scope.annotations] == flags
+        assert [ann.index for ann in scope.annotations] == list(range(len(flags)))
 
 
 # --------------------------------------------------------------------------

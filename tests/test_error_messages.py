@@ -3,6 +3,7 @@ value it refuses: an int is shown by its bit length once it is long,
 and a string by a bounded excerpt or its type."""
 
 import io
+from dataclasses import fields
 
 import pytest
 
@@ -22,46 +23,77 @@ from workset.workloads import PagerampConfig, StepConfig
 HUGE = 2**20000
 LONG = "z" * 100_000
 
-# (validator, call that makes it refuse an oversized int, one that makes
-# it refuse an oversized string)
+# (validator, call that makes it refuse an oversized int, what its
+# message shows of it, call that makes it refuse an oversized string,
+# what that message shows of it)
 CASES = [
     ("AnalysisConfig",
-     lambda: AnalysisConfig(page_size=HUGE),
-     lambda: AnalysisConfig(tau=LONG)),
+     lambda: AnalysisConfig(page_size=HUGE), "page_size must be a power of two up to 2**64, "
+                                             "got a 20001-bit integer",
+     lambda: AnalysisConfig(tau=LONG), "tau must be an int, got a str"),
     ("PagerampConfig",
-     lambda: PagerampConfig(base_address=HUGE),
-     lambda: PagerampConfig(max_pages=LONG)),
+     lambda: PagerampConfig(base_address=HUGE), "got end a 20001-bit integer",
+     lambda: PagerampConfig(max_pages=LONG), "max_pages must be an int, got a str"),
     ("StepConfig",
-     lambda: StepConfig(flat_pages=HUGE),
-     lambda: StepConfig(interval_insns=LONG)),
+     lambda: StepConfig(flat_pages=HUGE), "got end a 20013-bit integer",
+     lambda: StepConfig(interval_insns=LONG), "interval_insns must be an int, got a str"),
     ("TraceEvent",
      lambda: TraceEvent(AccessKind.DATA_LOAD, HUGE, 4),
-     lambda: TraceEvent(AccessKind.DATA_LOAD, 0, LONG)),
+     "address must be an int in 0..2**64-1, got a 20001-bit integer",
+     lambda: TraceEvent(AccessKind.DATA_LOAD, 0, LONG),
+     "size must be an int in 1..65536, got a str"),
     ("hot_pages",
-     lambda: hot_pages(PageTable(4096), -HUGE),
-     lambda: hot_pages(PageTable(4096), LONG)),
+     lambda: hot_pages(PageTable(4096), -HUGE), "n must be >= 0, got a negative 20001-bit integer",
+     lambda: hot_pages(PageTable(4096), LONG), "n must be an int, got a str"),
     ("load_label_map",
-     lambda: load_label_map([f"-{HUGE:x} heap"]),
-     lambda: load_label_map([LONG + " heap"])),
+     lambda: load_label_map([f"-{HUGE:x} heap"]), "bad page '-10000000",
+     lambda: load_label_map([LONG + " heap"]), "bad page 'zzzzzzzz"),
     # a stack id of 4000 digits still parses, so the message shows it
     ("parse_record",
      lambda: parse_record("U 0 " + "9" * 4000, 1, {}, strict=True),
-     lambda: parse_record(LONG, 1, {}, strict=True)),
+     "undeclared stack id a 13288-bit integer",
+     lambda: parse_record(LONG, 1, {}, strict=True), "unknown record tag 'zzzzzzzz"),
     ("write_trace",
      lambda: write_trace([TraceEvent(AccessKind.DATA_LOAD, HUGE, 4)], io.StringIO()),
-     lambda: write_trace([CallStackDecl(0, ("a|" + LONG,))], io.StringIO())),
+     "address must be an int in 0..2**64-1, got a 20001-bit integer",
+     lambda: write_trace([CallStackDecl(0, ("a|" + LONG,))], io.StringIO()),
+     "invalid stack record 'C 0: a|zzzzzzzz"),
 ]
 
 
 @pytest.mark.parametrize(
-    "refuse",
-    [pytest.param(case[1], id=f"{case[0]}-int") for case in CASES]
-    + [pytest.param(case[2], id=f"{case[0]}-str") for case in CASES],
+    "refuse,shows",
+    [pytest.param(*case[1:3], id=f"{case[0]}-int") for case in CASES]
+    + [pytest.param(*case[3:5], id=f"{case[0]}-str") for case in CASES],
 )
-def test_error_text_is_bounded(refuse):
-    with pytest.raises((ValueError, TypeError)) as info:
+def test_error_text_is_bounded(refuse, shows):
+    # a message that does not show what it refuses, such as int-to-text
+    # conversion's own digit-limit message, fails even when it is short
+    with pytest.raises(ValueError) as info:
         refuse()
+    assert shows in str(info.value)
     assert len(str(info.value)) < 300
+
+
+def int_knobs():
+    """(call taking one value, the name its message gives that value)
+    for every int field of the configs, and for hot_pages' count."""
+    for config in (AnalysisConfig, PagerampConfig, StepConfig):
+        for field in fields(config):
+            if field.type in ("int", "int | None"):
+                yield pytest.param(lambda value, c=config, f=field.name: c(**{f: value}),
+                                   field.name, id=f"{config.__name__}.{field.name}")
+    yield pytest.param(lambda value: hot_pages(PageTable(4096), value), "n", id="hot_pages.n")
+
+
+@pytest.mark.parametrize("value", [2.5, True, "7"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("make,name", int_knobs())
+def test_int_knobs_take_ints_only(make, name, value):
+    # refused where it is given: past the check a float or str fails far
+    # from its field (in islice, in a slice) or runs (tau=2.5 samples once)
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must be an int, got a {value.__class__.__name__}"
 
 
 # past int-to-text conversion's digit limit, where formatting the number
@@ -76,7 +108,8 @@ def test_error_text_is_bounded(refuse):
         # floats keep their own text
         (lambda: PeakParams(g=float("nan")), "g must be > 0, got nan"),
         (lambda: AnalysisConfig(peak_phi=float("inf")), "phi must be in (0, 1], got inf"),
-        (lambda: AnalysisConfig(tau=float("-inf")), "tau must be >= 1, got -inf"),
+        # an int knob shows a float by its type
+        (lambda: AnalysisConfig(tau=float("-inf")), "tau must be an int, got a float"),
     ],
 )
 def test_numbers_are_shown_bounded(make, message):

@@ -1,7 +1,9 @@
 """The package's module layering: a module imports only modules that come
-before it in LAYERS, so no import cycle can form between them."""
+before it in LAYERS, so no import cycle can form between them. Outside
+the package, it imports only the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import workset
@@ -55,3 +57,19 @@ def test_imported_modules_sees_every_form():
         "    from .g import v\n"
     )
     assert sorted(imported_modules(tree)) == ["a", "b", "c", "d", "e", "g", "workset"]
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and hypothesis are installed for the tests, so a stray import
+    # of either in the package would otherwise go unnoticed
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                assert top in sys.stdlib_module_names or top == "workset", (
+                    f"{path.name} imports {top}")
