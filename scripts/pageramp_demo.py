@@ -25,9 +25,10 @@ def main() -> int:
     ap.add_argument("--outdir", type=Path, default=Path("out/pageramp"))
     args = ap.parse_args()
 
-    cfg = PagerampConfig(
-        max_pages=args.max_pages, stride=args.stride, cycles=args.cycles
-    )
+    try:
+        cfg = PagerampConfig(max_pages=args.max_pages, stride=args.stride, cycles=args.cycles)
+    except ValueError as exc:
+        ap.error(str(exc))
     tau = cfg.touch_pass_insns
     result = run_analysis(
         gen_pageramp(cfg),

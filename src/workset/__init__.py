@@ -3,8 +3,8 @@
 Replays a memory access trace against a logical clock that ticks once
 per instruction, tracks the distinct pages touched per access stream
 (instruction vs data), and samples the working set size over a sliding
-window. On top of the sampled series it offers streaming peak
-detection with call stack annotations, hot page rankings, and
+window. Once the pass is over, it judges peaks in each finished series
+and annotates them with call stacks, ranks hot pages, and writes
 text/CSV/JSON/SVG reports. Synthetic workload generators and a CLI
 round out the toolkit.
 """

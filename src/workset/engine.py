@@ -48,8 +48,12 @@ last_page, thread) to a LineMemo, which keeps the lines its admission
 rule admits. Either way an event's stack is the one the last
 activation for its thread named.
 
-The results are the report module's classes: summarize and hot_pages
-fold a stream's samples and table into its Summary and hot page list.
+The pass only counts; the results, the report module's classes, are
+built from the finished state. summarize and hot_pages fold a stream's
+samples and table into its Summary and hot page list. Peaks are judged
+after the pass too: with peak detection each sample keeps the stack
+its scope ran under, and one PeakDetector per stream runs over each
+scope's finished series.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ from .trace import (
     Stream,
     TraceEvent,
     check_int,
+    check_type,
     decode_event,
     parse_record,
     show_int,
@@ -90,8 +95,8 @@ batches hold when samples are rare or absent (a window longer than the
 trace, a trace without instruction fetches)."""
 
 _STREAMS = (Stream.INSN, Stream.DATA)
-"""The access streams, in the order a scope holds its per-stream tables,
-batches and detectors."""
+"""The access streams, in the order a scope holds its per-stream tables
+and batches, and appends the annotations of one sample."""
 
 
 @dataclass
@@ -123,6 +128,8 @@ class AnalysisConfig:
                 f"got {show_int(self.page_size)}"
             )
         check_int("top_n", self.top_n, minimum=0)
+        for name in ("per_thread", "peak_detect"):
+            check_type(name, getattr(self, name), (bool,), "a bool")
         # validates the peak knobs even when detection is off
         self.peak_params()
 
@@ -209,31 +216,6 @@ class PageTable:
     def __len__(self) -> int:
         return len(self._expiry)
 
-    def top(self, n: int) -> list[tuple[int, int, str | None]]:
-        """The ``n`` most accessed pages as ``(page, access_count, frame)``
-        tuples, by count descending, page number breaking ties. ``frame``
-        is the innermost frame of the stack the first access carried, or
-        None when it carried no declared stack.
-
-        Only pages whose count reaches the n-th largest count are sorted,
-        and only the winners become tuples."""
-        count = self._count
-        cut = heapq.nlargest(n, count.values())
-        if not cut:
-            return []
-        least = cut[-1]
-        ranked = [page for page, c in count.items() if c >= least]
-        ranked.sort()
-        # a stable sort keeps equal counts in page order
-        ranked.sort(key=count.__getitem__, reverse=True)
-        stacks = self._stacks
-        first = self._first
-        out = []
-        for page in ranked[:n]:
-            frames = stacks.get(first.get(page))
-            out.append((page, count[page], frames[0] if frames else None))
-        return out
-
 
 def summarize(samples: Sequence[WssSample], page_table: PageTable, stream: Stream) -> Summary:
     """Fold one stream's sample series and page table into a Summary."""
@@ -255,31 +237,44 @@ def hot_pages(
 
     A page's info text comes from label_map when it has an entry, else
     from the innermost stack frame recorded at the page's first touch,
-    else stays blank.
+    else stays blank. Only pages whose count reaches the n-th largest
+    count are sorted, and only the winners become entries.
     """
     check_int("n", n, minimum=0)
+    count = page_table._count
+    cut = heapq.nlargest(n, count.values())
+    if not cut:
+        return []
+    least = cut[-1]
+    ranked = [page for page, c in count.items() if c >= least]
+    ranked.sort()
+    # a stable sort keeps equal counts in page order
+    ranked.sort(key=count.__getitem__, reverse=True)
     labels = label_map if label_map is not None else {}
-    return [
-        HotPageEntry(count, page, labels[page] if page in labels else frame or "")
-        for page, count, frame in page_table.top(n)
-    ]
+    stacks, first = page_table._stacks, page_table._first
+    out = []
+    for page in ranked[:n]:
+        frames = stacks.get(first.get(page))
+        info = labels[page] if page in labels else frames[0] if frames else ""
+        out.append(HotPageEntry(count[page], page, info))
+    return out
 
 
 class _ScopeState:
     """Accumulator for one sampling scope (the whole trace, or one thread).
     A scope created at time ``now`` takes its first sample at the next
     global sampling instant, so its tables start at that sample index.
-    ``tables``, ``batches`` and ``detectors`` hold one entry per stream,
-    in _STREAMS order; ``detectors`` is empty when peak detection is
-    off. A batch holds the page numbers touched since the last drain.
+    ``tables`` and ``batches`` hold one entry per stream, in _STREAMS
+    order. A batch holds the page numbers touched since the last drain.
     ``last_stack`` is the stack of the scope's last event; while the
     scope has pages waiting it is the running stack, which all of them
     carry. ``feeds`` pairs each batch with the tables its drain applies
     it to: the scope's own, and for a thread scope also those of
-    ``combined``, the whole trace's scope."""
+    ``combined``, the whole trace's scope. The pass only counts: with
+    peak detection ``sample_stacks`` holds the running stack at each
+    sample (else it is None), and ``result`` judges the peaks."""
 
-    __slots__ = ("tables", "batches", "feeds", "samples", "annotations", "detectors",
-                 "last_stack", "stacks")
+    __slots__ = ("tables", "batches", "feeds", "samples", "sample_stacks", "last_stack")
 
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
                  combined: _ScopeState | None = None):
@@ -291,12 +286,8 @@ class _ScopeState:
         fed = (self.tables,) if combined is None else (self.tables, combined.tables)
         self.feeds = tuple(zip(self.batches, zip(*fed)))
         self.samples: list[WssSample] = []
-        self.annotations: list[PeakAnnotation] = []
-        self.detectors = (
-            tuple(PeakDetector(cfg.peak_params()) for _ in _STREAMS) if cfg.peak_detect else ()
-        )
+        self.sample_stacks: list[int | None] | None = [] if cfg.peak_detect else None
         self.last_stack: int | None = None
-        self.stacks = stacks
 
     def drain(self, expires: int) -> None:
         """Apply the pending batches, whose accesses all have expiry
@@ -309,49 +300,48 @@ class _ScopeState:
                 batch.clear()
 
     def take_sample(self, t: int) -> None:
-        """Sample the tables, whose batches the caller has drained. With
-        peak detection each stream's detector judges its value, and each
-        peak appends one annotation, in _STREAMS order; the sample names
-        the first of them."""
+        """Sample the tables, whose batches the caller has drained."""
         insn, data = self.tables
-        wss_insn = insn.sample()
-        wss_data = data.sample()
-        peak_insn = peak_data = False
-        annotation = None
-        if self.detectors:
-            # judged straight-line: this runs per sample and scope, and
-            # most samples fire no peak
-            insn_detector, data_detector = self.detectors
-            peak_insn = insn_detector.update(wss_insn).is_peak
-            peak_data = data_detector.update(wss_data).is_peak
-            if peak_insn or peak_data:
-                annotations = self.annotations
-                annotation = len(annotations)
-                frames = self.stacks.get(self.last_stack, ())
-                for stream, peak in zip(_STREAMS, (peak_insn, peak_data)):
-                    if peak:
-                        annotations.append(PeakAnnotation(
-                            len(annotations), t, stream, len(set(frames)), tuple(frames)))
-        self.samples.append(
-            WssSample(t, wss_insn, wss_data, peak_insn, peak_data, annotation)
-        )
+        self.samples.append(WssSample(t, insn.sample(), data.sample()))
+        if self.sample_stacks is not None:
+            self.sample_stacks.append(self.last_stack)
 
     def result(
         self,
         cfg: AnalysisConfig,
         label_map: Mapping[int, str] | None,
+        stacks: Mapping[int, tuple[str, ...]],
         threads: dict[int, AnalysisResult] | None = None,
     ) -> AnalysisResult:
         """This scope's samples, per-stream summaries and hot pages, and
-        annotations; ``threads`` is the per-thread breakdown, if any."""
+        annotations; ``threads`` is the per-thread breakdown, if any.
+        With peak detection one detector per stream judges the finished
+        series. Each peak sets its sample's flag and appends one
+        annotation, in _STREAMS order, that names the stack the scope
+        ran under at the sample; the sample names the first of them."""
+        samples = self.samples
+        annotations: list[PeakAnnotation] = []
+        if self.sample_stacks is not None:
+            insn_detector, data_detector = (PeakDetector(cfg.peak_params()) for _ in _STREAMS)
+            for sample, ref in zip(samples, self.sample_stacks):
+                peaks = (insn_detector.update(sample.wss_insn).is_peak,
+                         data_detector.update(sample.wss_data).is_peak)
+                if any(peaks):
+                    sample.peak_insn, sample.peak_data = peaks
+                    sample.annotation = len(annotations)
+                    frames = stacks.get(ref, ())
+                    for stream, peak in zip(_STREAMS, peaks):
+                        if peak:
+                            annotations.append(PeakAnnotation(
+                                len(annotations), sample.t, stream, len(set(frames)), frames))
         insn, data = (
             StreamResult(
-                summarize(self.samples, table, stream),
+                summarize(samples, table, stream),
                 hot_pages(table, cfg.top_n, label_map),
             )
             for table, stream in zip(self.tables, _STREAMS)
         )
-        return AnalysisResult(self.samples, insn, data, self.annotations, threads)
+        return AnalysisResult(samples, insn, data, annotations, threads)
 
 
 def run_analysis(
@@ -511,8 +501,8 @@ def run_analysis(
     del memo, memo_get
 
     thread_results = (
-        {tid: threads[tid].result(cfg, label_map) for tid in sorted(threads)}
+        {tid: threads[tid].result(cfg, label_map, stacks) for tid in sorted(threads)}
         if per_thread
         else None
     )
-    return combined.result(cfg, label_map, thread_results)
+    return combined.result(cfg, label_map, stacks, thread_results)

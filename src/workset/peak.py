@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .trace import show_int
+from .trace import check_type, show_int
 
 # mean magnitudes at or below this count as zero, which makes the dispersion 0
 _MEAN_EPS = 1e-9
@@ -46,6 +46,8 @@ class PeakParams:
     g: float = 1.0  # threshold sensitivity scale
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "phi", "g"):
+            check_type(name, getattr(self, name), (int, float), "a real number")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {show_int(self.alpha)}")
         if not 0.0 < self.phi <= 1.0:

@@ -274,11 +274,17 @@ def _show_field(value: object) -> str:
     return show_int(value) if value.__class__ is int else f"a {value.__class__.__name__}"
 
 
+def check_type(name: str, value: object, types: tuple[type, ...], what: str) -> None:
+    """Raise a ValueError that names ``name`` unless the class of
+    ``value`` is one of ``types`` (so a bool is no int)."""
+    if value.__class__ not in types:
+        raise ValueError(f"{name} must be {what}, got {_show_field(value)}")
+
+
 def check_int(name: str, value: object, minimum: int | None = 1) -> None:
     """Raise a ValueError that names ``name`` unless ``value`` is an int
     (a bool is not one) and, when ``minimum`` is given, at least that."""
-    if value.__class__ is not int:
-        raise ValueError(f"{name} must be an int, got {_show_field(value)}")
+    check_type(name, value, (int,), "an int")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {show_int(value)}")
 

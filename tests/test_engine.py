@@ -15,14 +15,17 @@ from oracles import (
     expand_accesses,
     fast_wss_series,
     make_random_events,
+    reference_peak_series,
     slow_hot_pages,
     slow_wss_series,
 )
 from workset.engine import (
     BATCH_LIMIT,
     AnalysisConfig,
+    HotPageEntry,
     PageTable,
     WssSample,
+    hot_pages,
     run_analysis,
 )
 from workset.trace import (
@@ -59,7 +62,7 @@ def test_touch_counts_and_last_access():
     table.add([2], expires=3)
     table.add([2, 2], expires=9)
     assert len(table) == 1
-    assert table.top(len(table)) == [(2, 3, None)]
+    assert hot_pages(table, len(table)) == [HotPageEntry(3, 2)]
 
 
 def test_add_applies_each_distinct_page_once():
@@ -70,8 +73,9 @@ def test_add_applies_each_distinct_page_once():
     assert [table.sample() for _ in range(4)] == [3, 3, 2, 0]
     table.add([1, 4, 4], expires=5)  # expired pages come back
     assert table.sample() == 2
-    assert table.top(len(table)) == [(1, 4, None), (4, 3, None), (2, 2, None), (3, 1, None)]
-    assert table.top(2) == [(1, 4, None), (4, 3, None)]
+    ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(1, 3)]
+    assert hot_pages(table, len(table)) == ranked
+    assert hot_pages(table, 2) == ranked[:2]
 
 
 def test_straddling_access_touches_every_page():
@@ -138,7 +142,7 @@ def test_records_capture_first_access_info():
     table.add([2], 1, stack_ref=3)
     table.add([2], 5)  # same page again, no stack
     table.add([9], 7, stack_ref=8)  # undeclared ref
-    assert table.top(len(table)) == [(2, 2, "x.c:9"), (9, 1, None)]
+    assert hot_pages(table, len(table)) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
 
 
 # --------------------------------------------------------------------------
@@ -857,6 +861,45 @@ def test_annotations_name_the_stack_of_the_last_event_property(
             flags += [(s.t, Stream.INSN)] * s.peak_insn + [(s.t, Stream.DATA)] * s.peak_data
         assert [(ann.t, ann.stream) for ann in scope.annotations] == flags
         assert [ann.index for ann in scope.annotations] == list(range(len(flags)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 400),
+    tau=st.integers(1, 60),
+    every=st.integers(1, 20),
+    nthreads=st.integers(1, 3),
+    run=st.sampled_from((0, 1, 40)),
+    # none of them the default
+    alpha=st.sampled_from((0.1, 0.6, 1.0)),
+    phi=st.sampled_from((0.05, 0.5, 1.0)),
+    g=st.sampled_from((0.1, 0.4, 2.0)),
+    as_text=st.booleans(),
+)
+@example(seed=5, n=400, tau=12, every=3, nthreads=3, run=0, alpha=0.6, phi=0.5, g=0.1,
+         as_text=True)
+def test_peak_flags_are_the_detector_verdicts_property(
+    seed, n, tau, every, nthreads, run, alpha, phi, g, as_text
+):
+    # each scope is judged on its own series, with the configured knobs
+    rng = random.Random(seed)
+    events = make_random_events(rng, n, threads=tuple(range(nthreads)), run=run)
+    records = [CallStackDecl(i, (f"f{i}.c:1",)) for i in range(2)]
+    records += with_stack_switches(rng, events, 2, 0.05)
+    if as_text:
+        buf = io.StringIO()
+        write_trace(records, buf)
+        records = buf.getvalue().splitlines(keepends=True)
+    cfg = AnalysisConfig(tau=tau, every=every, per_thread=True, peak_detect=True,
+                         peak_alpha=alpha, peak_phi=phi, peak_g=g)
+    res = run_analysis(records, cfg)
+    for scope in [res, *res.threads.values()]:
+        for stream in ("insn", "data"):
+            series = [getattr(s, f"wss_{stream}") for s in scope.samples]
+            verdicts = reference_peak_series(series, alpha=alpha, phi=phi, g=g)
+            assert [getattr(s, f"peak_{stream}") for s in scope.samples] == [
+                v[0] for v in verdicts
+            ]
 
 
 # --------------------------------------------------------------------------

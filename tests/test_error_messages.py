@@ -96,6 +96,33 @@ def test_int_knobs_take_ints_only(make, name, value):
     assert str(info.value) == f"{name} must be an int, got a {value.__class__.__name__}"
 
 
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        # a str used to fail in a comparison that named no field, and a
+        # bool to run as 0 or 1
+        (lambda: AnalysisConfig(peak_g="1"), "g must be a real number, got a str"),
+        (lambda: AnalysisConfig(peak_alpha=True), "alpha must be a real number, got a bool"),
+        (lambda: AnalysisConfig(peak_phi=None), "phi must be a real number, got a NoneType"),
+        (lambda: PeakParams(g=False), "g must be a real number, got a bool"),
+        (lambda: PeakParams(alpha="0.5"), "alpha must be a real number, got a str"),
+        # a truthy str used to turn per-thread scopes on
+        (lambda: AnalysisConfig(per_thread="no"), "per_thread must be a bool, got a str"),
+        (lambda: AnalysisConfig(peak_detect=1), "peak_detect must be a bool, got 1"),
+        (lambda: AnalysisConfig(per_thread=None), "per_thread must be a bool, got a NoneType"),
+    ],
+)
+def test_real_and_bool_knobs_take_their_type_only(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_real_knobs_take_ints_and_floats():
+    cfg = AnalysisConfig(peak_alpha=1, peak_phi=0.5, peak_g=2, per_thread=True, peak_detect=True)
+    assert cfg.peak_params() == PeakParams(alpha=1, phi=0.5, g=2)
+
+
 # past int-to-text conversion's digit limit, where formatting the number
 # raises a message that names nothing
 @pytest.mark.parametrize(

@@ -58,3 +58,18 @@ def test_pageramp_demo(tmp_path):
     out = run_script("pageramp_demo.py", "--max-pages", 16, "--cycles", 1, "--outdir", tmp_path).stdout
     assert "samples" in out
     assert {p.name for p in tmp_path.iterdir()} == {"wss.csv", "wss.svg", "summary.txt"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, says",
+    [
+        ("--max-pages", 0, "max_pages must be >= 1, got 0"),
+        ("--stride", -1, "stride must be >= 1, got -1"),
+        ("--cycles", 0, "cycles must be >= 1, got 0"),
+    ],
+)
+def test_pageramp_demo_reports_a_bad_value(tmp_path, flag, value, says):
+    err = run_script("pageramp_demo.py", flag, value, "--outdir", tmp_path, status=2).stderr
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1] == f"pageramp_demo.py: error: {says}"
+    assert "Traceback" not in err
