@@ -2,7 +2,9 @@
 """Run the sawtooth workload end to end and drop csv/svg/text reports
 into an output directory. The window is locked to one touch pass so the
 sampled series shows the full ramp: peaks at max_pages/stride distinct
-pages, troughs near zero while the allocation is handed back.
+pages, troughs near zero while the allocation is handed back. An output
+directory that cannot be written ends the run with a one-line error and
+exit status 2, as ``workset analyze`` does.
 """
 
 import argparse
@@ -35,10 +37,15 @@ def main() -> int:
         AnalysisConfig(tau=tau, every=tau, peak_detect=args.peak_detect),
     )
 
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    for name, emitter in (("wss.csv", emit_csv), ("wss.svg", emit_svg), ("summary.txt", emit_text)):
-        with open(args.outdir / name, "w") as f:
-            emitter(result, f)
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        for name, emitter in (("wss.csv", emit_csv), ("wss.svg", emit_svg),
+                              ("summary.txt", emit_text)):
+            with open(args.outdir / name, "w") as f:
+                emitter(result, f)
+    except OSError as exc:
+        sys.stderr.write(f"pageramp_demo: {exc}\n")
+        return 2
 
     series = [s.wss_data for s in result.samples]
     print(f"tau = every = {tau} insns, {len(series)} samples")

@@ -11,11 +11,13 @@ of 3 at tau = 3 but of 2 at tau = 4.
 
 Reads a trace file, or analyzes a built-in step workload when no input
 is given. A malformed trace line or an unreadable file ends the sweep
-with a one-line error and exit status 2, as ``workset analyze`` does.
+with a one-line error and exit status 2, as ``workset analyze`` does;
+so does a --csv path that cannot be written, before the first pass.
 """
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -61,27 +63,31 @@ def main() -> int:
                 return run_analysis(f, cfg)
         return run_analysis(gen_step(StepConfig(interval_insns=10_000)), cfg)
 
-    rows = []
-    for tau in sweep_taus(args.tau_min, args.tau_max, args.points):
-        try:
-            res = analyze(AnalysisConfig(tau=tau, every=args.every))
-        except (TraceParseError, OSError) as exc:
-            sys.stderr.write(f"tau_sweep: {exc}\n")
-            return 2
-        i, d = res.insn.summary, res.data.summary
-        rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages, d.peak_pages))
+    try:
+        # the CSV file is opened first, so a bad path fails before any pass
+        with open(args.csv, "w") if args.csv else nullcontext() as csv_out:
+            rows = []
+            for tau in sweep_taus(args.tau_min, args.tau_max, args.points):
+                res = analyze(AnalysisConfig(tau=tau, every=args.every))
+                i, d = res.insn.summary, res.data.summary
+                rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages,
+                             d.avg_pages, d.peak_pages))
 
-    head = f"{'tau':>9} {'samples':>8} {'insn avg':>9} {'insn pk':>8} {'data avg':>9} {'data pk':>8}"
-    print(head)
-    print("-" * len(head))
-    for tau, n, ia, ip, da, dp in rows:
-        print(f"{tau:>9} {n:>8} {ia:>9.1f} {ip:>8} {da:>9.1f} {dp:>8}")
+            head = (f"{'tau':>9} {'samples':>8} {'insn avg':>9} {'insn pk':>8} "
+                    f"{'data avg':>9} {'data pk':>8}")
+            print(head)
+            print("-" * len(head))
+            for tau, n, ia, ip, da, dp in rows:
+                print(f"{tau:>9} {n:>8} {ia:>9.1f} {ip:>8} {da:>9.1f} {dp:>8}")
 
+            if csv_out:
+                csv_out.write("tau,samples,insn_avg,insn_peak,data_avg,data_peak\n")
+                for row in rows:
+                    csv_out.write(",".join(str(v) for v in row) + "\n")
+    except (TraceParseError, OSError) as exc:
+        sys.stderr.write(f"tau_sweep: {exc}\n")
+        return 2
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("tau,samples,insn_avg,insn_peak,data_avg,data_peak\n")
-            for row in rows:
-                f.write(",".join(str(v) for v in row) + "\n")
         print(f"\nwrote {args.csv}")
     return 0
 

@@ -152,7 +152,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     label_map = None
     if args.labels:
         try:
-            with open(args.labels, "r", encoding="utf-8") as f:
+            with open(args.labels, "r", encoding="utf-8", errors="surrogateescape") as f:
                 label_map = load_label_map(f)
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"workset analyze: {exc}\n")

@@ -1,8 +1,9 @@
 """The result document: its classes, and the emitters that render it.
 
 The classes here (WssSample, PeakAnnotation, Summary, HotPageEntry,
-StreamResult, AnalysisResult) are what an analysis returns, and their
-``to_dict`` methods spell the JSON document's field names and order.
+StreamResult, AnalysisResult) are what an analysis returns. Each
+class's fields, in declaration order, are the keys of its JSON object,
+and its ``to_dict`` walks them.
 The text format is meant for eyeballs: per-stream one-line summaries,
 hot page tables, and one line per detected peak. CSV and JSON are
 stable machine formats (the CSV column set and JSON field names are
@@ -13,12 +14,30 @@ small dependency-free step plot of both WSS series with peak markers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from typing import Any, Iterable, Sequence, TextIO
 
 from .trace import Stream, excerpt
 
 CSV_HEADER = "t,WSS_insn,WSS_data,peak_insn,peak_data,annotation"
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as plain JSON data: a number, string or None as it is,
+    an Enum its value, a tuple or list a list, the ``threads`` dict a
+    dict keyed by ``str(tid)`` in thread id order, and a result object
+    a dict of its fields in declaration order. Each result class's
+    ``to_dict`` is this function."""
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in sorted(value.items())}
+    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
 
 
 @dataclass(slots=True)
@@ -33,15 +52,7 @@ class WssSample:
     peak_data: bool = False
     annotation: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "t": self.t,
-            "wss_insn": self.wss_insn,
-            "wss_data": self.wss_data,
-            "peak_insn": self.peak_insn,
-            "peak_data": self.peak_data,
-            "annotation": self.annotation,
-        }
+    to_dict = _plain
 
 
 @dataclass(slots=True)
@@ -56,14 +67,7 @@ class PeakAnnotation:
     refs: int
     frames: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "t": self.t,
-            "stream": self.stream.value,
-            "refs": self.refs,
-            "frames": list(self.frames),
-        }
+    to_dict = _plain
 
 
 @dataclass
@@ -77,26 +81,7 @@ class Summary:
     total_pages: int
     page_size: int
 
-    @property
-    def avg_kb(self) -> float:
-        return self.avg_pages * self.page_size / 1024
-
-    @property
-    def peak_kb(self) -> float:
-        return self.peak_pages * self.page_size / 1024
-
-    @property
-    def total_kb(self) -> float:
-        return self.total_pages * self.page_size / 1024
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "stream": self.stream.value,
-            "avg_pages": self.avg_pages,
-            "peak_pages": self.peak_pages,
-            "total_pages": self.total_pages,
-            "page_size": self.page_size,
-        }
+    to_dict = _plain
 
 
 @dataclass
@@ -105,8 +90,7 @@ class HotPageEntry:
     page: int
     info: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"count": self.count, "page": self.page, "info": self.info}
+    to_dict = _plain
 
 
 @dataclass
@@ -116,11 +100,7 @@ class StreamResult:
     summary: Summary
     hot_pages: list[HotPageEntry]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "summary": self.summary.to_dict(),
-            "hot_pages": [e.to_dict() for e in self.hot_pages],
-        }
+    to_dict = _plain
 
 
 @dataclass
@@ -134,18 +114,7 @@ class AnalysisResult:
     annotations: list[PeakAnnotation]
     threads: dict[int, AnalysisResult] | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "samples": [s.to_dict() for s in self.samples],
-            "insn": self.insn.to_dict(),
-            "data": self.data.to_dict(),
-            "annotations": [a.to_dict() for a in self.annotations],
-            "threads": (
-                {str(tid): sub.to_dict() for tid, sub in sorted(self.threads.items())}
-                if self.threads is not None
-                else None
-            ),
-        }
+    to_dict = _plain
 
 
 def load_label_map(lines: Iterable[str]) -> dict[int, str]:
@@ -170,6 +139,11 @@ def load_label_map(lines: Iterable[str]) -> dict[int, str]:
             raise ValueError(f"label map line {lineno}: bad page {excerpt(page_s)}") from None
         if not label:
             raise ValueError(f"label map line {lineno}: missing label")
+        try:
+            # as in C frames: an undecodable input byte arrives as a lone surrogate
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"label map line {lineno}: label is not valid UTF-8") from None
         out[page] = label
     return out
 
@@ -193,15 +167,15 @@ def _kb_text(value: float) -> str:
 
 def format_summary(summary: Summary) -> str:
     label = "Insn" if summary.stream is Stream.INSN else "Data"
+    avg_kb, peak_kb, total_kb = (
+        pages * summary.page_size / 1024
+        for pages in (summary.avg_pages, summary.peak_pages, summary.total_pages)
+    )
     return (
         f"{label} avg/peak/total: "
         f"{summary.avg_pages:.1f}/{summary.peak_pages}/{summary.total_pages} pages "
-        f"({summary.avg_kb:.0f}/{_kb_text(summary.peak_kb)}/{_kb_text(summary.total_kb)} kB)"
+        f"({avg_kb:.0f}/{_kb_text(peak_kb)}/{_kb_text(total_kb)} kB)"
     )
-
-
-def _annotation_loc(frames: Sequence[str]) -> str:
-    return "|".join(frames) if frames else "?"
 
 
 def _emit_text_body(result: AnalysisResult, write) -> None:
@@ -220,7 +194,8 @@ def _emit_text_body(result: AnalysisResult, write) -> None:
     if result.annotations:
         write(f"\nPeaks ({len(result.annotations)}):\n")
         for ann in result.annotations:
-            write(f"[{ann.index}] refs={ann.refs}, loc={_annotation_loc(ann.frames)}\n")
+            loc = "|".join(ann.frames) if ann.frames else "?"
+            write(f"[{ann.index}] refs={ann.refs}, loc={loc}\n")
 
 
 def emit_text(result: AnalysisResult, sink: TextIO) -> None:
@@ -261,32 +236,29 @@ _JSON_CHUNK = 512
 
 
 def _write_json_result(result: AnalysisResult, write, pad: str) -> None:
-    """Write one result object whose opening brace sits at indent ``pad``;
-    a per-thread sub-result nests one level deeper."""
+    """Write one result object whose opening brace sits at indent ``pad``,
+    its fields in declaration order. Each goes through ``_plain`` but the
+    samples and a non-empty ``threads`` dict, whose sub-results nest one
+    level deeper."""
     inner = pad + "  "
-    write("{\n" + inner + '"samples": ')
-    _write_json_samples(result.samples, write, inner)
-    for key, value in (
-        ("insn", result.insn.to_dict()),
-        ("data", result.data.to_dict()),
-        ("annotations", [a.to_dict() for a in result.annotations]),
-    ):
-        # a string in indented JSON output never holds a raw newline, so
-        # every newline is structural and re-indenting is exact
-        text = json.dumps(value, indent=2).replace("\n", "\n" + inner)
-        write(f',\n{inner}"{key}": {text}')
-    write(",\n" + inner + '"threads": ')
-    if result.threads is None:
-        write("null")
-    elif not result.threads:
-        write("{}")
-    else:
-        sep = "{\n"
-        for tid, sub in sorted(result.threads.items()):
-            write(f"{sep}{inner}  {json.dumps(str(tid))}: ")
-            _write_json_result(sub, write, inner + "  ")
-            sep = ",\n"
-        write("\n" + inner + "}")
+    sep = "{\n"
+    for field in fields(AnalysisResult):
+        value = getattr(result, field.name)
+        write(f'{sep}{inner}"{field.name}": ')
+        sep = ",\n"
+        if field.name == "samples":
+            _write_json_samples(value, write, inner)
+        elif field.name == "threads" and value:
+            tsep = "{\n"
+            for tid, sub in sorted(value.items()):
+                write(f'{tsep}{inner}  "{tid}": ')
+                _write_json_result(sub, write, inner + "  ")
+                tsep = ",\n"
+            write("\n" + inner + "}")
+        else:
+            # a string in indented JSON output never holds a raw newline,
+            # so every newline is structural and re-indenting is exact
+            write(json.dumps(_plain(value), indent=2).replace("\n", "\n" + inner))
     write("\n" + pad + "}")
 
 
@@ -297,7 +269,7 @@ def _write_json_samples(samples: Sequence[WssSample], write, pad: str) -> None:
         return
     item = pad + "  "
     key = item + "  "
-    # WssSample.to_dict's keys, in its order
+    # WssSample's fields, in declaration order
     template = (
         f'{item}{{\n{key}"t": %d,\n{key}"wss_insn": %d,\n{key}"wss_data": %d,\n'
         f'{key}"peak_insn": %s,\n{key}"peak_data": %s,\n{key}"annotation": %s\n{item}}}'

@@ -249,9 +249,9 @@ def random_text(rng: random.Random) -> str:
 def make_random_result(rng: random.Random, nested: bool = True):
     """A random but well-typed AnalysisResult: samples (possibly none)
     with peaks, both streams sometimes firing at one instant; hot page
-    lists from empty (top_n = 0) up; frames and labels from _TEXT_BITS;
-    and, when ``nested``, a per-thread breakdown that may be absent,
-    empty or keyed by thread ids from 0 to large."""
+    lists from empty (top_n = 0) up; frames (a tuple or a list) and
+    labels from _TEXT_BITS; and, when ``nested``, a per-thread breakdown
+    that may be absent, empty or keyed by thread ids from 0 to large."""
     from workset.report import (
         AnalysisResult,
         HotPageEntry,
@@ -269,7 +269,9 @@ def make_random_result(rng: random.Random, nested: bool = True):
         annotation = None
         for stream, fires in zip(Stream, fired):
             if fires:
-                frames = tuple(random_text(rng) for _ in range(rng.randrange(4)))
+                frames = [random_text(rng) for _ in range(rng.randrange(4))]
+                # a library caller may pass a list; the engine passes a tuple
+                frames = rng.choice((tuple, list))(frames)
                 if annotation is None:
                     annotation = len(annotations)
                 annotations.append(

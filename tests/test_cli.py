@@ -297,6 +297,16 @@ def test_analyze_bad_labels_file(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--labels", str(tmp_path / "missing.txt")]) == INPUT_ERROR
 
 
+def test_analyze_labels_file_with_an_undecodable_byte_names_its_line(tmp_path, monkeypatch,
+                                                                     capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_bytes(b"20000 heap\n30000 arena \xff\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(["analyze", "--labels", str(labels)]) == INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "workset analyze: label map line 2: label is not valid UTF-8\n")
+
+
 # one out-of-range value per numeric flag, and the field its config names
 OUT_OF_RANGE = [
     (["gen", "pageramp", "--max-pages", "0"], "max_pages"),

@@ -1,6 +1,7 @@
 """The package's module layering: a module imports only modules that come
 before it in LAYERS, so no import cycle can form between them. Outside
-the package, it imports only the standard library."""
+the package, it imports only the standard library, and so do the
+example scripts."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ import workset
 
 LAYERS = ("trace", "peak", "report", "engine", "workloads", "cli")
 PACKAGE = Path(workset.__file__).resolve().parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def imported_modules(tree):
@@ -59,10 +61,12 @@ def test_imported_modules_sees_every_form():
     assert sorted(imported_modules(tree)) == ["a", "b", "c", "d", "e", "g", "workset"]
 
 
-def test_package_imports_only_the_standard_library():
-    # numpy and hypothesis are installed for the tests, so a stray import
-    # of either in the package would otherwise go unnoticed
-    for path in sorted(PACKAGE.glob("*.py")):
+def assert_stdlib_only(folder):
+    """Each ``*.py`` file in ``folder`` imports only the standard library
+    and ``workset``, wherever the import sits."""
+    paths = sorted(folder.glob("*.py"))
+    assert paths
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 tops = [alias.name.split(".")[0] for alias in node.names]
@@ -73,3 +77,13 @@ def test_package_imports_only_the_standard_library():
             for top in tops:
                 assert top in sys.stdlib_module_names or top == "workset", (
                     f"{path.name} imports {top}")
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy and hypothesis are installed for the tests, so a stray import
+    # of either in the package would otherwise go unnoticed
+    assert_stdlib_only(PACKAGE)
+
+
+def test_scripts_import_only_the_standard_library():
+    assert_stdlib_only(SCRIPTS)

@@ -67,7 +67,6 @@ def test_summarize_arithmetic():
     samples = [WssSample(10, 2, 7), WssSample(20, 3, 7), WssSample(30, 4, 7)]
     s = summarize(samples, table, Stream.INSN)
     assert s == Summary(Stream.INSN, 3.0, 4, 5, 4096)
-    assert s.avg_kb == 12.0 and s.peak_kb == 16.0 and s.total_kb == 20.0
 
 
 def test_summarize_empty_sample_list():

@@ -45,6 +45,17 @@ def test_tau_sweep_reports_a_malformed_line(tmp_path, line, says):
     assert len(err.splitlines()) == 1
 
 
+def test_tau_sweep_reports_an_unwritable_csv_before_any_pass(tmp_path):
+    # the trace's second line is malformed, so a pass run before the CSV
+    # file is opened would report that line instead
+    trace = tmp_path / "trace.txt"
+    trace.write_text("I  00400000,4\n L 10,0\n")
+    csv = tmp_path / "missing" / "sweep.csv"
+    proc = run_script("tau_sweep.py", trace, "--points", 1, "--csv", csv, status=2)
+    assert proc.stderr == f"tau_sweep: [Errno 2] No such file or directory: '{csv}'\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--points", "--every"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_tau_sweep_rejects_non_positive_arguments(flag, value):
@@ -73,3 +84,12 @@ def test_pageramp_demo_reports_a_bad_value(tmp_path, flag, value, says):
     assert err.startswith("usage: ")
     assert err.splitlines()[-1] == f"pageramp_demo.py: error: {says}"
     assert "Traceback" not in err
+
+
+def test_pageramp_demo_reports_an_unwritable_outdir(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "out"
+    err = run_script("pageramp_demo.py", "--max-pages", 16, "--cycles", 1, "--outdir", outdir,
+                     status=2).stderr
+    assert err == f"pageramp_demo: [Errno 20] Not a directory: '{outdir}'\n"
