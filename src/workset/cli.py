@@ -1,8 +1,10 @@
 """Command line front end: generate synthetic traces, analyze traces.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
-values), 2 on input errors (unreadable files, malformed trace lines in
-strict mode).
+values), 2 on input and output errors (unreadable files, malformed trace
+or label lines in strict mode, output that cannot be written). Every
+failure ends in one line, ``<prog>: <message>``, such as ``workset
+analyze: tau must be >= 1, got 0``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import fields
 
 from .engine import AnalysisConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
-from .trace import TraceParseError, excerpt, write_trace
+from .trace import excerpt, write_trace
 from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 USAGE_ERROR = 1
@@ -96,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          help=helps.get(field.name))
         workload_parser.add_argument("-o", "--output", default="-",
                                      help="output file, '-' for stdout")
-        workload_parser.set_defaults(func=_cmd_gen, config=config, generate=generate)
+        workload_parser.set_defaults(func=_cmd_gen, config=config, generate=generate,
+                                     prog=workload_parser.prog)
 
     analyze = sub.add_parser("analyze", help="compute working set sizes from a trace", **leaf)
     analyze.add_argument("input", nargs="?", default="-",
@@ -122,56 +125,26 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--lenient", dest="strict", action="store_false",
                          help="skip malformed trace lines with a warning")
     analyze.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_analyze, config=AnalysisConfig, prog=analyze.prog)
 
     return parser
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        records = args.generate(_config(args.config, args))
-    except ValueError as exc:
-        sys.stderr.write(f"workset gen {args.workload}: {exc}\n")
-        return USAGE_ERROR
-    try:
-        with _open_text(args.output, "w") as out:
-            write_trace(records, out)
-    except OSError as exc:
-        sys.stderr.write(f"workset gen: {exc}\n")
-        return INPUT_ERROR
-    return 0
+def _cmd_gen(args: argparse.Namespace, cfg: PagerampConfig | StepConfig) -> None:
+    with _open_text(args.output, "w") as out:
+        write_trace(args.generate(cfg), out)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        cfg = _config(AnalysisConfig, args)
-    except ValueError as exc:
-        sys.stderr.write(f"workset analyze: {exc}\n")
-        return USAGE_ERROR
-
+def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> None:
     label_map = None
     if args.labels:
-        try:
-            with open(args.labels, "r", encoding="utf-8", errors="surrogateescape") as f:
-                label_map = load_label_map(f)
-        except (OSError, ValueError) as exc:
-            sys.stderr.write(f"workset analyze: {exc}\n")
-            return INPUT_ERROR
-
-    try:
-        with _open_text(args.input, "r") as stream:
-            result = run_analysis(stream, cfg, label_map, strict=args.strict)
-    except (TraceParseError, OSError) as exc:
-        sys.stderr.write(f"workset analyze: {exc}\n")
-        return INPUT_ERROR
-
-    try:
-        with _open_text(args.output, "w") as out:
-            emit(result, args.format, out)
-    except OSError as exc:
-        sys.stderr.write(f"workset analyze: {exc}\n")
-        return INPUT_ERROR
-    return 0
+        with open(args.labels, "r", encoding="utf-8", errors="surrogateescape") as f:
+            label_map = load_label_map(f)
+    with _open_text(args.input, "r") as stream:
+        result = run_analysis(stream, cfg, label_map, strict=args.strict)
+    # opened only now, so a failed analysis leaves no output file behind
+    with _open_text(args.output, "w") as out:
+        emit(result, args.format, out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -180,7 +153,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse raises for --help (0) and, via _Parser.error, usage (1)
         return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+    try:
+        cfg = _config(args.config, args)
+    except ValueError as exc:
+        sys.stderr.write(f"{args.prog}: {exc}\n")
+        return USAGE_ERROR
+    # with the config built, a ValueError is malformed input (TraceParseError, a label
+    # map line) or an output that cannot encode the text (UnicodeEncodeError)
+    try:
+        args.func(args, cfg)
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"{args.prog}: {exc}\n")
+        return INPUT_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ from .report import (
     WssSample,
 )
 from .trace import (
-    ADDRESS_LIMIT,
     AccessKind,
     CallStackDecl,
     LineMemo,
@@ -81,10 +80,10 @@ from .trace import (
     Stream,
     TraceEvent,
     check_int,
+    check_page_size,
     check_type,
     decode_event,
     parse_record,
-    show_int,
     stack_line,
 )
 
@@ -119,14 +118,8 @@ class AnalysisConfig:
         if self.every is None:
             self.every = self.tau
         check_int("every", self.every)
-        check_int("page_size", self.page_size, minimum=None)
         # one page of 2**64 bytes already covers every address
-        if (self.page_size < 1 or self.page_size & (self.page_size - 1)
-                or self.page_size > ADDRESS_LIMIT):
-            raise ValueError(
-                "page_size must be a power of two up to 2**64, "
-                f"got {show_int(self.page_size)}"
-            )
+        check_page_size(self.page_size, 64)
         check_int("top_n", self.top_n, minimum=0)
         for name in ("per_thread", "peak_detect"):
             check_type(name, getattr(self, name), (bool,), "a bool")
@@ -352,8 +345,9 @@ def run_analysis(
 ) -> AnalysisResult:
     """Single pass over a trace: records as produced by read_trace or
     the generators, or the trace's text lines (an open file works).
-    Memory stays proportional to distinct pages plus samples, never to
-    trace length.
+    Memory grows with distinct pages and with samples: each scope keeps
+    one sample per ``every`` instructions, about 144 bytes each, so a
+    small ``every`` makes it grow with trace length.
 
     Each thread runs under the stack its last activation (a
     StackActivation record or a U line) named, or none before its

@@ -28,6 +28,7 @@ burst does not drag the baseline up and mask peaks that follow it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -54,6 +55,10 @@ class PeakParams:
             raise ValueError(f"phi must be in (0, 1], got {show_int(self.phi)}")
         if not self.g > 0.0:
             raise ValueError(f"g must be > 0, got {show_int(self.g)}")
+        # an infinite g turns detection off, and an int past the float range
+        # fails only when the detector multiplies by it, after the pass
+        if self.g > sys.float_info.max:
+            raise ValueError(f"g must be finite, got {show_int(self.g)}")
 
 
 @dataclass(slots=True)

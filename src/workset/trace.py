@@ -289,6 +289,16 @@ def check_int(name: str, value: object, minimum: int | None = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {show_int(value)}")
 
 
+def check_page_size(value: object, largest_bits: int, smallest: int = 1) -> None:
+    """Raise a ValueError unless ``value`` is an int power of two from
+    ``smallest`` up to ``2**largest_bits``."""
+    check_int("page_size", value, minimum=None)
+    if value < smallest or value & (value - 1) or value > 1 << largest_bits:
+        low = f"from {smallest} " if smallest > 1 else ""
+        raise ValueError(f"page_size must be a power of two {low}up to 2**{largest_bits}, "
+                         f"got {show_int(value)}")
+
+
 def _decimal(text: str) -> int | None:
     """The value of a field of ASCII digits 0-9, else None."""
     if text.isascii() and text.isdigit():

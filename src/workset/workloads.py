@@ -32,6 +32,7 @@ from .trace import (
     StackActivation,
     TraceEvent,
     check_int,
+    check_page_size,
     show_int,
 )
 
@@ -55,17 +56,6 @@ each event before its next use."""
 # stack declaration / peak annotation path end to end.
 _PAGERAMP_STACK_ID = 0
 _PAGERAMP_FRAMES = ("pageramp.c:21", "pageramp.c:48")
-
-
-def _check_page_size(page_size: int) -> None:
-    check_int("page_size", page_size, minimum=None)
-    # the code region must end at or below 2**64 like the data pages
-    if (page_size < 256 or page_size & (page_size - 1)
-            or CODE_BASE + CODE_PAGES * page_size > ADDRESS_LIMIT):
-        raise ValueError(
-            f"page_size must be a power of two from 256 up to 2**{_PAGE_SIZE_BITS}, "
-            f"got {show_int(page_size)}"
-        )
 
 
 def _check_end(base_address: int, pages: int, page_size: int) -> None:
@@ -127,7 +117,7 @@ class PagerampConfig:
         check_int("insns_per_step", self.insns_per_step, minimum=0)
         check_int("pages_per_step", self.pages_per_step)
         check_int("base_address", self.base_address, minimum=0)
-        _check_page_size(self.page_size)
+        check_page_size(self.page_size, _PAGE_SIZE_BITS, smallest=256)
         _check_end(self.base_address, self.max_pages, self.page_size)
 
     @property
@@ -204,7 +194,7 @@ class StepConfig:
         check_int("interval_insns", self.interval_insns)
         check_int("repeats", self.repeats)
         check_int("base_address", self.base_address, minimum=0)
-        _check_page_size(self.page_size)
+        check_page_size(self.page_size, _PAGE_SIZE_BITS, smallest=256)
         check_int("flat_pages", self.flat_pages)
         check_int("step_pages", self.step_pages, minimum=0)
         check_int("flat_samples", self.flat_samples)

@@ -349,6 +349,9 @@ OUT_OF_RANGE = [
     (["analyze", "--peak-alpha", "-.5"], "alpha"),
     (["analyze", "--peak-sensitivity", "-.5"], "g"),
     (["analyze", "--peak-phi", "-.5"], "phi"),
+    # float flags that read as infinite
+    (["analyze", "--peak-sensitivity", "inf"], "g"),
+    (["analyze", "--peak-sensitivity", "1e400"], "g"),
 ]
 
 
@@ -417,6 +420,47 @@ def test_analyze_bad_peak_params_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     assert main(["analyze", "--peak-alpha", "0"]) == USAGE_ERROR
     assert "alpha" in capsys.readouterr().err
+
+
+# one case per way a command fails: (prog, argv, exit status); {tmp} holds
+# the files the test writes, and no case may create {tmp}/out.txt
+FAILURES = [
+    pytest.param("workset gen pageramp", ["gen", "pageramp", "--cycles", "0"], USAGE_ERROR,
+                 id="gen-bad-value"),
+    pytest.param("workset gen step", ["gen", "step", "-o", "{tmp}/missing/out.txt"], INPUT_ERROR,
+                 id="gen-unwritable-output"),
+    pytest.param("workset analyze", ["analyze", "--tau", "0", "{tmp}/trace.txt"], USAGE_ERROR,
+                 id="analyze-bad-value"),
+    pytest.param("workset analyze", ["analyze", "{tmp}/missing.txt"], INPUT_ERROR,
+                 id="analyze-missing-input"),
+    pytest.param("workset analyze", ["analyze", "--labels", "{tmp}/bad-labels.txt",
+                                     "{tmp}/trace.txt", "-o", "{tmp}/out.txt"], INPUT_ERROR,
+                 id="analyze-bad-label-line"),
+    pytest.param("workset analyze", ["analyze", "{tmp}/broken.txt", "-o", "{tmp}/out.txt"],
+                 INPUT_ERROR, id="analyze-malformed-trace"),
+    pytest.param("workset analyze", ["analyze", "{tmp}/trace.txt", "-o", "{tmp}/missing/out.txt"],
+                 INPUT_ERROR, id="analyze-unwritable-output"),
+    pytest.param("workset analyze", ["analyze", "--labels", "{tmp}/labels.txt", "{tmp}/trace.txt"],
+                 INPUT_ERROR, id="analyze-unencodable-output"),
+]
+
+
+@pytest.mark.parametrize("prog, argv, status", FAILURES)
+def test_every_failure_is_one_line_after_the_prog(prog, argv, status, tmp_path):
+    (tmp_path / "trace.txt").write_text("I  00400000,4\n S 20000000,1\n")
+    (tmp_path / "broken.txt").write_text(BROKEN_TRACE)
+    (tmp_path / "bad-labels.txt").write_text("zz not-a-page\n")
+    (tmp_path / "labels.txt").write_text("20000 caf\u00e9\n", encoding="utf-8")
+    # stdout cannot encode the label of page 0x20000; no other case writes it
+    env = dict(os.environ, PYTHONIOENCODING="ascii")
+    proc = subprocess.run(
+        [sys.executable, "-m", "workset.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == status
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"{prog}: ")
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_help_exits_zero(capsys):

@@ -132,9 +132,14 @@ def test_real_knobs_take_ints_and_floats():
          "alpha must be in (0, 1], got a 20001-bit integer"),
         (lambda: PeakParams(phi=-HUGE), "phi must be in (0, 1], got a negative 20001-bit integer"),
         (lambda: PeakParams(g=-HUGE), "g must be > 0, got a negative 20001-bit integer"),
+        # past the float range: an infinite g turned detection off, and an
+        # int one failed converting to float after the whole pass
+        (lambda: AnalysisConfig(peak_g=2**2000), "g must be finite, got a 2001-bit integer"),
+        (lambda: PeakParams(g=HUGE), "g must be finite, got a 20001-bit integer"),
         # floats keep their own text
         (lambda: PeakParams(g=float("nan")), "g must be > 0, got nan"),
         (lambda: AnalysisConfig(peak_phi=float("inf")), "phi must be in (0, 1], got inf"),
+        (lambda: PeakParams(g=float("inf")), "g must be finite, got inf"),
         # an int knob shows a float by its type
         (lambda: AnalysisConfig(tau=float("-inf")), "tau must be an int, got a float"),
     ],

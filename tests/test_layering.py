@@ -1,7 +1,8 @@
 """The package's module layering: a module imports only modules that come
 before it in LAYERS, so no import cycle can form between them. Outside
 the package, it imports only the standard library, and so do the
-example scripts."""
+example scripts. Only the CLI's main and its parser's usage errors write
+to stderr."""
 
 import ast
 import sys
@@ -59,6 +60,48 @@ def test_imported_modules_sees_every_form():
         "    from .g import v\n"
     )
     assert sorted(imported_modules(tree)) == ["a", "b", "c", "d", "e", "g", "workset"]
+
+
+def stderr_users(node, scope=()):
+    """The dotted names of the functions and classes, within ``node``,
+    whose own code names ``sys.stderr`` or imports ``stderr`` from sys;
+    ``""`` for module-level code."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from stderr_users(child, (*scope, child.name))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "stderr"
+                and isinstance(child.value, ast.Name) and child.value.id == "sys"):
+            yield ".".join(scope)
+        elif isinstance(child, ast.ImportFrom) and child.module == "sys" and any(
+                alias.name == "stderr" for alias in child.names):
+            yield ".".join(scope)
+        yield from stderr_users(child, scope)
+
+
+def test_only_main_writes_failure_lines():
+    # a command that catches its own errors would print its own line, and
+    # maybe its own prefix and exit status
+    users = set()
+    for name in LAYERS:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        users.update(f"{name}.{user}" for user in stderr_users(tree))
+    assert users == {"cli.main", "cli._Parser.error"}
+
+
+def test_stderr_users_sees_every_form():
+    tree = ast.parse(
+        "import sys\n"
+        "sys.stderr.write('a')\n"
+        "def f():\n"
+        "    print('b', file=sys.stderr)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from sys import stderr\n"
+        "    def h(self):\n"
+        "        sys.stdout.write('c')\n"
+    )
+    assert sorted(stderr_users(tree)) == ["", "C.g", "f"]
 
 
 def assert_stdlib_only(folder):
