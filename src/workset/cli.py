@@ -2,14 +2,17 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
 values), 2 on input and output errors (unreadable files, malformed trace
-or label lines in strict mode, output that cannot be written). Every
-failure ends in one line, ``<prog>: <message>``, such as ``workset
-analyze: tau must be >= 1, got 0``.
+or label lines in strict mode, output that cannot be written), 141
+(128 + SIGPIPE) when the reader of the output closed it first, as
+``head`` does. Every failure but the last ends in one line, ``<prog>:
+<message>``, such as ``workset analyze: tau must be >= 1, got 0``; a
+closed output is not a failure of the command and prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -22,6 +25,7 @@ from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,6 +78,9 @@ def _open_text(path: str, mode: str):
     if reading and hasattr(stream, "reconfigure"):
         stream.reconfigure(errors="surrogateescape")
     yield stream
+    if not reading:
+        # a reader that closed the pipe shows here, not at exit
+        stream.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,6 +169,14 @@ def main(argv: list[str] | None = None) -> int:
     # map line) or an output that cannot encode the text (UnicodeEncodeError)
     try:
         args.func(args, cfg)
+    except BrokenPipeError:
+        # what is still buffered for stdout goes nowhere, so the flush
+        # at exit prints no "Exception ignored" message
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return BROKEN_PIPE
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"{args.prog}: {exc}\n")
         return INPUT_ERROR

@@ -45,8 +45,8 @@ decode_event and parse_record for lines, as in read_trace, TraceEvent
 and stack_line for records, as in write_trace. A text line never
 becomes a TraceEvent: the engine offers its (is_fetch, first_page,
 last_page, thread) to a LineMemo, which keeps the lines its admission
-rule admits. Either way an event's stack is the one the last
-activation for its thread named.
+rule admits and holds each distinct tuple once. Either way an event's
+stack is the one the last activation for its thread named.
 
 The pass only counts; the results, the report module's classes, are
 built from the finished state. summarize and hot_pages fold a stream's
@@ -385,8 +385,9 @@ def run_analysis(
     sample_at = every + 1
     # the next fetch at which the clock has work: min(sample_at, moves_at)
     cut = moves_at
-    # text lines: event line -> (is_fetch, first_page, last_page, thread)
-    memo = LineMemo()
+    # text lines: event line -> (is_fetch, first_page, last_page, thread),
+    # one tuple for all the lines that decode alike
+    memo = LineMemo(share=True)
     memo_get = memo.get
     lineno = 0
     others = 0  # text lines that are not events, which never hit the memo

@@ -199,11 +199,14 @@ def _emit_text_body(result: AnalysisResult, write) -> None:
 
 
 def emit_text(result: AnalysisResult, sink: TextIO) -> None:
-    _emit_text_body(result, sink.write)
-    if result.threads:
-        for tid in sorted(result.threads):
-            sink.write(f"\n== Thread {tid} ==\n")
-            _emit_text_body(result.threads[tid], sink.write)
+    """Write the report in one ``sink.write``, so a text stream that
+    cannot encode some of it raises before it writes any."""
+    parts: list[str] = []
+    _emit_text_body(result, parts.append)
+    for tid in sorted(result.threads or ()):
+        parts.append(f"\n== Thread {tid} ==\n")
+        _emit_text_body(result.threads[tid], parts.append)
+    sink.write("".join(parts))
 
 
 def emit_csv(result: AnalysisResult, sink: TextIO) -> None:

@@ -161,18 +161,27 @@ class LineMemo:
     except for those whose fingerprint another line of the loop
     overwrote in between (about one in 9 for a loop of 30000 lines),
     which are admitted on a later pass or after a window that is not
-    bad. Whatever the trace, the memo holds at most LINE_MEMO_SIZE
-    entries, about 13 MB with the engine's entries for 20-character
-    lines, the lines included, and the table 512 KB more. Whether a
-    repeated line hits the memo thus depends on the lines around it, so
-    a caller must get the same result on a hit as on a miss.
+    bad. Whether a repeated line hits the memo thus depends on the lines
+    around it, so a caller must get the same result on a hit as on a
+    miss.
+
+    With ``share`` (the engine's memo), values must be hashable, and
+    ``add`` stores a value equal to one the memo already holds as that
+    one, found through a second dict cleared with the entries: lines
+    that decode alike hold one value. Whatever the trace, the memo holds at most LINE_MEMO_SIZE
+    entries, and the table 512 KB more. Full of the engine's entries
+    for 20-character lines, the lines included, it takes about 6.5 MB
+    when they decode to a few values, as a loop's lines do, and about
+    16 MB when no two decode alike (13 MB unshared).
     """
 
-    __slots__ = ("get", "_entries", "_seen", "_open", "_misses", "_start")
+    __slots__ = ("get", "_entries", "_values", "_seen", "_open", "_misses", "_start")
 
-    def __init__(self) -> None:
+    def __init__(self, share: bool = False) -> None:
         self._entries: dict[str, object] = {}
         self.get = self._entries.get
+        # value -> the equal value the entries hold; None unless ``share``
+        self._values: dict[object, object] | None = {} if share else None
         self._seen: memoryview | None = None  # made at the first bad window
         self._open = True  # whether every miss is admitted
         self._misses = 0  # misses in the current window
@@ -206,9 +215,12 @@ class LineMemo:
                 seen[slot] = mark
                 return
         entries = self._entries
+        values = self._values
         if len(entries) >= LINE_MEMO_SIZE:
             entries.clear()
-        entries[line] = value
+            if values is not None:
+                values.clear()
+        entries[line] = value if values is None else values.setdefault(value, value)
 
 
 # the ASCII characters str.split() splits on; an event record is ASCII

@@ -1,6 +1,6 @@
 """CLI wiring: flag parsing, exit codes, stdin/stdout plumbing. Most
-tests drive main(argv) in-process; one subprocess test covers the real
-gen | analyze pipe."""
+tests drive main(argv) in-process; subprocess tests cover the real
+gen | analyze pipe, a reader that closes it, and the one-line failures."""
 
 import importlib
 import io
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from workset.cli import INPUT_ERROR, USAGE_ERROR, main
+from workset.cli import BROKEN_PIPE, INPUT_ERROR, USAGE_ERROR, main
 from workset.engine import AnalysisConfig, run_analysis
 from workset.report import CSV_HEADER, FORMATS, emit
 from workset.trace import write_trace
@@ -458,6 +458,9 @@ def test_every_failure_is_one_line_after_the_prog(prog, argv, status, tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == status
+    # nothing reaches stdout, not even the part of a text report that
+    # the stream could encode
+    assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"{prog}: ")
     assert not (tmp_path / "out.txt").exists()
@@ -494,6 +497,18 @@ def test_gen_analyze_subprocess_pipe():
     rows = ana.stdout.splitlines()
     assert rows[0] == CSV_HEADER
     assert [int(r.split(",")[2]) for r in rows[1:]] == [10] * 5 + [60] + [10] * 5
+
+
+def test_reader_closing_the_pipe_is_not_an_error():
+    # as `workset gen pageramp | head -1`: the trace is far longer than
+    # a pipe holds, so gen is still writing when the reader goes away
+    gen = subprocess.Popen([sys.executable, "-m", "workset.cli", "gen", "pageramp"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert gen.stdout.readline().startswith(b"C 0: ")
+    gen.stdout.close()
+    stderr = gen.stderr.read()
+    gen.stderr.close()
+    assert (gen.wait(timeout=60), stderr) == (BROKEN_PIPE, b"")
 
 
 @pytest.mark.skipif(shutil.which("workset") is None, reason="entry point not installed")

@@ -570,6 +570,21 @@ def test_line_memo_stays_small_on_distinct_lines():
     assert transient < 2 * 1024 * 1024, transient
 
 
+def test_line_memo_holds_one_value_per_decoded_event(monkeypatch):
+    # 60000 distinct data lines over 16 pages and 4 threads decode to 64
+    # distinct events, so the memo's entries share 64 values: what a held
+    # line costs is its dict entry (the lines are built before tracing).
+    # A value per line, a 4-tuple and a page int, would add about 85 bytes
+    body = [f" L {0x1000_0000 + j % 16 * 4096 + j // 16 % 1024 * 4:x},4 t{j // 16384}\n"
+            for j in range(60_000)]
+    # five passes: the memo closes during the first and admits the rest
+    # on their next misses, so the last pass only hits
+    feed, decoded_at = _counting_decodes(monkeypatch, ["I  400000,4\n"] + body * 5)
+    transient, _ = _transient_bytes(feed, AnalysisConfig(tau=528, every=528))
+    assert max(decoded_at) <= 4 * len(body)
+    assert transient <= 64 * len(body), transient / len(body)
+
+
 def _counting_decodes(monkeypatch, lines):
     """``lines`` as a lazy iterable, and the list that gets the index of
     the line being read each time the engine decodes an event line."""
