@@ -49,16 +49,20 @@ rule admits and holds each distinct tuple once. Either way an event's
 stack is the one the last activation for its thread named.
 
 The pass only counts; the results, the report module's classes, are
-built from the finished state. summarize and hot_pages fold a stream's
-samples and table into its Summary and hot page list. Peaks are judged
+built from the finished state. A scope keeps its samples as two
+columns of WSS values, 8 bytes per sample each; a sample's instant
+follows from its index. summarize and hot_pages fold a stream's
+column and table into its Summary and hot page list. Peaks are judged
 after the pass too: with peak detection each sample keeps the stack
 its scope ran under, and one PeakDetector per stream runs over each
-scope's finished series.
+scope's finished columns. The samples they fire at, and only those,
+keep their flags and annotation index.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -68,9 +72,9 @@ from .report import (
     AnalysisResult,
     HotPageEntry,
     PeakAnnotation,
+    SampleSeries,
     StreamResult,
     Summary,
-    WssSample,
 )
 from .trace import (
     AccessKind,
@@ -210,12 +214,8 @@ class PageTable:
         return len(self._expiry)
 
 
-def summarize(samples: Sequence[WssSample], page_table: PageTable, stream: Stream) -> Summary:
-    """Fold one stream's sample series and page table into a Summary."""
-    if stream is Stream.INSN:
-        values = [s.wss_insn for s in samples]
-    else:
-        values = [s.wss_data for s in samples]
+def summarize(values: Sequence[int], page_table: PageTable, stream: Stream) -> Summary:
+    """Fold one stream's sampled WSS values and page table into a Summary."""
     avg = sum(values) / len(values) if values else 0.0
     return Summary(stream, avg, max(values, default=0), len(page_table), page_table.page_size)
 
@@ -263,11 +263,14 @@ class _ScopeState:
     scope has pages waiting it is the running stack, which all of them
     carry. ``feeds`` pairs each batch with the tables its drain applies
     it to: the scope's own, and for a thread scope also those of
-    ``combined``, the whole trace's scope. The pass only counts: with
-    peak detection ``sample_stacks`` holds the running stack at each
-    sample (else it is None), and ``result`` judges the peaks."""
+    ``combined``, the whole trace's scope. The pass only counts:
+    ``wss`` holds one column of sampled values per stream, whose first
+    entry is sample ``first_sample``; with peak detection
+    ``sample_stacks`` holds the running stack at each sample (else it is
+    None), and ``result`` judges the peaks."""
 
-    __slots__ = ("tables", "batches", "feeds", "samples", "sample_stacks", "last_stack")
+    __slots__ = ("tables", "batches", "feeds", "first_sample", "wss", "sample_stacks",
+                 "last_stack")
 
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
                  combined: _ScopeState | None = None):
@@ -278,7 +281,8 @@ class _ScopeState:
         self.batches: tuple[list[int], ...] = tuple([] for _ in _STREAMS)
         fed = (self.tables,) if combined is None else (self.tables, combined.tables)
         self.feeds = tuple(zip(self.batches, zip(*fed)))
-        self.samples: list[WssSample] = []
+        self.first_sample = first_sample
+        self.wss = tuple(array("q") for _ in _STREAMS)
         self.sample_stacks: list[int | None] | None = [] if cfg.peak_detect else None
         self.last_stack: int | None = None
 
@@ -292,10 +296,12 @@ class _ScopeState:
                     table.add(batch, expires, self.last_stack)
                 batch.clear()
 
-    def take_sample(self, t: int) -> None:
+    def take_sample(self) -> None:
         """Sample the tables, whose batches the caller has drained."""
         insn, data = self.tables
-        self.samples.append(WssSample(t, insn.sample(), data.sample()))
+        insn_wss, data_wss = self.wss
+        insn_wss.append(insn.sample())
+        data_wss.append(data.sample())
         if self.sample_stacks is not None:
             self.sample_stacks.append(self.last_stack)
 
@@ -309,31 +315,36 @@ class _ScopeState:
         """This scope's samples, per-stream summaries and hot pages, and
         annotations; ``threads`` is the per-thread breakdown, if any.
         With peak detection one detector per stream judges the finished
-        series. Each peak sets its sample's flag and appends one
+        columns. Each peak sets its sample's flag and appends one
         annotation, in _STREAMS order, that names the stack the scope
         ran under at the sample; the sample names the first of them."""
-        samples = self.samples
+        every, first = cfg.every, self.first_sample
+        flags = bytearray()
+        marks: dict[int, int] = {}
         annotations: list[PeakAnnotation] = []
         if self.sample_stacks is not None:
+            flags = bytearray(len(self.sample_stacks))
             insn_detector, data_detector = (PeakDetector(cfg.peak_params()) for _ in _STREAMS)
-            for sample, ref in zip(samples, self.sample_stacks):
-                peaks = (insn_detector.update(sample.wss_insn).is_peak,
-                         data_detector.update(sample.wss_data).is_peak)
-                if any(peaks):
-                    sample.peak_insn, sample.peak_data = peaks
-                    sample.annotation = len(annotations)
+            for i, (wss_insn, wss_data, ref) in enumerate(zip(*self.wss, self.sample_stacks)):
+                fired = (insn_detector.update(wss_insn).is_peak,
+                         data_detector.update(wss_data).is_peak)
+                if any(fired):
+                    flags[i] = fired[0] | fired[1] << 1
+                    marks[i] = len(annotations)
+                    t = every * (first + i)
                     frames = stacks.get(ref, ())
-                    for stream, peak in zip(_STREAMS, peaks):
+                    for stream, peak in zip(_STREAMS, fired):
                         if peak:
                             annotations.append(PeakAnnotation(
-                                len(annotations), sample.t, stream, len(set(frames)), frames))
+                                len(annotations), t, stream, len(set(frames)), frames))
         insn, data = (
             StreamResult(
-                summarize(samples, table, stream),
+                summarize(values, table, stream),
                 hot_pages(table, cfg.top_n, label_map),
             )
-            for table, stream in zip(self.tables, _STREAMS)
+            for table, values, stream in zip(self.tables, self.wss, _STREAMS)
         )
+        samples = SampleSeries(every, first, *self.wss, flags, marks)
         return AnalysisResult(samples, insn, data, annotations, threads)
 
 
@@ -346,8 +357,9 @@ def run_analysis(
     """Single pass over a trace: records as produced by read_trace or
     the generators, or the trace's text lines (an open file works).
     Memory grows with distinct pages and with samples: each scope keeps
-    one sample per ``every`` instructions, about 144 bytes each, so a
-    small ``every`` makes it grow with trace length.
+    one sample per ``every`` instructions, 16 bytes each in two columns
+    (with peak detection, also a stack slot during the pass and a flag
+    byte after it), so a small ``every`` makes it grow with trace length.
 
     Each thread runs under the stack its last activation (a
     StackActivation record or a U line) named, or none before its
@@ -405,11 +417,11 @@ def run_analysis(
             state.drain(expires)
         del ran[:-1]
 
-    def flush(t: int, expires: int) -> None:
+    def flush(expires: int) -> None:
         drain(expires)
-        combined.take_sample(t)
+        combined.take_sample()
         for state in threads.values():
-            state.take_sample(t)
+            state.take_sample()
 
     for rec in records:
         if rec.__class__ is str:
@@ -453,7 +465,7 @@ def run_analysis(
                 # sample before looking at the event, so a thread first
                 # seen here does not pick up a boundary it predates
                 if now == sample_at:
-                    flush(now - 1, expires)
+                    flush(expires)
                     sample_at += every
                 if now == moves_at:
                     drain(expires)
@@ -490,7 +502,7 @@ def run_analysis(
 
     drain(expires)
     if now and now % every == 0:
-        flush(now, expires)
+        flush(expires)
     # the memo is dead weight from here on, and building the results
     # (ranking the hot pages) takes memory of its own
     del memo, memo_get

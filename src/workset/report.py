@@ -3,7 +3,8 @@
 The classes here (WssSample, PeakAnnotation, Summary, HotPageEntry,
 StreamResult, AnalysisResult) are what an analysis returns. Each
 class's fields, in declaration order, are the keys of its JSON object,
-and its ``to_dict`` walks them.
+and its ``to_dict`` walks them. An analysis keeps each scope's samples
+as columns, in a SampleSeries that builds WssSample objects on demand.
 The text format is meant for eyeballs: per-stream one-line summaries,
 hot page tables, and one line per detected peak. CSV and JSON are
 stable machine formats (the CSV column set and JSON field names are
@@ -14,9 +15,13 @@ small dependency-free step plot of both WSS series with peak markers.
 from __future__ import annotations
 
 import json
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Iterable, Sequence, TextIO
+from itertools import compress
+from typing import Any, Iterable, TextIO
 
 from .trace import Stream, excerpt
 
@@ -28,12 +33,12 @@ def _plain(value: Any) -> Any:
     an Enum its value, a tuple or list a list, the ``threads`` dict a
     dict keyed by ``str(tid)`` in thread id order, and a result object
     a dict of its fields in declaration order. Each result class's
-    ``to_dict`` is this function."""
+    ``to_dict`` is this function. A SampleSeries counts as a list."""
     if value is None or isinstance(value, (int, float, str)):
         return value
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, SampleSeries)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items())}
@@ -53,6 +58,84 @@ class WssSample:
     annotation: int | None = None
 
     to_dict = _plain
+
+
+_SERIES_CHUNK = 512
+"""Samples a SampleSeries builds at a time while it is iterated."""
+
+
+class SampleSeries(Sequence):
+    """One scope's samples, kept as columns: a read-only sequence of
+    WssSample that builds each sample when it is asked for, so changing
+    a sample it returned changes nothing it holds.
+
+    Sample i is taken at t = every * (first + i). ``insn`` and ``data``
+    hold the WSS values. ``flags`` holds one byte per sample, peak_insn
+    in bit 0 and peak_data in bit 1, or is empty when no sample fired;
+    ``marks`` maps the index of each sample that fired to its annotation
+    index. Iteration builds _SERIES_CHUNK samples at a time, and a slice
+    is a list. A series equals a list or tuple of equal samples.
+    """
+
+    __slots__ = ("_every", "_first", "_insn", "_data", "_flags", "_marks")
+
+    def __init__(
+        self,
+        every: int,
+        first: int,
+        insn: array,
+        data: array,
+        flags: bytearray,
+        marks: dict[int, int],
+    ):
+        self._every = every
+        self._first = first
+        self._insn = insn
+        self._data = data
+        self._flags = flags
+        self._marks = marks
+
+    def __len__(self) -> int:
+        return len(self._insn)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._build(index)
+        try:
+            # normalizes a negative index; a non-integer is a TypeError
+            i = range(len(self))[index]
+        except IndexError:
+            raise IndexError("sample index out of range") from None
+        return self._build(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), _SERIES_CHUNK):
+            yield from self._build(slice(start, start + _SERIES_CHUNK))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SampleSeries, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return (f"<SampleSeries of {len(self)} samples every {self._every}"
+                f" from t={self._every * self._first}>")
+
+    def _build(self, cut: slice) -> list[WssSample]:
+        """The samples that slice ``cut`` selects, as a list does."""
+        rows = range(len(self))[cut]
+        every, first = self._every, self._first
+        # t = every * (first + i) is linear in i, so it maps a range to a range
+        times = range(every * (first + rows.start), every * (first + rows.stop), every * rows.step)
+        out = list(map(WssSample, times, self._insn[cut], self._data[cut]))
+        flags = self._flags[cut]
+        # only the samples with a nonzero flag byte fired
+        for j in compress(range(len(out)), flags):
+            sample = out[j]
+            sample.peak_insn = bool(flags[j] & 1)
+            sample.peak_data = bool(flags[j] & 2)
+            sample.annotation = self._marks[rows[j]]
+        return out
 
 
 @dataclass(slots=True)
@@ -106,9 +189,16 @@ class StreamResult:
 @dataclass
 class AnalysisResult:
     """Everything one analysis produces. ``threads`` holds per-thread
-    sub-results (sampled on the same global clock) when requested."""
+    sub-results (sampled on the same global clock) when requested.
 
-    samples: list[WssSample]
+    An analysis returns its ``samples`` as a SampleSeries: a read-only
+    sequence that holds 16 bytes per sample (17 with peak detection)
+    and builds each WssSample when it is read, by index, slice or
+    iteration, so changing a sample read from it leaves the series as
+    it was. Any sequence of WssSample works here; the emitters only
+    take its length, slice it and iterate it."""
+
+    samples: Sequence[WssSample]
     insn: StreamResult
     data: StreamResult
     annotations: list[PeakAnnotation]
@@ -325,10 +415,11 @@ def _step_path(points: list[tuple[float, float]]) -> str:
 
 def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
     """Plot both WSS series over instruction time, marking peaks."""
-    samples = result.samples
-    t_max = max((s.t for s in samples), default=1)
+    # one pass over the samples, which a SampleSeries builds as it goes
+    rows = [(s.t, s.wss_insn, s.wss_data) for s in result.samples]
+    t_max = max((t for t, _, _ in rows), default=1)
     y_max = max(
-        (max(s.wss_insn, s.wss_data) for s in samples), default=1
+        (max(insn, data) for _, insn, data in rows), default=1
     )
     y_max = max(y_max, 1)
     plot_w = _SVG_W - _ML - _MR
@@ -367,8 +458,8 @@ def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
         f'transform="rotate(-90 14 {_MT + plot_h / 2:.0f})">pages</text>'
     )
     series = {
-        Stream.INSN: [(sx(s.t), sy(s.wss_insn)) for s in samples],
-        Stream.DATA: [(sx(s.t), sy(s.wss_data)) for s in samples],
+        Stream.INSN: [(sx(t), sy(insn)) for t, insn, _ in rows],
+        Stream.DATA: [(sx(t), sy(data)) for t, _, data in rows],
     }
     for stream, pts in series.items():
         path = _step_path(pts)
@@ -385,12 +476,13 @@ def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
         )
         out.append(f'<text x="{lx + 22}" y="{_MT + 14}">{label}</text>')
     # peak markers, labeled with the annotation index
-    by_t = {s.t: s for s in samples}
+    marked = {ann.t for ann in result.annotations}
+    by_t = {t: (insn, data) for t, insn, data in rows if t in marked}
     for ann in result.annotations:
-        s = by_t.get(ann.t)
-        if s is None:
+        wss = by_t.get(ann.t)
+        if wss is None:
             continue
-        value = s.wss_insn if ann.stream is Stream.INSN else s.wss_data
+        value = wss[0] if ann.stream is Stream.INSN else wss[1]
         x, y = sx(ann.t), sy(value)
         color = _COLORS[ann.stream]
         out.append(

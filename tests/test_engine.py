@@ -24,10 +24,10 @@ from workset.engine import (
     AnalysisConfig,
     HotPageEntry,
     PageTable,
-    WssSample,
     hot_pages,
     run_analysis,
 )
+from workset.report import WssSample
 from workset.trace import (
     MAX_ACCESS_SIZE,
     AccessKind,
@@ -557,6 +557,30 @@ def test_memory_does_not_grow_with_trace_length(tau, every, make_lines, text):
         assert res4.samples == []
     # keeping one pointer per extra sample would already cost about 25 kB
     assert long <= short + 16 * 1024, (short, long)
+
+
+@pytest.mark.parametrize("scopes", [{}, dict(per_thread=True, peak_detect=True)],
+                         ids=["combined", "per-thread-peaks"])
+def test_samples_retain_few_bytes_each(scopes):
+    # a scope keeps its samples as two 8-byte columns (and, with peak
+    # detection, a flag byte), so what the result holds grows by about
+    # 17 bytes per sample; one WssSample object per sample costs over 100
+    cfg = AnalysisConfig(tau=64, every=1, **scopes)
+    records = list(gen_pageramp(PagerampConfig(max_pages=128, cycles=1)))
+    run_analysis(records, cfg)  # warm, as the tests above do
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_analysis(records, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    series = [res.samples, *(sub.samples for sub in (res.threads or {}).values())]
+    n = sum(map(len, series))
+    assert len(series) == (2 if scopes else 1) and n > 10_000 * len(series)
+    if scopes:
+        assert res.annotations  # the peak columns are really exercised
+    assert held <= 24 * n, held / n
 
 
 def test_line_memo_stays_small_on_distinct_lines():

@@ -9,6 +9,7 @@ import random
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -20,9 +21,11 @@ from oracles import make_random_events, make_random_result, random_text, slow_em
 from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
 from workset.report import (
     CSV_HEADER,
+    FORMATS,
     AnalysisResult,
     HotPageEntry,
     PeakAnnotation,
+    SampleSeries,
     StreamResult,
     Summary,
     WssSample,
@@ -34,7 +37,7 @@ from workset.report import (
     format_summary,
     load_label_map,
 )
-from workset.trace import Stream
+from workset.trace import AccessKind, Stream, TraceEvent
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -64,15 +67,15 @@ def analyzed(n=400, **cfg_kwargs):
 def test_summarize_arithmetic():
     table = PageTable(4096)
     table.add(list(range(5)), expires=1)
-    samples = [WssSample(10, 2, 7), WssSample(20, 3, 7), WssSample(30, 4, 7)]
-    s = summarize(samples, table, Stream.INSN)
+    # the insn values of samples (10, 2, 7), (20, 3, 7) and (30, 4, 7)
+    s = summarize(array("q", [2, 3, 4]), table, Stream.INSN)
     assert s == Summary(Stream.INSN, 3.0, 4, 5, 4096)
 
 
 def test_summarize_empty_sample_list():
     table = PageTable(4096)
     table.add([0], expires=1)
-    s = summarize([], table, Stream.DATA)
+    s = summarize(array("q"), table, Stream.DATA)
     assert s.avg_pages == 0.0 and s.peak_pages == 0 and s.total_pages == 1
 
 
@@ -345,6 +348,101 @@ def test_emit_json_holds_less_than_its_output():
         tracemalloc.stop()
     assert sink.size > 3_000_000
     assert peak < sink.size
+
+
+# --------------------------------------------------------------------------
+# sample series
+
+
+def series_and_list():
+    """A column-backed series with peaks, longer than one chunk of its
+    iteration, and the list of its samples."""
+    events = make_random_events(random.Random(12), 3000)
+    cfg = AnalysisConfig(tau=29, every=2, peak_detect=True, peak_g=0.2)
+    samples = run_analysis(events, cfg).samples
+    assert isinstance(samples, SampleSeries)
+    expected = list(samples)
+    assert any(s.annotation is not None for s in expected)
+    return samples, expected
+
+
+def test_sample_series_is_a_read_only_sequence():
+    samples, expected = series_and_list()
+    n = len(samples)
+    assert n == len(expected) > 512
+    assert expected == [samples[i] for i in range(n)]
+    assert [samples[-i] for i in range(1, n + 1)] == expected[::-1]
+    for cut in (slice(3, 9), slice(None, None, -1), slice(-5, None), slice(1, -1, 4),
+                slice(n, None), slice(7, 2), slice(-3 * n, 3 * n, 7)):
+        assert samples[cut] == expected[cut]
+    for bad in (n, -n - 1, 10**30):
+        with pytest.raises(IndexError, match="^sample index out of range$"):
+            samples[bad]
+    with pytest.raises(TypeError):
+        samples["0"]
+    # equal to a list or tuple of equal samples, either way round
+    assert samples == expected and expected == samples
+    assert samples == tuple(expected) and not samples != expected
+    assert samples != expected[:-1] and samples != [*expected[:-1], WssSample(0, 0, 0)]
+    assert samples != iter(expected) and samples != "samples"
+    assert list(reversed(samples)) == expected[::-1]
+    assert expected[5] in samples and samples.index(expected[5]) == 5
+    # a sample read from the series is a copy
+    first = samples[0]
+    first.wss_insn += 1
+    first.annotation = 99
+    assert samples[0] == expected[0] != first
+    with pytest.raises(TypeError):
+        samples[0] = first
+    with pytest.raises(TypeError):
+        hash(samples)
+    empty = analyzed(n=0).samples
+    assert len(empty) == 0 and list(empty) == [] and empty == [] and empty == ()
+
+
+def test_sample_series_iterates_without_building_the_list():
+    # 70000 samples as WssSample objects take over 7 MB; iteration holds
+    # one chunk of them at a time
+    events = [TraceEvent(AccessKind.INSN_FETCH, 0x40_0000, 4, 0)] * 70_000
+    samples = run_analysis(events, AnalysisConfig(tau=8, every=1)).samples
+    assert len(samples) == 70_000
+    tracemalloc.start()
+    try:
+        total = 0
+        for s in samples:
+            total += s.t
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 70_000 * 70_001 // 2
+    assert peak <= 256 * 1024, peak
+
+
+def as_lists(result):
+    """``result`` with every scope's samples rebuilt as a plain list."""
+    threads = result.threads
+    if threads is not None:
+        threads = {tid: as_lists(sub) for tid, sub in threads.items()}
+    return AnalysisResult(list(result.samples), result.insn, result.data, result.annotations,
+                          threads)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 500), tau=st.integers(1, 60),
+       every=st.integers(1, 20), g=st.sampled_from((0.1, 0.5, 1.0)))
+@example(seed=3, n=500, tau=9, every=1, g=0.1)
+def test_emitters_read_a_series_as_its_list_property(seed, n, tau, every, g):
+    rng = random.Random(seed)
+    events = make_random_events(rng, n, threads=(0, 1, 2**40))
+    cfg = AnalysisConfig(tau=tau, every=every, per_thread=True, peak_detect=True, peak_g=g)
+    result = run_analysis(events, cfg)
+    plain = as_lists(result)
+    for fmt in FORMATS:
+        got, want = io.StringIO(), io.StringIO()
+        emit(result, fmt, got)
+        emit(plain, fmt, want)
+        assert got.getvalue() == want.getvalue(), fmt
+    assert result.to_dict() == plain.to_dict()
 
 
 # --------------------------------------------------------------------------
