@@ -72,7 +72,17 @@ class PeakVerdict:
 
 
 class PeakDetector:
-    """Mutable detector state; feed samples through update()."""
+    """Mutable detector state; feed samples through update().
+
+    At the default g = 1 a zero sample fires whenever 0 < var < mean:
+    its distance is the mean itself, and the threshold blends var and
+    mean. A fired zero's damped update shrinks the mean by only
+    alpha * phi (6% at the defaults) while var falls faster, so the
+    zeros after a short burst can be flagged one after another up to
+    the next burst. The step workload sampled at tau = 50, every = 10
+    flags 3,906 of its 4,100 data samples this way, 3,705 of them
+    zeros; at tau = every = 1000 only the step itself fires.
+    """
 
     def __init__(self, params: PeakParams | None = None):
         self.params = params if params is not None else PeakParams()

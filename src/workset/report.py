@@ -14,7 +14,6 @@ small dependency-free step plot of both WSS series with peak markers.
 
 from __future__ import annotations
 
-import json
 import operator
 from array import array
 from collections.abc import Sequence
@@ -333,6 +332,8 @@ def _write_json_result(result: AnalysisResult, write, pad: str) -> None:
     its fields in declaration order. Each goes through ``_plain`` but the
     samples and a non-empty ``threads`` dict, whose sub-results nest one
     level deeper."""
+    import json  # here, so that only a run that writes JSON loads it
+
     inner = pad + "  "
     sep = "{\n"
     for field in fields(AnalysisResult):

@@ -23,13 +23,10 @@ can be piped in directly.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
-
-log = logging.getLogger(__name__)
 
 MAX_ACCESS_SIZE = 65536
 """Largest access size in bytes that an event record may carry. The
@@ -163,7 +160,10 @@ class LineMemo:
     which are admitted on a later pass or after a window that is not
     bad. Whether a repeated line hits the memo thus depends on the lines
     around it, so a caller must get the same result on a hit as on a
-    miss.
+    miss. The fingerprint slots come from the str hash, which Python
+    salts per process (PYTHONHASHSEED): once the memo has closed, which
+    lines share a slot, and so how many lines are decoded and how long
+    a run takes, changes from one process to the next. Results do not.
 
     With ``share`` (the engine's memo), values must be hashable, and
     ``add`` stores a value equal to one the memo already holds as that
@@ -408,7 +408,11 @@ def parse_record(
     except TraceParseError as exc:
         if strict:
             raise
-        log.warning("skipping malformed trace line: %s", exc)
+        # imported here, like LineMemo's mmap: a run that skips no line
+        # does not load logging and the modules it pulls in
+        import logging
+
+        logging.getLogger(__name__).warning("skipping malformed trace line: %s", exc)
         return None
 
 

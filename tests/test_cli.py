@@ -511,6 +511,29 @@ def test_reader_closing_the_pipe_is_not_an_error():
     assert (gen.wait(timeout=60), stderr) == (BROKEN_PIPE, b"")
 
 
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_results_do_not_depend_on_the_hash_seed(format, tmp_path):
+    # 10000 distinct lines close the line memo; it then admits a loop's
+    # line on its second miss, unless another line's fingerprint took its
+    # slot, which the salted str hash decides: how many lines are decoded
+    # changes with PYTHONHASHSEED, and the result must not
+    distinct = [f" L {0x1000_0000 + 64 * j:x},8 t{j % 3}\n" for j in range(10_000)]
+    loop = [f"I  {0x40_0000 + 4 * i:x},4\n" if i % 2 else f" S {0x2000_0000 + 16 * i:x},4\n"
+            for i in range(2_000)]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(distinct + loop * 4))
+    argv = [sys.executable, "-m", "workset.cli", "analyze", "--tau", "500", "--every", "100",
+            "--per-thread", "--peak-detect", "--format", format, str(trace)]
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(argv, capture_output=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 40  # one CSV row per sample, or more JSON lines
+
+
 @pytest.mark.skipif(shutil.which("workset") is None, reason="entry point not installed")
 def test_console_script_entry_point():
     proc = subprocess.run(["workset", "--help"], capture_output=True, text=True)

@@ -2,11 +2,16 @@
 before it in LAYERS, so no import cycle can form between them. Outside
 the package, it imports only the standard library, and so do the
 example scripts. Only the CLI's main and its parser's usage errors write
-to stderr."""
+to stderr. A run loads logging only to warn about a skipped line, and
+json only to write a JSON document."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import workset
 
@@ -130,3 +135,66 @@ def test_package_imports_only_the_standard_library():
 
 def test_scripts_import_only_the_standard_library():
     assert_stdlib_only(SCRIPTS)
+
+
+# Run in a fresh interpreter: ``body`` may set ``status``, the child's
+# exit status. Writes, one per line to the file named by argv[1], the
+# modules that ``body`` loaded beyond those the bare interpreter (site
+# and whatever it imports) had loaded already.
+IMPORT_SET_CHILD = """\
+import sys
+base = set(sys.modules)
+status = 0
+{body}
+with open(sys.argv[1], "w") as out:
+    out.write("\\n".join(sorted(set(sys.modules) - base)))
+sys.exit(status)
+"""
+
+
+def loaded_modules(tmp_path, body):
+    """(the modules ``body`` loaded in a fresh interpreter, the finished
+    process)."""
+    listing = tmp_path / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_CHILD.format(body=body), str(listing)],
+        capture_output=True, text=True, timeout=60,
+    )
+    return set(listing.read_text().split("\n")), proc
+
+
+def analyze(tmp_path, *options, bad_line=False):
+    """A child body that runs ``workset analyze`` on a two-event trace,
+    with a malformed line 2 if ``bad_line``."""
+    trace = tmp_path / "t.trace"
+    trace.write_text("I 0x1000,4\n" + "bogus line\n" * bad_line + " L 0x2000,8\n")
+    argv = ["analyze", "--tau", "1", "-o", os.devnull, *options, str(trace)]
+    return f"import workset.cli\nstatus = workset.cli.main({argv!r})"
+
+
+@pytest.mark.parametrize("module", ["workset", "workset.cli"])
+def test_importing_the_package_loads_neither_logging_nor_json(tmp_path, module):
+    # each costs memory in every process, and a normal run neither warns
+    # about a skipped line nor writes JSON
+    modules, proc = loaded_modules(tmp_path, f"import {module}")
+    assert proc.returncode == 0, proc.stderr
+    assert module in modules
+    assert not modules & {"logging", "json"}
+
+
+@pytest.mark.parametrize("format, loaded", [("csv", set()), ("json", {"json"})],
+                         ids=["csv", "json"])
+def test_a_run_loads_json_only_to_write_json(tmp_path, format, loaded):
+    modules, proc = loaded_modules(tmp_path, analyze(tmp_path, "--format", format))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "workset.cli" in modules
+    assert modules & {"logging", "json"} == loaded
+
+
+def test_a_lenient_skip_loads_logging_and_warns_once(tmp_path):
+    body = analyze(tmp_path, "--format", "csv", "--lenient", bad_line=True)
+    modules, proc = loaded_modules(tmp_path, body)
+    assert proc.returncode == 0
+    assert proc.stderr == "skipping malformed trace line: line 2: unknown record tag 'bogus'\n"
+    assert "logging" in modules
+    assert "json" not in modules

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import reference_peak_series
+from workset.engine import AnalysisConfig, run_analysis
 from workset.peak import PeakDetector, PeakParams, PeakVerdict, detect_series
+from workset.workloads import StepConfig, gen_step
 
 STEP_SERIES = [10] * 20 + [60] + [10] * 20
 
@@ -53,6 +55,34 @@ def test_step_fixture_mean_var_after_peak():
     assert det.mean == pytest.approx(13.0, rel=1e-12)
     assert det.var == pytest.approx(30.0, rel=1e-12)
     assert verdicts[-1].is_peak
+
+
+def test_zeros_after_a_burst_fire_one_after_another():
+    # sampled finer than the step workload's intervals, the data series
+    # is mostly zeros between short bursts. At x = 0 the distance is the
+    # mean, and a flagged zero's damped update shrinks the mean slowly,
+    # so the zeros keep firing while var stays below the mean: the rule,
+    # pinned here as it stands
+    res = run_analysis(gen_step(StepConfig()),
+                       AnalysisConfig(tau=50, every=10, peak_detect=True))
+    samples = list(res.samples)
+    fired = [s for s in samples if s.peak_data]
+    assert (len(samples), len(fired)) == (4100, 3906)
+    assert sum(s.wss_data == 0 for s in fired) == 3705
+    det = PeakDetector()
+    for s in samples:
+        mean = det.mean
+        v = det.update(s.wss_data)
+        assert v.is_peak == s.peak_data
+        if v.is_peak and s.wss_data == 0:
+            assert v.distance == mean
+            assert v.distance > v.threshold
+
+
+def test_one_sample_per_step_interval_fires_only_on_the_step():
+    res = run_analysis(gen_step(StepConfig()),
+                       AnalysisConfig(tau=1000, every=1000, peak_detect=True))
+    assert [s.t for s in res.samples if s.peak_insn or s.peak_data] == [21000]
 
 
 def assert_matches_reference(values, **kw):
