@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
 
 from .engine import AnalysisConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
@@ -57,7 +56,7 @@ def _int(text: str) -> int:
 def _config(cls, args: argparse.Namespace):
     """``cls`` built from the given flags that name its fields; the
     config supplies every default and checks every range."""
-    names = {f.name for f in fields(cls)}
+    names = cls.__match_args__
     return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
@@ -100,9 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         workload_parser = gen_sub.add_parser(workload, help=about, **leaf)
         # one flag per field of the workload's config
-        for field in fields(config):
-            workload_parser.add_argument(f"--{field.name.replace('_', '-')}", type=_int,
-                                         help=helps.get(field.name))
+        for name in config.__match_args__:
+            workload_parser.add_argument(f"--{name.replace('_', '-')}", type=_int,
+                                         help=helps.get(name))
         workload_parser.add_argument("-o", "--output", default="-",
                                      help="output file, '-' for stdout")
         workload_parser.set_defaults(func=_cmd_gen, config=config, generate=generate,

@@ -64,7 +64,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter, _count_elements
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .peak import PeakDetector, PeakParams
@@ -82,6 +81,7 @@ from .trace import (
     LineMemo,
     StackActivation,
     Stream,
+    Struct,
     TraceEvent,
     check_int,
     check_page_size,
@@ -102,22 +102,20 @@ _STREAMS = (Stream.INSN, Stream.DATA)
 and batches, and appends the annotations of one sample."""
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(Struct):
     """Analysis knobs. ``every`` (the sampling interval) defaults to
     ``tau`` so consecutive windows tile the trace without overlap."""
 
-    tau: int = 100_000
-    every: int | None = None
-    page_size: int = 4096
-    per_thread: bool = False
-    peak_detect: bool = False
-    peak_g: float = PeakParams.g
-    peak_phi: float = PeakParams.phi
-    peak_alpha: float = PeakParams.alpha
-    top_n: int = 10
+    __match_args__ = ("tau", "every", "page_size", "per_thread", "peak_detect", "peak_g",
+                      "peak_phi", "peak_alpha", "top_n")
+    tau = 100_000  # also shown by the CLI's help
 
-    def __post_init__(self) -> None:
+    def __init__(self, tau: int = tau, every: int | None = None, page_size: int = 4096,
+                 per_thread: bool = False, peak_detect: bool = False,
+                 peak_g: float = PeakParams.g, peak_phi: float = PeakParams.phi,
+                 peak_alpha: float = PeakParams.alpha, top_n: int = 10) -> None:
+        self._set_fields(tau, every, page_size, per_thread, peak_detect, peak_g, peak_phi,
+                         peak_alpha, top_n)
         check_int("tau", self.tau)
         if self.every is None:
             self.every = self.tau

@@ -29,25 +29,25 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable
 
-from .trace import check_type, show_int
+from .trace import Struct, check_type, show_int
 
 # mean magnitudes at or below this count as zero, which makes the dispersion 0
 _MEAN_EPS = 1e-9
 
 
-@dataclass
-class PeakParams:
+class PeakParams(Struct):
     """Detector knobs. Defaults work well for working set size series."""
 
-    alpha: float = 0.3  # moving average decay
-    phi: float = 0.2  # damping applied while a peak is active
-    g: float = 1.0  # threshold sensitivity scale
+    __match_args__ = ("alpha", "phi", "g")
+    alpha = 0.3  # moving average decay
+    phi = 0.2  # damping applied while a peak is active
+    g = 1.0  # threshold sensitivity scale
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "phi", "g"):
+    def __init__(self, alpha: float = alpha, phi: float = phi, g: float = g) -> None:
+        self._set_fields(alpha, phi, g)
+        for name in self.__match_args__:
             check_type(name, getattr(self, name), (int, float), "a real number")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {show_int(self.alpha)}")
@@ -61,14 +61,17 @@ class PeakParams:
             raise ValueError(f"g must be finite, got {show_int(self.g)}")
 
 
-@dataclass(slots=True)
-class PeakVerdict:
+class PeakVerdict(Struct):
     """Outcome of feeding one sample to the detector."""
 
-    is_peak: bool
-    distance: float  # |x - mean| before the update
-    threshold: float  # the adaptive threshold the distance was held against
-    dispersion: float  # variance-to-mean ratio used to blend the threshold
+    __slots__ = __match_args__ = ("is_peak", "distance", "threshold", "dispersion")
+
+    def __init__(self, is_peak: bool, distance: float, threshold: float,
+                 dispersion: float) -> None:
+        self.is_peak = is_peak
+        self.distance = distance  # |x - mean| before the update
+        self.threshold = threshold  # the adaptive threshold the distance was held against
+        self.dispersion = dispersion  # variance-to-mean ratio used to blend the threshold
 
 
 class PeakDetector:

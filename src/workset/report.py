@@ -2,8 +2,8 @@
 
 The classes here (WssSample, PeakAnnotation, Summary, HotPageEntry,
 StreamResult, AnalysisResult) are what an analysis returns. Each
-class's fields, in declaration order, are the keys of its JSON object,
-and its ``to_dict`` walks them. An analysis keeps each scope's samples
+class's fields, in the order its ``__match_args__`` lists them, are the
+keys of its JSON object, and its ``to_dict`` walks them. An analysis keeps each scope's samples
 as columns, in a SampleSeries that builds WssSample objects on demand.
 The text format is meant for eyeballs: per-stream one-line summaries,
 hot page tables, and one line per detected peak. CSV and JSON are
@@ -17,12 +17,11 @@ from __future__ import annotations
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import compress
 from typing import Any, Iterable, TextIO
 
-from .trace import Stream, excerpt
+from .trace import Stream, Struct, excerpt
 
 CSV_HEADER = "t,WSS_insn,WSS_data,peak_insn,peak_data,annotation"
 
@@ -31,7 +30,7 @@ def _plain(value: Any) -> Any:
     """``value`` as plain JSON data: a number, string or None as it is,
     an Enum its value, a tuple or list a list, the ``threads`` dict a
     dict keyed by ``str(tid)`` in thread id order, and a result object
-    a dict of its fields in declaration order. Each result class's
+    a dict of its fields in ``__match_args__`` order. Each result class's
     ``to_dict`` is this function. A SampleSeries counts as a list."""
     if value is None or isinstance(value, (int, float, str)):
         return value
@@ -41,20 +40,24 @@ def _plain(value: Any) -> Any:
         return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in sorted(value.items())}
-    return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return {name: _plain(getattr(value, name)) for name in value.__match_args__}
 
 
-@dataclass(slots=True)
-class WssSample:
+class WssSample(Struct):
     """One sampling instant: WSS of both streams, peak verdicts, and an
     optional index into the annotation list."""
 
-    t: int
-    wss_insn: int
-    wss_data: int
-    peak_insn: bool = False
-    peak_data: bool = False
-    annotation: int | None = None
+    __slots__ = __match_args__ = (
+        "t", "wss_insn", "wss_data", "peak_insn", "peak_data", "annotation")
+
+    def __init__(self, t: int, wss_insn: int, wss_data: int, peak_insn: bool = False,
+                 peak_data: bool = False, annotation: int | None = None) -> None:
+        self.t = t
+        self.wss_insn = wss_insn
+        self.wss_data = wss_data
+        self.peak_insn = peak_insn
+        self.peak_data = peak_data
+        self.annotation = annotation
 
     to_dict = _plain
 
@@ -137,56 +140,54 @@ class SampleSeries(Sequence):
         return out
 
 
-@dataclass(slots=True)
-class PeakAnnotation:
+class PeakAnnotation(Struct):
     """Context grabbed when a peak fires: which stream spiked and the
     call stack the triggering thread was under. ``refs`` counts the
     distinct frames captured."""
 
-    index: int
-    t: int
-    stream: Stream
-    refs: int
-    frames: tuple[str, ...]
+    __slots__ = __match_args__ = ("index", "t", "stream", "refs", "frames")
+
+    def __init__(self, index: int, t: int, stream: Stream, refs: int,
+                 frames: tuple[str, ...]) -> None:
+        self._set_fields(index, t, stream, refs, frames)
 
     to_dict = _plain
 
 
-@dataclass
-class Summary:
+class Summary(Struct):
     """Per-stream totals: mean and max of the WSS samples plus the
     number of distinct pages ever seen in the stream's table."""
 
-    stream: Stream
-    avg_pages: float
-    peak_pages: int
-    total_pages: int
-    page_size: int
+    __match_args__ = ("stream", "avg_pages", "peak_pages", "total_pages", "page_size")
+
+    def __init__(self, stream: Stream, avg_pages: float, peak_pages: int, total_pages: int,
+                 page_size: int) -> None:
+        self._set_fields(stream, avg_pages, peak_pages, total_pages, page_size)
 
     to_dict = _plain
 
 
-@dataclass
-class HotPageEntry:
-    count: int
-    page: int
-    info: str = ""
+class HotPageEntry(Struct):
+    __match_args__ = ("count", "page", "info")
+
+    def __init__(self, count: int, page: int, info: str = "") -> None:
+        self._set_fields(count, page, info)
 
     to_dict = _plain
 
 
-@dataclass
-class StreamResult:
+class StreamResult(Struct):
     """Summary plus hot page ranking for one access stream."""
 
-    summary: Summary
-    hot_pages: list[HotPageEntry]
+    __match_args__ = ("summary", "hot_pages")
+
+    def __init__(self, summary: Summary, hot_pages: list[HotPageEntry]) -> None:
+        self._set_fields(summary, hot_pages)
 
     to_dict = _plain
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Struct):
     """Everything one analysis produces. ``threads`` holds per-thread
     sub-results (sampled on the same global clock) when requested.
 
@@ -197,11 +198,12 @@ class AnalysisResult:
     it was. Any sequence of WssSample works here; the emitters only
     take its length, slice it and iterate it."""
 
-    samples: Sequence[WssSample]
-    insn: StreamResult
-    data: StreamResult
-    annotations: list[PeakAnnotation]
-    threads: dict[int, AnalysisResult] | None = None
+    __match_args__ = ("samples", "insn", "data", "annotations", "threads")
+
+    def __init__(self, samples: Sequence[WssSample], insn: StreamResult, data: StreamResult,
+                 annotations: list[PeakAnnotation],
+                 threads: dict[int, AnalysisResult] | None = None) -> None:
+        self._set_fields(samples, insn, data, annotations, threads)
 
     to_dict = _plain
 
@@ -336,13 +338,13 @@ def _write_json_result(result: AnalysisResult, write, pad: str) -> None:
 
     inner = pad + "  "
     sep = "{\n"
-    for field in fields(AnalysisResult):
-        value = getattr(result, field.name)
-        write(f'{sep}{inner}"{field.name}": ')
+    for name in AnalysisResult.__match_args__:
+        value = getattr(result, name)
+        write(f'{sep}{inner}"{name}": ')
         sep = ",\n"
-        if field.name == "samples":
+        if name == "samples":
             _write_json_samples(value, write, inner)
-        elif field.name == "threads" and value:
+        elif name == "threads" and value:
             tsep = "{\n"
             for tid, sub in sorted(value.items()):
                 write(f'{tsep}{inner}  "{tid}": ')

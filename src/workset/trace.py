@@ -24,7 +24,6 @@ can be piped in directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
 
@@ -57,47 +56,80 @@ class AccessKind(Enum):
     DATA_MODIFY = "M"
 
 
-@dataclass(slots=True)
-class TraceEvent:
+class Struct:
+    """Base of the package's record, result and config classes. Each
+    lists its fields, in the order its constructor takes them, in
+    ``__match_args__`` (so ``match`` takes them by position too), and
+    sets them in ``__init__``, through _set_fields where it is not hot.
+    Two instances are equal when they are of one class and their fields
+    are equal, the repr shows every field, and instances are
+    unhashable, as they are mutable."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__match_args__
+        return (tuple(getattr(self, name) for name in names)
+                == tuple(getattr(other, name) for name in names))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            setattr(self, name, value)
+
+
+class TraceEvent(Struct):
     """One memory access, as one event line states it: building one
     raises ValueError unless it holds an AccessKind, and int address,
     size and thread within decode_event's bounds. Its call stack is the
     one the last StackActivation before it set for its thread.
     Instances are treated as immutable once handed out."""
 
-    kind: AccessKind
-    address: int
-    size: int
-    thread: int = 0
+    __slots__ = __match_args__ = ("kind", "address", "size", "thread")
 
-    def __post_init__(self) -> None:
-        if self.kind.__class__ is not AccessKind:
-            field, rule, value = "kind", "an AccessKind", self.kind
-        elif self.address.__class__ is not int or not 0 <= self.address < ADDRESS_LIMIT:
-            field, rule, value = "address", "an int in 0..2**64-1", self.address
-        elif self.size.__class__ is not int or not 1 <= self.size <= MAX_ACCESS_SIZE:
-            field, rule, value = "size", f"an int in 1..{MAX_ACCESS_SIZE}", self.size
-        elif self.thread.__class__ is not int or self.thread < 0:
-            field, rule, value = "thread", "an int >= 0", self.thread
+    def __init__(self, kind: AccessKind, address: int, size: int, thread: int = 0) -> None:
+        if kind.__class__ is not AccessKind:
+            field, rule, value = "kind", "an AccessKind", kind
+        elif address.__class__ is not int or not 0 <= address < ADDRESS_LIMIT:
+            field, rule, value = "address", "an int in 0..2**64-1", address
+        elif size.__class__ is not int or not 1 <= size <= MAX_ACCESS_SIZE:
+            field, rule, value = "size", f"an int in 1..{MAX_ACCESS_SIZE}", size
+        elif thread.__class__ is not int or thread < 0:
+            field, rule, value = "thread", "an int >= 0", thread
         else:
+            self.kind = kind
+            self.address = address
+            self.size = size
+            self.thread = thread
             return
         raise ValueError(f"event {field} must be {rule}, got {_show_field(value)}")
 
 
-@dataclass(slots=True)
-class CallStackDecl:
+class CallStackDecl(Struct):
     """Declares call stack ``id`` as a chain of frames, innermost first."""
 
-    id: int
-    frames: tuple[str, ...]
+    __slots__ = __match_args__ = ("id", "frames")
+
+    def __init__(self, id: int, frames: tuple[str, ...]) -> None:
+        self.id = id
+        self.frames = frames
 
 
-@dataclass(slots=True)
-class StackActivation:
+class StackActivation(Struct):
     """Marks that ``thread`` executes under stack ``stack`` from here on."""
 
-    thread: int
-    stack: int
+    __slots__ = __match_args__ = ("thread", "stack")
+
+    def __init__(self, thread: int, stack: int) -> None:
+        self.thread = thread
+        self.stack = stack
 
 
 class TraceParseError(ValueError):
@@ -476,7 +508,8 @@ def stack_line(rec: CallStackDecl | StackActivation, stacks: dict[int, tuple[str
             raise TypeError(f"{rec.__class__.__name__} is not a trace record")
     except ValueError:
         # an int past the digit limit of int-to-text conversion
-        shown = ", ".join(f"{f.name}={_show_field(getattr(rec, f.name))}" for f in fields(rec))
+        shown = ", ".join(f"{name}={_show_field(getattr(rec, name))}"
+                          for name in rec.__match_args__)
         raise ValueError(
             f"invalid stack record {rec.__class__.__name__}({shown}): "
             "a number too long to write as text"

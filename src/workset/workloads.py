@@ -20,7 +20,6 @@ must treat yielded events as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, repeat
 from typing import Callable, Iterator
@@ -30,6 +29,7 @@ from .trace import (
     AccessKind,
     CallStackDecl,
     StackActivation,
+    Struct,
     TraceEvent,
     check_int,
     check_page_size,
@@ -90,8 +90,7 @@ def _data_stores(base_address: int, page_size: int, pages: int) -> Callable[[int
     )
 
 
-@dataclass
-class PagerampConfig:
+class PagerampConfig(Struct):
     """Sawtooth workload parameters.
 
     ``insns_per_touch`` sets compute density (fetches preceding each
@@ -100,16 +99,14 @@ class PagerampConfig:
     between touch passes. ``pages_per_step`` is the claim granularity.
     """
 
-    max_pages: int = 1024
-    stride: int = 2
-    cycles: int = 10
-    insns_per_touch: int = 1
-    insns_per_step: int = 16
-    pages_per_step: int = 1
-    base_address: int = 0x1000_0000
-    page_size: int = 4096
+    __match_args__ = ("max_pages", "stride", "cycles", "insns_per_touch", "insns_per_step",
+                      "pages_per_step", "base_address", "page_size")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_pages: int = 1024, stride: int = 2, cycles: int = 10,
+                 insns_per_touch: int = 1, insns_per_step: int = 16, pages_per_step: int = 1,
+                 base_address: int = 0x1000_0000, page_size: int = 4096) -> None:
+        self._set_fields(max_pages, stride, cycles, insns_per_touch, insns_per_step,
+                         pages_per_step, base_address, page_size)
         check_int("max_pages", self.max_pages)
         check_int("stride", self.stride)
         check_int("cycles", self.cycles)
@@ -168,8 +165,7 @@ def gen_pageramp(
             yield from pass_records(claimed)
 
 
-@dataclass
-class StepConfig:
+class StepConfig(Struct):
     """Step workload parameters.
 
     The pattern is ``flat_samples`` intervals touching ``flat_pages``
@@ -182,15 +178,14 @@ class StepConfig:
     in it.
     """
 
-    interval_insns: int = 1000
-    repeats: int = 1
-    base_address: int = 0x2000_0000
-    page_size: int = 4096
-    flat_pages: int = 10
-    step_pages: int = 50
-    flat_samples: int = 20
+    __match_args__ = ("interval_insns", "repeats", "base_address", "page_size", "flat_pages",
+                      "step_pages", "flat_samples")
 
-    def __post_init__(self) -> None:
+    def __init__(self, interval_insns: int = 1000, repeats: int = 1,
+                 base_address: int = 0x2000_0000, page_size: int = 4096, flat_pages: int = 10,
+                 step_pages: int = 50, flat_samples: int = 20) -> None:
+        self._set_fields(interval_insns, repeats, base_address, page_size, flat_pages,
+                         step_pages, flat_samples)
         check_int("interval_insns", self.interval_insns)
         check_int("repeats", self.repeats)
         check_int("base_address", self.base_address, minimum=0)

@@ -477,6 +477,13 @@ def test_subcommand_help_exits_zero(command, capsys):
     assert "SUPPRESS" not in capsys.readouterr().out
 
 
+def test_analyze_help_shows_the_default_tau(capsys):
+    # the help reads the default from AnalysisConfig.tau, which a config
+    # that held its fields in slots would turn into a member descriptor
+    assert main(["analyze", "--help"]) == 0
+    assert "(default 100000)" in " ".join(capsys.readouterr().out.split())
+
+
 # --------------------------------------------------------------------------
 # the real pipe
 

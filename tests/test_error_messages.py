@@ -3,7 +3,6 @@ value it refuses: an int is shown by its bit length once it is long,
 and a string by a bounded excerpt or its type."""
 
 import io
-from dataclasses import fields
 
 import pytest
 
@@ -79,10 +78,10 @@ def int_knobs():
     """(call taking one value, the name its message gives that value)
     for every int field of the configs, and for hot_pages' count."""
     for config in (AnalysisConfig, PagerampConfig, StepConfig):
-        for field in fields(config):
-            if field.type in ("int", "int | None"):
-                yield pytest.param(lambda value, c=config, f=field.name: c(**{f: value}),
-                                   field.name, id=f"{config.__name__}.{field.name}")
+        for name in config.__match_args__:
+            if config.__init__.__annotations__[name] in ("int", "int | None"):
+                yield pytest.param(lambda value, c=config, f=name: c(**{f: value}),
+                                   name, id=f"{config.__name__}.{name}")
     yield pytest.param(lambda value: hot_pages(PageTable(4096), value), "n", id="hot_pages.n")
 
 

@@ -3,7 +3,8 @@ before it in LAYERS, so no import cycle can form between them. Outside
 the package, it imports only the standard library, and so do the
 example scripts. Only the CLI's main and its parser's usage errors write
 to stderr. A run loads logging only to warn about a skipped line, and
-json only to write a JSON document."""
+json only to write a JSON document. No run loads dataclasses or the
+modules it pulls in."""
 
 import ast
 import os
@@ -172,14 +173,20 @@ def analyze(tmp_path, *options, bad_line=False):
     return f"import workset.cli\nstatus = workset.cli.main({argv!r})"
 
 
+# dataclasses and some of the modules it imports (inspect pulls in the
+# rest): the package's classes are plain classes, so no process needs them
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 @pytest.mark.parametrize("module", ["workset", "workset.cli"])
 def test_importing_the_package_loads_neither_logging_nor_json(tmp_path, module):
-    # each costs memory in every process, and a normal run neither warns
-    # about a skipped line nor writes JSON
+    # each costs memory and time in every process, and a normal run
+    # neither warns about a skipped line nor writes JSON
     modules, proc = loaded_modules(tmp_path, f"import {module}")
     assert proc.returncode == 0, proc.stderr
     assert module in modules
     assert not modules & {"logging", "json"}
+    assert not modules & DATACLASS_MODULES
 
 
 @pytest.mark.parametrize("format, loaded", [("csv", set()), ("json", {"json"})],
@@ -189,6 +196,7 @@ def test_a_run_loads_json_only_to_write_json(tmp_path, format, loaded):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "workset.cli" in modules
     assert modules & {"logging", "json"} == loaded
+    assert not modules & DATACLASS_MODULES
 
 
 def test_a_lenient_skip_loads_logging_and_warns_once(tmp_path):

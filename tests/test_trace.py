@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import split_parse_event
 from workset.engine import AnalysisConfig, run_analysis
+from workset.report import emit
 from workset.trace import (
     AccessKind,
     CallStackDecl,
@@ -598,3 +599,78 @@ def test_run_analysis_takes_exactly_what_write_trace_writes(records):
         return
     expected = run_analysis(io.StringIO(text), cfg).to_dict()
     assert run_analysis(records, cfg).to_dict() == expected
+
+
+# one list per reason parse_record skips a line in lenient mode; each
+# line is refused wherever it stands in a trace of record_sequences()
+JUNK = {
+    "malformed event": [" L 1000,0\n", "I  zz,4\n", f" S 1000,{MAX_ACCESS_SIZE + 1}\n",
+                        "I  1" + "0" * 16 + ",4\n", " M 1000,4 tx\n", "I 1000\n"],
+    "bad C line": ["C x: a\n", "C 5 a\n", "C 5: a||b\n", "C -1: a\n", "C :\n"],
+    "bad U line": ["U 0\n", "U a 1\n", "U 0 1 2\n", "U\n", "U -1 0\n"],
+    "undecodable bytes": ["I  10\udcff00,4\n", "C 5: f\udcffg\n", "\udcff\n",
+                          " L 2000,4 t\udcff\n"],
+    # never declared: record_sequences() declares stacks 0 to 2 only
+    "undeclared stack": ["U 0 9\n", "U 1 7\n"],
+}
+
+
+@st.composite
+def junk_traces(draw):
+    """(clean trace lines, the same lines with junk inserted, the count
+    of junk lines). Junk covers every reason a line is skipped; a
+    duplicate declaration stands after its stack's first one."""
+    clean = _text(draw(record_sequences())).splitlines(keepends=True)
+    lines = list(clean)
+    declared = {line.partition(":")[0][2:]: i for i, line in enumerate(clean)
+                if line.startswith("C ")}
+    inserted = 0
+    for _ in range(draw(st.integers(1, 8))):
+        reasons = sorted(JUNK) + ["duplicate stack id"] * bool(declared)
+        reason = draw(st.sampled_from(reasons))
+        if reason == "duplicate stack id":
+            ident = draw(st.sampled_from(sorted(declared)))
+            # after the declaration, which later insertions only push down
+            at = draw(st.integers(lines.index(clean[declared[ident]]) + 1, len(lines)))
+            junk = f"C {ident}: again\n"
+        else:
+            at = draw(st.integers(0, len(lines)))
+            junk = draw(st.sampled_from(JUNK[reason]))
+        lines.insert(at, junk)
+        inserted += 1
+    return clean, lines, inserted
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _rendered(lines, strict):
+    cfg = AnalysisConfig(tau=3, every=2, per_thread=True, peak_detect=True)
+    result = run_analysis(lines, cfg, strict=strict)
+    outputs = []
+    for format in ("csv", "json"):
+        out = io.StringIO()
+        emit(result, format, out)
+        outputs.append(out.getvalue())
+    return outputs
+
+
+@settings(max_examples=150)
+@given(junk_traces())
+def test_lenient_results_ignore_junk_lines(trace):
+    clean, lines, inserted = trace
+    warnings = _Warnings()
+    logger = logging.getLogger("workset.trace")
+    logger.addHandler(warnings)
+    try:
+        assert _rendered(lines, strict=False) == _rendered(clean, strict=True)
+    finally:
+        logger.removeHandler(warnings)
+    assert len(warnings.messages) == inserted
+    assert all(m.startswith("skipping malformed trace line: line ") for m in warnings.messages)
