@@ -1,4 +1,4 @@
-"""Command line front end: generate synthetic traces, analyze traces.
+"""Command line front end: generate, analyze or sweep memory traces.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
 values), 2 on input and output errors (unreadable files, malformed trace
@@ -17,7 +17,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .engine import AnalysisConfig, run_analysis
+from .engine import AnalysisConfig, SweepConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
 from .trace import excerpt, write_trace
 from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
@@ -133,6 +133,20 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
     analyze.set_defaults(func=_cmd_analyze, config=AnalysisConfig, prog=analyze.prog)
 
+    sweep = sub.add_parser("sweep", help="tabulate working set sizes over a range of tau", **leaf,
+                           description="Analyze a trace once per tau, for taus spaced evenly "
+                           "on a log scale, and tabulate each pass's summaries.")
+    sweep.add_argument("input", help="trace file, '-' for stdin if it can be rewound")
+    sweep.add_argument("--tau-min", type=_int, help="smallest tau")
+    sweep.add_argument("--tau-max", type=_int, help="largest tau")
+    sweep.add_argument("--points", type=_int, help="number of taus")
+    sweep.add_argument("--every", type=_int, help=(
+        "fixed sampling interval, which makes the columns monotone in tau (default: "
+        "each tau, so the windows tile the trace and the columns need not be monotone)"))
+    sweep.add_argument("--format", choices=("text", "csv"), default="text")
+    sweep.add_argument("-o", "--output", default="-", help="output file, '-' for stdout")
+    sweep.set_defaults(func=_cmd_sweep, config=SweepConfig, prog=sweep.prog)
+
     return parser
 
 
@@ -151,6 +165,32 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> None:
     # opened only now, so a failed analysis leaves no output file behind
     with _open_text(args.output, "w") as out:
         emit(result, args.format, out)
+
+
+def _cmd_sweep(args: argparse.Namespace, cfg: SweepConfig) -> None:
+    rows = []
+    with _open_text(args.input, "r") as stream:
+        # a pipe would yield the trace to the first pass only
+        if not stream.seekable():
+            raise OSError("the input cannot be rewound, and the sweep reads it once per tau")
+        for tau in cfg.taus():
+            stream.seek(0)
+            res = run_analysis(stream, AnalysisConfig(tau=tau, every=cfg.every))
+            i, d = res.insn.summary, res.data.summary
+            rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages,
+                         d.peak_pages))
+    if args.format == "csv":
+        lines = ["tau,samples,insn_avg,insn_peak,data_avg,data_peak"]
+        lines += [",".join(map(str, row)) for row in rows]
+    else:
+        head = (f"{'tau':>9} {'samples':>8} {'insn avg':>9} {'insn pk':>8} "
+                f"{'data avg':>9} {'data pk':>8}")
+        lines = [head, "-" * len(head)]
+        lines += [f"{tau:>9} {n:>8} {ia:>9.1f} {ip:>8} {da:>9.1f} {dp:>8}"
+                  for tau, n, ia, ip, da, dp in rows]
+    # opened only now, so a failed pass leaves no output file behind
+    with _open_text(args.output, "w") as out:
+        out.write("".join(line + "\n" for line in lines))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -88,6 +88,7 @@ from .trace import (
     check_type,
     decode_event,
     parse_record,
+    show_int,
     stack_line,
 )
 
@@ -130,6 +131,36 @@ class AnalysisConfig(Struct):
 
     def peak_params(self) -> PeakParams:
         return PeakParams(alpha=self.peak_alpha, phi=self.peak_phi, g=self.peak_g)
+
+
+class SweepConfig(Struct):
+    """A sweep of the window length: ``points`` values of tau from
+    ``tau_min`` to ``tau_max``, spaced evenly on a log scale, each
+    analyzed with sampling interval ``every`` (default: that tau)."""
+
+    __match_args__ = ("tau_min", "tau_max", "points", "every")
+
+    def __init__(self, tau_min: int = 100, tau_max: int = 1_000_000, points: int = 9,
+                 every: int | None = None) -> None:
+        self._set_fields(tau_min, tau_max, points, every)
+        for name in ("tau_min", "tau_max"):
+            value = getattr(self, name)
+            check_int(name, value)
+            # the grid is computed in floats, which hold every int up to 2**53
+            if value > 1 << 53:
+                raise ValueError(f"{name} must be <= 2**53, got {show_int(value)}")
+        check_int("points", self.points)
+        if self.every is not None:
+            check_int("every", self.every)
+
+    def taus(self) -> list[int]:
+        """The distinct values of tau, in ascending order; both ends are
+        exact, the points between them rounded."""
+        lo, hi = self.tau_min, self.tau_max
+        if self.points == 1:
+            return [lo]
+        ratio = (hi / lo) ** (1 / (self.points - 1))
+        return sorted({hi, *(round(lo * ratio**i) for i in range(self.points - 1))})
 
 
 class PageTable:

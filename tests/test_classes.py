@@ -10,7 +10,7 @@ import random
 import pytest
 
 from oracles import make_random_events
-from workset.engine import AnalysisConfig, run_analysis
+from workset.engine import AnalysisConfig, SweepConfig, run_analysis
 from workset.peak import PeakParams, PeakVerdict
 from workset.report import (
     AnalysisResult,
@@ -68,6 +68,8 @@ CLASSES = [
      (50, 10, 256, True, True, 2.0, 0.5, 0.25, 3),
      "AnalysisConfig(tau=50, every=10, page_size=256, per_thread=True, peak_detect=True, "
      "peak_g=2.0, peak_phi=0.5, peak_alpha=0.25, top_n=3)"),
+    (SweepConfig, ("tau_min", "tau_max", "points", "every"), False, (10, 1000, 3, 5),
+     "SweepConfig(tau_min=10, tau_max=1000, points=3, every=5)"),
     (PagerampConfig, ("max_pages", "stride", "cycles", "insns_per_touch", "insns_per_step",
                       "pages_per_step", "base_address", "page_size"), False,
      (8, 1, 2, 3, 4, 2, 0x2000, 512),
@@ -90,6 +92,7 @@ DEFAULTS = [
     (AnalysisConfig, (), {"tau": 100_000, "every": 100_000, "page_size": 4096,
                           "per_thread": False, "peak_detect": False, "peak_g": 1.0,
                           "peak_phi": 0.2, "peak_alpha": 0.3, "top_n": 10}),
+    (SweepConfig, (), {"tau_min": 100, "tau_max": 1_000_000, "points": 9, "every": None}),
     (PagerampConfig, (), {"max_pages": 1024, "stride": 2, "cycles": 10, "insns_per_touch": 1,
                           "insns_per_step": 16, "pages_per_step": 1,
                           "base_address": 0x1000_0000, "page_size": 4096}),

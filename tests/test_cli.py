@@ -1,6 +1,7 @@
 """CLI wiring: flag parsing, exit codes, stdin/stdout plumbing. Most
 tests drive main(argv) in-process; subprocess tests cover the real
-gen | analyze pipe, a reader that closes it, and the one-line failures."""
+gen | analyze pipe, a reader that closes it, a pipe that sweep cannot
+rewind, and the one-line failures."""
 
 import importlib
 import io
@@ -352,6 +353,10 @@ OUT_OF_RANGE = [
     # float flags that read as infinite
     (["analyze", "--peak-sensitivity", "inf"], "g"),
     (["analyze", "--peak-sensitivity", "1e400"], "g"),
+    (["gen", "pageramp", "--stride", "-1"], "stride"),
+    # past 2**53, where the grid's float arithmetic overflowed or drifted
+    (["sweep", "-", "--tau-max", "1" + "0" * 400], "tau_max"),
+    (["sweep", "-", "--tau-min", str(2**53 + 1), "--tau-max", str(2**53 + 1)], "tau_min"),
 ]
 
 
@@ -442,6 +447,15 @@ FAILURES = [
                  INPUT_ERROR, id="analyze-unwritable-output"),
     pytest.param("workset analyze", ["analyze", "--labels", "{tmp}/labels.txt", "{tmp}/trace.txt"],
                  INPUT_ERROR, id="analyze-unencodable-output"),
+    pytest.param("workset sweep", ["sweep", "--points", "0", "{tmp}/trace.txt"], USAGE_ERROR,
+                 id="sweep-bad-value"),
+    pytest.param("workset sweep", ["sweep", "{tmp}/missing.txt"], INPUT_ERROR,
+                 id="sweep-missing-input"),
+    pytest.param("workset sweep", ["sweep", "{tmp}/broken.txt", "-o", "{tmp}/out.txt"],
+                 INPUT_ERROR, id="sweep-malformed-trace"),
+    # reported after the passes, as analyze reports it
+    pytest.param("workset sweep", ["sweep", "{tmp}/trace.txt", "-o", "{tmp}/missing/out.txt"],
+                 INPUT_ERROR, id="sweep-unwritable-output"),
 ]
 
 
@@ -471,7 +485,8 @@ def test_help_exits_zero(capsys):
     assert "workset" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [["gen"], ["gen", "pageramp"], ["gen", "step"], ["analyze"]])
+@pytest.mark.parametrize("command", [["gen"], ["gen", "pageramp"], ["gen", "step"], ["analyze"],
+                                     ["sweep"]])
 def test_subcommand_help_exits_zero(command, capsys):
     assert main([*command, "--help"]) == 0
     assert "SUPPRESS" not in capsys.readouterr().out
@@ -482,6 +497,153 @@ def test_analyze_help_shows_the_default_tau(capsys):
     # that held its fields in slots would turn into a member descriptor
     assert main(["analyze", "--help"]) == 0
     assert "(default 100000)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_pageramp_recipe_writes_each_report(tmp_path):
+    # the README's recipe: a window of one touch pass shows the whole ramp
+    cfg = PagerampConfig(max_pages=16, cycles=1)
+    tau = str(cfg.touch_pass_insns)
+    trace = tmp_path / "ramp.trace"
+    assert main(["gen", "pageramp", "--max-pages", "16", "--cycles", "1", "-o", str(trace)]) == 0
+    result = run_analysis(gen_pageramp(cfg), AnalysisConfig(tau=cfg.touch_pass_insns))
+    for format in ("csv", "svg", "text"):
+        out = tmp_path / f"wss.{format}"
+        assert main(["analyze", str(trace), "--tau", tau, "--format", format, "-o", str(out)]) == 0
+        expected = io.StringIO()
+        emit(result, format, expected)
+        assert out.read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "flag, value, says",
+    [
+        ("--max-pages", "0", "max_pages must be >= 1, got 0"),
+        ("--cycles", "0", "cycles must be >= 1, got 0"),
+    ],
+    ids=["max-pages", "cycles"],
+)
+def test_pageramp_recipe_reports_a_bad_value(tmp_path, capsys, flag, value, says):
+    trace = tmp_path / "ramp.trace"
+    assert main(["gen", "pageramp", flag, value, "-o", str(trace)]) == USAGE_ERROR
+    assert capsys.readouterr().err == f"workset gen pageramp: {says}\n"
+    assert not trace.exists()
+
+
+def test_pageramp_recipe_reports_an_unwritable_output(tmp_path, capsys):
+    trace = tmp_path / "ramp.trace"
+    assert main(["gen", "pageramp", "--max-pages", "16", "--cycles", "1", "-o", str(trace)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "wss.svg"
+    argv = ["analyze", str(trace), "--tau", "144", "--format", "svg", "-o", str(out)]
+    assert main(argv) == INPUT_ERROR
+    assert capsys.readouterr().err == f"workset analyze: [Errno 20] Not a directory: '{out}'\n"
+
+
+# --------------------------------------------------------------------------
+# sweep
+
+SWEEP_TRACE = "".join(f"I  {0x400000 + 4 * i:08x},4\n L {0x1000 * i:x},8\n" for i in range(50))
+SWEEP_FLAGS = ["--tau-min", "5", "--tau-max", "20", "--points", "2"]
+
+
+def test_sweep_rows_are_the_summaries_of_one_analysis_per_tau(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(SWEEP_TRACE)
+    rows = []
+    for tau in (5, 20):
+        res = run_analysis(SWEEP_TRACE.splitlines(keepends=True), AnalysisConfig(tau=tau))
+        i, d = res.insn.summary, res.data.summary
+        rows.append((tau, len(res.samples), i.avg_pages, i.peak_pages, d.avg_pages,
+                     d.peak_pages))
+    assert main(["sweep", str(trace), *SWEEP_FLAGS, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tau,samples,insn_avg,insn_peak,data_avg,data_peak",
+        *(",".join(map(str, row)) for row in rows),
+    ]
+    assert main(["sweep", str(trace), *SWEEP_FLAGS]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["tau", "samples", "insn", "avg", "insn", "pk", "data", "avg",
+                                "data", "pk"]
+    assert table[1] == "-" * len(table[0])
+    assert [line.split() for line in table[2:]] == [
+        [str(tau), str(n), f"{ia:.1f}", str(ip), f"{da:.1f}", str(dp)]
+        for tau, n, ia, ip, da, dp in rows
+    ]
+
+
+def test_sweep_columns_are_monotone_at_a_fixed_every(tmp_path, capsys):
+    # 12 fetches, data pages touched after fetches 4, 5 and 6: tiling
+    # windows (every = tau) sample different instants at each tau
+    lines = [f"I  {0x400000 + 4 * t:08x},4\n" + f" L {0x1000 * t:x},8\n" * (t in (4, 5, 6))
+             for t in range(1, 13)]
+    trace = tmp_path / "trace.txt"
+    trace.write_text("".join(lines))
+
+    def data_peaks(*flags):
+        argv = ["sweep", str(trace), "--tau-min", "3", "--tau-max", "4", "--points", "2",
+                "--format", "csv", *flags]
+        assert main(argv) == 0
+        return [int(row.split(",")[5]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+    assert data_peaks() == [3, 2]
+    assert data_peaks("--every", "1") == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "line, says",
+    [
+        (b" L 10,0\n", "line 2: malformed event record 'L 10,0': expected "),
+        # read as analyze reads it, an undecodable byte makes a malformed line
+        (b"\xff\n", "line 2: unknown record tag '\\udcff'"),
+    ],
+    ids=["zero-size", "undecodable-byte"],
+)
+def test_sweep_reports_a_malformed_line(tmp_path, capsys, line, says):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(b"I  00400000,4\n" + line)
+    assert main(["sweep", str(trace), "--points", "1"]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"workset sweep: {says}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--tau-min", "--tau-max", "--points", "--every"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_sweep_refuses_non_positive_values(flag, value, capsys):
+    assert main(["sweep", "-", flag, value]) == USAGE_ERROR
+    field = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"workset sweep: {field} must be >= 1, got {value}\n"
+
+
+def test_sweep_refuses_a_pipe_and_reads_redirected_stdin(tmp_path, capsys):
+    # every pass after the first would read an exhausted pipe
+    trace = tmp_path / "trace.txt"
+    trace.write_text(SWEEP_TRACE)
+    argv = [sys.executable, "-m", "workset.cli", "sweep", "-", *SWEEP_FLAGS]
+    piped = subprocess.run(argv, input=SWEEP_TRACE, capture_output=True, text=True)
+    assert (piped.returncode, piped.stdout) == (INPUT_ERROR, "")
+    assert piped.stderr == ("workset sweep: the input cannot be rewound, "
+                            "and the sweep reads it once per tau\n")
+    with open(trace) as stdin:
+        redirected = subprocess.run(argv, stdin=stdin, capture_output=True, text=True)
+    assert (redirected.returncode, redirected.stderr) == (0, "")
+    assert main(["sweep", str(trace), *SWEEP_FLAGS]) == 0
+    assert redirected.stdout == capsys.readouterr().out
+
+
+def test_sweep_closes_its_files(tmp_path):
+    # -X dev reports a file left unclosed as a ResourceWarning on stderr
+    trace = tmp_path / "trace.txt"
+    trace.write_text(SWEEP_TRACE)
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "workset.cli", "sweep", str(trace), *SWEEP_FLAGS,
+         "--format", "csv", "-o", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert len(out.read_text().splitlines()) == 1 + 2
 
 
 # --------------------------------------------------------------------------

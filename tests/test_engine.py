@@ -24,6 +24,7 @@ from workset.engine import (
     AnalysisConfig,
     HotPageEntry,
     PageTable,
+    SweepConfig,
     hot_pages,
     run_analysis,
 )
@@ -202,6 +203,21 @@ def test_data_before_the_first_instruction_has_timestamp_zero():
 def test_default_every_is_tau():
     assert AnalysisConfig(tau=500).every == 500
     assert AnalysisConfig(tau=500, every=7).every == 7
+
+
+@pytest.mark.parametrize(
+    "tau_min, tau_max, points, taus",
+    [
+        (100, 1_000_000, 9, [100, 316, 1000, 3162, 10000, 31623, 100000, 316228, 1000000]),
+        (7, 9, 1, [7]),
+        (5, 6, 4, [5, 6]),  # rounding merges points
+        (20, 5, 3, [5, 10, 20]),
+        # float rounding alone ends this grid at 2**53 + 2
+        (1, 2**53, 3, [1, 94906266, 2**53]),
+    ],
+)
+def test_sweep_taus_span_the_range_on_a_log_scale(tau_min, tau_max, points, taus):
+    assert SweepConfig(tau_min, tau_max, points).taus() == taus
 
 
 # --------------------------------------------------------------------------

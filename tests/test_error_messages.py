@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis
+from workset.engine import AnalysisConfig, PageTable, SweepConfig, hot_pages, run_analysis
 from workset.peak import PeakParams
 from workset.report import load_label_map
 from workset.trace import (
@@ -77,7 +77,7 @@ def test_error_text_is_bounded(refuse, shows):
 def int_knobs():
     """(call taking one value, the name its message gives that value)
     for every int field of the configs, and for hot_pages' count."""
-    for config in (AnalysisConfig, PagerampConfig, StepConfig):
+    for config in (AnalysisConfig, PagerampConfig, StepConfig, SweepConfig):
         for name in config.__match_args__:
             if config.__init__.__annotations__[name] in ("int", "int | None"):
                 yield pytest.param(lambda value, c=config, f=name: c(**{f: value}),

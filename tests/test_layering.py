@@ -1,10 +1,9 @@
 """The package's module layering: a module imports only modules that come
 before it in LAYERS, so no import cycle can form between them. Outside
-the package, it imports only the standard library, and so do the
-example scripts. Only the CLI's main and its parser's usage errors write
-to stderr. A run loads logging only to warn about a skipped line, and
-json only to write a JSON document. No run loads dataclasses or the
-modules it pulls in."""
+the package, it imports only the standard library. Only the CLI's main
+and its parser's usage errors write to stderr. A run loads logging only
+to warn about a skipped line, and json only to write a JSON document. No
+run loads dataclasses or the modules it pulls in."""
 
 import ast
 import os
@@ -18,7 +17,6 @@ import workset
 
 LAYERS = ("trace", "peak", "report", "engine", "workloads", "cli")
 PACKAGE = Path(workset.__file__).resolve().parent
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def imported_modules(tree):
@@ -110,10 +108,11 @@ def test_stderr_users_sees_every_form():
     assert sorted(stderr_users(tree)) == ["", "C.g", "f"]
 
 
-def assert_stdlib_only(folder):
-    """Each ``*.py`` file in ``folder`` imports only the standard library
-    and ``workset``, wherever the import sits."""
-    paths = sorted(folder.glob("*.py"))
+def test_package_imports_only_the_standard_library():
+    # numpy and hypothesis are installed for the tests, so a stray import
+    # of either in the package would otherwise go unnoticed; an import
+    # counts wherever it sits
+    paths = sorted(PACKAGE.glob("*.py"))
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -126,16 +125,6 @@ def assert_stdlib_only(folder):
             for top in tops:
                 assert top in sys.stdlib_module_names or top == "workset", (
                     f"{path.name} imports {top}")
-
-
-def test_package_imports_only_the_standard_library():
-    # numpy and hypothesis are installed for the tests, so a stray import
-    # of either in the package would otherwise go unnoticed
-    assert_stdlib_only(PACKAGE)
-
-
-def test_scripts_import_only_the_standard_library():
-    assert_stdlib_only(SCRIPTS)
 
 
 # Run in a fresh interpreter: ``body`` may set ``status``, the child's
