@@ -17,7 +17,7 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .engine import AnalysisConfig, SweepConfig, run_analysis
+from .engine import SWEEP_POINTS_MAX, AnalysisConfig, SweepConfig, run_analysis
 from .report import FORMATS, emit, load_label_map
 from .trace import excerpt, write_trace
 from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("input", help="trace file, '-' for stdin if it can be rewound")
     sweep.add_argument("--tau-min", type=_int, help="smallest tau")
     sweep.add_argument("--tau-max", type=_int, help="largest tau")
-    sweep.add_argument("--points", type=_int, help="number of taus")
+    sweep.add_argument("--points", type=_int, help=f"number of taus, at most {SWEEP_POINTS_MAX}")
     sweep.add_argument("--every", type=_int, help=(
         "fixed sampling interval, which makes the columns monotone in tau (default: "
         "each tau, so the windows tile the trace and the columns need not be monotone)"))

@@ -102,6 +102,10 @@ _STREAMS = (Stream.INSN, Stream.DATA)
 """The access streams, in the order a scope holds its per-stream tables
 and batches, and appends the annotations of one sample."""
 
+SWEEP_POINTS_MAX = 10_000
+"""The most taus a sweep takes. The sweep reads the trace once per tau,
+and building the grid takes one step per point."""
+
 
 class AnalysisConfig(Struct):
     """Analysis knobs. ``every`` (the sampling interval) defaults to
@@ -150,6 +154,8 @@ class SweepConfig(Struct):
             if value > 1 << 53:
                 raise ValueError(f"{name} must be <= 2**53, got {show_int(value)}")
         check_int("points", self.points)
+        if self.points > SWEEP_POINTS_MAX:
+            raise ValueError(f"points must be <= {SWEEP_POINTS_MAX}, got {show_int(self.points)}")
         if self.every is not None:
             check_int("every", self.every)
 

@@ -63,7 +63,8 @@ class WssSample(Struct):
 
 
 _SERIES_CHUNK = 512
-"""Samples a SampleSeries builds at a time while it is iterated."""
+"""Samples built at a time: by a SampleSeries while it is iterated, and
+by the JSON and SVG emitters, which slice the series."""
 
 
 class SampleSeries(Sequence):
@@ -318,15 +319,12 @@ def emit_json(result: AnalysisResult, sink: TextIO) -> None:
     plus one newline: 2-space indent, keys in schema order, ASCII only
     (other characters as ``\\uXXXX`` escapes). Sample lists are
     formatted here, one fixed template per sample, and written
-    _JSON_CHUNK samples at a time; the rest of the document goes
+    _SERIES_CHUNK samples at a time; the rest of the document goes
     through ``json``, one small value at a time, so no document-sized
     string and no dict per sample is ever built.
     """
     _write_json_result(result, sink.write, "")
     sink.write("\n")
-
-
-_JSON_CHUNK = 512
 
 
 def _write_json_result(result: AnalysisResult, write, pad: str) -> None:
@@ -372,13 +370,13 @@ def _write_json_samples(samples: Sequence[WssSample], write, pad: str) -> None:
     )
     boolean = ("false", "true")
     sep = "[\n"
-    for start in range(0, len(samples), _JSON_CHUNK):
+    for start in range(0, len(samples), _SERIES_CHUNK):
         write(sep + ",\n".join([
             template % (
                 s.t, s.wss_insn, s.wss_data, boolean[s.peak_insn], boolean[s.peak_data],
                 "null" if s.annotation is None else s.annotation,
             )
-            for s in samples[start:start + _JSON_CHUNK]
+            for s in samples[start:start + _SERIES_CHUNK]
         ]))
         sep = ",\n"
     write("\n" + pad + "]")
@@ -406,25 +404,29 @@ def _ticks(limit: float, want: int = 5) -> list[int]:
     return list(range(0, int(limit) + 1, int(step))) or [0]
 
 
-def _step_path(points: list[tuple[float, float]]) -> str:
-    if not points:
-        return ""
-    x0, y0 = points[0]
-    parts = [f"M{x0:.1f},{y0:.1f}"]
-    for x, y in points[1:]:
-        parts.append(f"H{x:.1f}V{y:.1f}")
-    return "".join(parts)
-
-
 def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
-    """Plot both WSS series over instruction time, marking peaks."""
-    # one pass over the samples, which a SampleSeries builds as it goes
-    rows = [(s.t, s.wss_insn, s.wss_data) for s in result.samples]
-    t_max = max((t for t, _, _ in rows), default=1)
-    y_max = max(
-        (max(insn, data) for _, insn, data in rows), default=1
-    )
-    y_max = max(y_max, 1)
+    """Plot both WSS series over instruction time, marking peaks.
+
+    Reads the samples twice, _SERIES_CHUNK at a time. The first pass
+    finds the axis limits and both values at each annotated instant.
+    The second writes the insn path's steps as it reads them and keeps
+    the data path's as text, to write once the insn path is closed. So
+    the plot holds the data path's text, not an object per sample, and
+    each path still takes one step per sample.
+    """
+    samples = result.samples
+    t_of, insn_of, data_of = map(operator.attrgetter, ("t", "wss_insn", "wss_data"))
+    marked = {ann.t for ann in result.annotations}
+    t_tops, y_tops, at_peak = [], [1], {}
+    for start in range(0, len(samples), _SERIES_CHUNK):
+        chunk = samples[start:start + _SERIES_CHUNK]
+        t_tops.append(max(map(t_of, chunk)))
+        y_tops += max(map(insn_of, chunk)), max(map(data_of, chunk))
+        # the last sample at an annotated instant places its marker
+        for s in compress(chunk, map(marked.__contains__, map(t_of, chunk))):
+            at_peak[s.t] = (s.wss_insn, s.wss_data)
+    t_max = max(t_tops, default=1)
+    y_max = max(y_tops)
     plot_w = _SVG_W - _ML - _MR
     plot_h = _SVG_H - _MT - _MB
 
@@ -434,69 +436,56 @@ def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
     def sy(v: float) -> float:
         return _MT + plot_h * (1.0 - v / (y_max * 1.05))
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
-        f'font-family="sans-serif" font-size="12">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" stroke="#333"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="#333"/>',
-    ]
+    write = sink.write
+    write(f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
+          f'font-family="sans-serif" font-size="12">\n')
+    write(f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n')
+    write(f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" stroke="#333"/>\n')
+    write(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="#333"/>\n')
     for tv in _ticks(t_max):
         x = sx(tv)
-        out.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 4}" stroke="#333"/>')
-        out.append(
-            f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{tv}</text>'
-        )
+        write(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 4}" stroke="#333"/>\n')
+        write(f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{tv}</text>\n')
     for yv in _ticks(y_max):
         y = sy(yv)
-        out.append(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>')
-        out.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{yv}</text>'
-        )
-    out.append(
-        f'<text x="{_ML + plot_w / 2:.0f}" y="{_SVG_H - 8}" text-anchor="middle">instructions</text>'
-    )
-    out.append(
-        f'<text x="14" y="{_MT + plot_h / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MT + plot_h / 2:.0f})">pages</text>'
-    )
-    series = {
-        Stream.INSN: [(sx(t), sy(insn)) for t, insn, _ in rows],
-        Stream.DATA: [(sx(t), sy(data)) for t, _, data in rows],
-    }
-    for stream, pts in series.items():
-        path = _step_path(pts)
-        if path:
-            out.append(
-                f'<path d="{path}" fill="none" stroke="{_COLORS[stream]}" stroke-width="1.5"/>'
-            )
+        write(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>\n')
+        write(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{yv}</text>\n')
+    write(f'<text x="{_ML + plot_w / 2:.0f}" y="{_SVG_H - 8}" text-anchor="middle">instructions</text>\n')
+    write(f'<text x="14" y="{_MT + plot_h / 2:.0f}" text-anchor="middle" '
+          f'transform="rotate(-90 14 {_MT + plot_h / 2:.0f})">pages</text>\n')
+    if samples:
+        # a move to the first sample, then one H...V step per sample
+        path_end = '" fill="none" stroke="{}" stroke-width="1.5"/>\n'.format
+        x = f"{sx(samples[0].t):.1f}"
+        write(f'<path d="M{x},{sy(samples[0].wss_insn):.1f}')
+        data = [f'<path d="M{x},{sy(samples[0].wss_data):.1f}']
+        for start in range(1, len(samples), _SERIES_CHUNK):
+            chunk = samples[start:start + _SERIES_CHUNK]
+            xs = [f"H{sx(s.t):.1f}V" for s in chunk]
+            write("".join([f"{x}{sy(s.wss_insn):.1f}" for x, s in zip(xs, chunk)]))
+            data.append("".join([f"{x}{sy(s.wss_data):.1f}" for x, s in zip(xs, chunk)]))
+        write(path_end(_COLORS[Stream.INSN]))
+        data.append(path_end(_COLORS[Stream.DATA]))
+        for part in data:
+            write(part)
     # legend
     for i, (stream, label) in enumerate(((Stream.INSN, "insn"), (Stream.DATA, "data"))):
         lx = _ML + plot_w - 120 + i * 64
-        out.append(
-            f'<line x1="{lx}" y1="{_MT + 10}" x2="{lx + 18}" y2="{_MT + 10}" '
-            f'stroke="{_COLORS[stream]}" stroke-width="2"/>'
-        )
-        out.append(f'<text x="{lx + 22}" y="{_MT + 14}">{label}</text>')
+        write(f'<line x1="{lx}" y1="{_MT + 10}" x2="{lx + 18}" y2="{_MT + 10}" '
+              f'stroke="{_COLORS[stream]}" stroke-width="2"/>\n')
+        write(f'<text x="{lx + 22}" y="{_MT + 14}">{label}</text>\n')
     # peak markers, labeled with the annotation index
-    marked = {ann.t for ann in result.annotations}
-    by_t = {t: (insn, data) for t, insn, data in rows if t in marked}
     for ann in result.annotations:
-        wss = by_t.get(ann.t)
+        wss = at_peak.get(ann.t)
         if wss is None:
             continue
         value = wss[0] if ann.stream is Stream.INSN else wss[1]
         x, y = sx(ann.t), sy(value)
         color = _COLORS[ann.stream]
-        out.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" fill="none" stroke="{color}"/>'
-        )
-        out.append(
-            f'<text x="{x:.1f}" y="{y - 8:.1f}" text-anchor="middle" fill="{color}">'
-            f"[{ann.index}]</text>"
-        )
-    out.append("</svg>")
-    sink.write("\n".join(out) + "\n")
+        write(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" fill="none" stroke="{color}"/>\n')
+        write(f'<text x="{x:.1f}" y="{y - 8:.1f}" text-anchor="middle" fill="{color}">'
+              f"[{ann.index}]</text>\n")
+    write("</svg>\n")
 
 
 _EMITTERS = {"text": emit_text, "csv": emit_csv, "json": emit_json, "svg": emit_svg}

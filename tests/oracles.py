@@ -235,6 +235,101 @@ def slow_emit_json(result):
     return json.dumps(result.to_dict(), indent=2) + "\n"
 
 
+def _step_path(points):
+    if not points:
+        return ""
+    x0, y0 = points[0]
+    parts = [f"M{x0:.1f},{y0:.1f}"]
+    for x, y in points[1:]:
+        parts.append(f"H{x:.1f}V{y:.1f}")
+    return "".join(parts)
+
+
+def slow_emit_svg(result):
+    """The SVG plot built whole from a list of every sample, as emit_svg
+    once built it: what emit_svg must write, byte for byte."""
+    from workset.report import _COLORS, _MB, _ML, _MR, _MT, _SVG_H, _SVG_W, _ticks
+
+    rows = [(s.t, s.wss_insn, s.wss_data) for s in result.samples]
+    t_max = max((t for t, _, _ in rows), default=1)
+    y_max = max(
+        (max(insn, data) for _, insn, data in rows), default=1
+    )
+    y_max = max(y_max, 1)
+    plot_w = _SVG_W - _ML - _MR
+    plot_h = _SVG_H - _MT - _MB
+
+    def sx(t):
+        return _ML + plot_w * t / t_max
+
+    def sy(v):
+        return _MT + plot_h * (1.0 - v / (y_max * 1.05))
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_W} {_SVG_H}" '
+        f'font-family="sans-serif" font-size="12">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<line x1="{_ML}" y1="{_MT + plot_h}" x2="{_ML + plot_w}" y2="{_MT + plot_h}" stroke="#333"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + plot_h}" stroke="#333"/>',
+    ]
+    for tv in _ticks(t_max):
+        x = sx(tv)
+        out.append(f'<line x1="{x:.1f}" y1="{_MT + plot_h}" x2="{x:.1f}" y2="{_MT + plot_h + 4}" stroke="#333"/>')
+        out.append(
+            f'<text x="{x:.1f}" y="{_MT + plot_h + 18}" text-anchor="middle">{tv}</text>'
+        )
+    for yv in _ticks(y_max):
+        y = sy(yv)
+        out.append(f'<line x1="{_ML - 4}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="#333"/>')
+        out.append(
+            f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">{yv}</text>'
+        )
+    out.append(
+        f'<text x="{_ML + plot_w / 2:.0f}" y="{_SVG_H - 8}" text-anchor="middle">instructions</text>'
+    )
+    out.append(
+        f'<text x="14" y="{_MT + plot_h / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MT + plot_h / 2:.0f})">pages</text>'
+    )
+    series = {
+        Stream.INSN: [(sx(t), sy(insn)) for t, insn, _ in rows],
+        Stream.DATA: [(sx(t), sy(data)) for t, _, data in rows],
+    }
+    for stream, pts in series.items():
+        path = _step_path(pts)
+        if path:
+            out.append(
+                f'<path d="{path}" fill="none" stroke="{_COLORS[stream]}" stroke-width="1.5"/>'
+            )
+    # legend
+    for i, (stream, label) in enumerate(((Stream.INSN, "insn"), (Stream.DATA, "data"))):
+        lx = _ML + plot_w - 120 + i * 64
+        out.append(
+            f'<line x1="{lx}" y1="{_MT + 10}" x2="{lx + 18}" y2="{_MT + 10}" '
+            f'stroke="{_COLORS[stream]}" stroke-width="2"/>'
+        )
+        out.append(f'<text x="{lx + 22}" y="{_MT + 14}">{label}</text>')
+    # peak markers, labeled with the annotation index
+    marked = {ann.t for ann in result.annotations}
+    by_t = {t: (insn, data) for t, insn, data in rows if t in marked}
+    for ann in result.annotations:
+        wss = by_t.get(ann.t)
+        if wss is None:
+            continue
+        value = wss[0] if ann.stream is Stream.INSN else wss[1]
+        x, y = sx(ann.t), sy(value)
+        color = _COLORS[ann.stream]
+        out.append(
+            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3.5" fill="none" stroke="{color}"/>'
+        )
+        out.append(
+            f'<text x="{x:.1f}" y="{y - 8:.1f}" text-anchor="middle" fill="{color}">'
+            f"[{ann.index}]</text>"
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
 # pieces of frame and label text that JSON must escape or that look like
 # escapes: quote, backslash, NUL, U+2028, a lone surrogate, non-ASCII
 # text, and the literal text of an escaped NUL followed by digits

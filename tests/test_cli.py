@@ -357,6 +357,8 @@ OUT_OF_RANGE = [
     # past 2**53, where the grid's float arithmetic overflowed or drifted
     (["sweep", "-", "--tau-max", "1" + "0" * 400], "tau_max"),
     (["sweep", "-", "--tau-min", str(2**53 + 1), "--tau-max", str(2**53 + 1)], "tau_min"),
+    # one pass per tau, and one step per point to build the grid
+    (["sweep", "-", "--points", "1000000000000"], "points"),
 ]
 
 
@@ -614,6 +616,19 @@ def test_sweep_refuses_non_positive_values(flag, value, capsys):
     assert main(["sweep", "-", flag, value]) == USAGE_ERROR
     field = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == f"workset sweep: {field} must be >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("10001", "10001"),
+    ("1000000000000", "1000000000000"),
+    ("0x1" + "0" * 1000, "a 4001-bit integer"),
+])
+def test_sweep_refuses_more_points_than_the_cap(tmp_path, capsys, value, shown):
+    # refused before the input is opened or the grid is built
+    trace = tmp_path / "trace.txt"
+    trace.write_text(SWEEP_TRACE)
+    assert main(["sweep", str(trace), "--points", value]) == USAGE_ERROR
+    assert capsys.readouterr() == ("", f"workset sweep: points must be <= 10000, got {shown}\n")
 
 
 def test_sweep_refuses_a_pipe_and_reads_redirected_stdin(tmp_path, capsys):

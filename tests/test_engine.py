@@ -21,6 +21,7 @@ from oracles import (
 )
 from workset.engine import (
     BATCH_LIMIT,
+    SWEEP_POINTS_MAX,
     AnalysisConfig,
     HotPageEntry,
     PageTable,
@@ -218,6 +219,14 @@ def test_default_every_is_tau():
 )
 def test_sweep_taus_span_the_range_on_a_log_scale(tau_min, tau_max, points, taus):
     assert SweepConfig(tau_min, tau_max, points).taus() == taus
+
+
+def test_sweep_points_are_capped():
+    assert SWEEP_POINTS_MAX == 10_000
+    taus = SweepConfig(1, 2**53, SWEEP_POINTS_MAX).taus()
+    assert len(taus) <= SWEEP_POINTS_MAX and taus[0] == 1 and taus[-1] == 2**53
+    with pytest.raises(ValueError, match="^points must be <= 10000, got 10001$"):
+        SweepConfig(points=SWEEP_POINTS_MAX + 1)
 
 
 # --------------------------------------------------------------------------

@@ -44,6 +44,16 @@ def test_layers_name_every_module():
     assert modules == set(LAYERS)
 
 
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10. This rejects syntax from a
+    # later version, such as except* (3.11), though not a call to a
+    # library function that 3.10 lacks.
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_modules_import_only_earlier_layers():
     for depth, name in enumerate(LAYERS):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))

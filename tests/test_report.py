@@ -17,7 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import make_random_events, make_random_result, random_text, slow_emit_json
+from oracles import (
+    make_random_events,
+    make_random_result,
+    random_text,
+    slow_emit_json,
+    slow_emit_svg,
+)
 from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
 from workset.report import (
     CSV_HEADER,
@@ -38,6 +44,7 @@ from workset.report import (
     load_label_map,
 )
 from workset.trace import AccessKind, Stream, TraceEvent
+from workset.workloads import StepConfig, gen_step
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -538,6 +545,74 @@ def test_svg_with_no_samples_is_still_well_formed():
     emit_svg(result, buf)
     root = ET.fromstring(buf.getvalue())
     assert root.findall(f".//{SVG_NS}path") == []
+
+
+def assert_svg_bytes(result):
+    buf = io.StringIO()
+    emit_svg(result, buf)
+    assert buf.getvalue() == slow_emit_svg(result)
+
+
+def test_svg_bytes_match_the_whole_list_plot():
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(600):
+        result = make_random_result(rng)
+        # each thread's sub-result is a result of its own
+        for scope in (result, *(result.threads or {}).values()):
+            assert_svg_bytes(scope)
+            seen["no samples"] += not scope.samples
+            seen["peaks"] += bool(scope.annotations)
+            seen["sub-result"] += scope is not result
+    assert min(seen.values()) >= 20, seen
+    # hand-built series: out of time order, a repeated instant (the last
+    # sample there places the marker), an annotation with no sample, a
+    # negative instant, and lengths at the edges of a chunk
+    ann = [PeakAnnotation(0, 30, Stream.INSN, 0, ()), PeakAnnotation(1, 30, Stream.DATA, 0, ()),
+           PeakAnnotation(2, 99, Stream.DATA, 0, ())]
+    result = manual_result()
+    result.annotations = ann
+    for samples in ([WssSample(30, 4, 0), WssSample(10, 0, 9), WssSample(30, 7, 2)],
+                    [WssSample(-5, 3, 3), WssSample(30, 0, 0)], [WssSample(30, 0, 0)]):
+        result.samples = samples
+        assert_svg_bytes(result)
+    for n in (1, 2, 511, 512, 513, 1024, 1025):
+        result.samples = [WssSample(t, t % 7, t * t % 11) for t in range(3, 3 * n + 1, 3)]
+        assert_svg_bytes(result)
+
+
+@pytest.mark.parametrize("make", [
+    # peaks on most samples, each one marked
+    lambda: run_analysis(gen_step(StepConfig()),
+                         AnalysisConfig(tau=50, every=10, peak_detect=True)),
+    lambda: analyzed(n=3000, per_thread=True, peak_detect=True),
+    lambda: analyzed(n=0),
+], ids=["step-peaks", "per-thread", "empty"])
+def test_svg_bytes_of_an_analysis_match_the_whole_list_plot(make):
+    result = make()
+    assert isinstance(result.samples, SampleSeries)
+    for scope in (result, *(result.threads or {}).values()):
+        assert_svg_bytes(scope)
+
+
+def test_emit_svg_holds_no_object_per_sample():
+    # 100000 samples built from columns: a plot that lists its points
+    # traces about 480 bytes per sample, and this one about 14
+    n = 100_000
+    insn = array("q", (i % 977 for i in range(n)))
+    data = array("q", (i * 7 % 1999 for i in range(n)))
+    result = manual_result()
+    result.samples = SampleSeries(5, 1, insn, data, bytearray(), {})
+    result.annotations = []
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        emit_svg(result, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10 * 2 * n
+    assert peak <= 64 * n, peak / n
 
 
 # --------------------------------------------------------------------------
