@@ -24,10 +24,16 @@ in it, when it has to be. All accesses in a batch share one expiry
 index and one stack id, so a scope drains its batches when the clock's
 expiry index moves, when the running stack changes, before every
 sample, at the end of the trace, and when a batch reaches BATCH_LIMIT
-entries. Sampling never scans the tables. Each table counts its pages
-per expiry index (see PageTable); a sample reads a running count and
-retires one expiry bucket, so it costs O(1) however many pages the
-stream has touched.
+entries. Sampling never scans the tables, and which table a scope
+builds depends on the window's shape. When windows overlap
+(tau > every), a PageTable counts its pages per expiry index; a sample
+reads a running count and retires one expiry bucket, so it costs O(1)
+however many pages the stream has touched. When they do not
+(tau <= every, the default every = tau among them, so every pass of a
+default sweep), an access counts for at most one sample, and a
+_TileTable keeps only the set of pages touched in the open window: a
+batch is a C-level count and set update with no step per page, and a
+sample is the size of that set.
 
 An event's pages are appended to one scope's batches: the combined
 scope's, or with per-thread scopes its thread's, whose batches a thread
@@ -64,6 +70,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter, _count_elements
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .peak import PeakDetector, PeakParams
@@ -189,6 +196,10 @@ class PageTable:
     ``sample`` reports the live count and retires one bucket, so each
     sample costs O(1) whatever the number of pages. ``first_sample`` is
     the index of the first sample this table takes.
+
+    This table serves every window shape. The engine uses it when
+    windows overlap (tau > every); for windows that do not, it uses a
+    set-based table with the same interface and no per-page step.
     """
 
     def __init__(
@@ -207,29 +218,37 @@ class PageTable:
         self._count: Counter[int] = Counter()
         self._stacks = stacks if stacks is not None else {}
 
+    def _tally(self, pages: Sequence[int], stack_ref: int | None) -> None:
+        """Count one access per entry of ``pages``. The pages this batch
+        touches first are the newest keys of the count, and their first
+        access carries ``stack_ref``."""
+        count = self._count
+        known = len(count)
+        # Counter.update minus its per-call Mapping check
+        _count_elements(count, pages)
+        new = len(count) - known
+        if new and stack_ref is not None:
+            self._first.update(dict.fromkeys(islice(reversed(count), new), stack_ref))
+
     def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
         """Record one access per entry of ``pages`` (page numbers, repeats
         allowed), all with expiry index ``expires`` and stack id
         ``stack_ref``. Batches must arrive in time order, and their accesses
         must lie after the instant of the last sample taken."""
-        # Counter.update minus its per-call Mapping check
-        _count_elements(self._count, pages)
+        self._tally(pages, stack_ref)
         expiry = self._expiry
-        first = self._first
         buckets = self._buckets
         upcoming = self._next
         joined = 0  # pages whose expiry index becomes ``expires``
         moved = 0  # of those, pages an upcoming sample already counted
         for page in dict.fromkeys(pages):
-            old = expiry.get(page)
+            # a new page's -1 is below every sample index
+            old = expiry.get(page, -1)
             if old == expires:
                 continue
             expiry[page] = expires
             joined += 1
-            if old is None:
-                if stack_ref is not None:
-                    first[page] = stack_ref
-            elif old >= upcoming:
+            if old >= upcoming:
                 buckets[old] -= 1
                 moved += 1
         # a batch that expires before the next sample is never counted
@@ -246,7 +265,42 @@ class PageTable:
         return live
 
     def __len__(self) -> int:
-        return len(self._expiry)
+        return len(self._count)
+
+
+class _TileTable(PageTable):
+    """PageTable for windows that do not overlap (tau <= every), where
+    an access falls in at most one sample's window: the one its expiry
+    index names, if that sample is still to come. Every batch added
+    before sample k then has expiry index k - 1 or k, so at most one
+    window is open. The table keeps no per-page expiry, only the set
+    of pages touched in the open window and that window's expiry index;
+    a sample is the size of its window's set. A batch costs C-level
+    count and set updates, with no step per page."""
+
+    def __init__(
+        self,
+        page_size: int,
+        stacks: Mapping[int, tuple[str, ...]] | None = None,
+        *,
+        first_sample: int = 1,
+    ):
+        super().__init__(page_size, stacks, first_sample=first_sample)
+        self._window: set[int] = set()
+        self._window_at = 0  # the open window's expiry index; 0: none yet
+
+    def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
+        self._tally(pages, stack_ref)
+        if expires >= self._next:
+            if expires != self._window_at:
+                self._window.clear()
+                self._window_at = expires
+            self._window.update(pages)
+
+    def sample(self) -> int:
+        wss = len(self._window) if self._window_at == self._next else 0
+        self._next += 1
+        return wss
 
 
 def summarize(values: Sequence[int], page_table: PageTable, stream: Stream) -> Summary:
@@ -310,8 +364,9 @@ class _ScopeState:
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
                  combined: _ScopeState | None = None):
         first_sample = max(1, -(-now // cfg.every))
+        table = _TileTable if cfg.tau <= cfg.every else PageTable
         self.tables = tuple(
-            PageTable(cfg.page_size, stacks, first_sample=first_sample) for _ in _STREAMS
+            table(cfg.page_size, stacks, first_sample=first_sample) for _ in _STREAMS
         )
         self.batches: tuple[list[int], ...] = tuple([] for _ in _STREAMS)
         fed = (self.tables,) if combined is None else (self.tables, combined.tables)
@@ -452,8 +507,7 @@ def run_analysis(
             state.drain(expires)
         del ran[:-1]
 
-    def flush(expires: int) -> None:
-        drain(expires)
+    def take_samples() -> None:
         combined.take_sample()
         for state in threads.values():
             state.take_sample()
@@ -498,12 +552,13 @@ def run_analysis(
             now += 1
             if now == cut:
                 # sample before looking at the event, so a thread first
-                # seen here does not pick up a boundary it predates
+                # seen here does not pick up a boundary it predates; the
+                # pages drained here all carry the current expiry index
+                drain(expires)
                 if now == sample_at:
-                    flush(expires)
+                    take_samples()
                     sample_at += every
                 if now == moves_at:
-                    drain(expires)
                     expires += 1
                     moves_at += every
                 cut = sample_at if sample_at < moves_at else moves_at
@@ -537,7 +592,7 @@ def run_analysis(
 
     drain(expires)
     if now and now % every == 0:
-        flush(expires)
+        take_samples()
     # the memo is dead weight from here on, and building the results
     # (ranking the hot pages) takes memory of its own
     del memo, memo_get

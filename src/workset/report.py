@@ -425,7 +425,8 @@ def emit_svg(result: AnalysisResult, sink: TextIO) -> None:
         # the last sample at an annotated instant places its marker
         for s in compress(chunk, map(marked.__contains__, map(t_of, chunk))):
             at_peak[s.t] = (s.wss_insn, s.wss_data)
-    t_max = max(t_tops, default=1)
+    # a series whose latest instant is 0 still gets a time axis
+    t_max = max(t_tops, default=1) or 1
     y_max = max(y_tops)
     plot_w = _SVG_W - _ML - _MR
     plot_h = _SVG_H - _MT - _MB

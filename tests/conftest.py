@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 
 hypothesis.settings.register_profile(
@@ -6,4 +8,5 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "thorough", max_examples=200, deadline=None
 )
-hypothesis.settings.load_profile("fast")
+# HYPOTHESIS_PROFILE=thorough runs each property 200 times
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "fast"))

@@ -26,6 +26,8 @@ from workset.engine import (
     HotPageEntry,
     PageTable,
     SweepConfig,
+    _ScopeState,
+    _TileTable,
     hot_pages,
     run_analysis,
 )
@@ -145,6 +147,79 @@ def test_records_capture_first_access_info():
     table.add([2], 5)  # same page again, no stack
     table.add([9], 7, stack_ref=8)  # undeclared ref
     assert hot_pages(table, len(table)) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
+
+
+@pytest.mark.parametrize("table_class", [PageTable, _TileTable])
+def test_a_page_first_seen_without_a_stack_stays_blank(table_class):
+    stacks = {3: ("x.c:9", "y.c:2")}
+    table = table_class(4096, stacks)
+    table.add([5, 5], 1)  # first seen with no stack
+    table.add([2, 5], 1, stack_ref=3)
+    table.add([9, 5, 2], 1, stack_ref=8)  # undeclared ref
+    assert hot_pages(table, len(table)) == [
+        HotPageEntry(4, 5), HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)
+    ]
+
+
+def test_tile_table_applies_each_distinct_page_once():
+    table = _TileTable(4096)
+    table.add([1, 2, 1, 1], expires=1)  # in the window of sample 1
+    table.add([2, 3], expires=1)
+    assert table.sample() == 3
+    table.add([4], expires=1)  # after sample 1, before window 2: never counted
+    table.add([1, 4, 4], expires=2)  # window 2 starts afresh
+    assert table.sample() == 2
+    assert table.sample() == 0  # no access in window 3
+    table.add([3], expires=4)
+    assert table.sample() == 1
+    ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(2, 3)]
+    assert len(table) == 4
+    assert hot_pages(table, len(table)) == ranked
+
+
+# a batch of accesses: its pages, whether they fall in the window of the
+# next sample (else in the gap before it), and its stack
+tile_batches = st.tuples(
+    st.lists(st.integers(0, 24), min_size=1, max_size=12),
+    st.booleans(),
+    st.sampled_from((None, 0, 1)),
+)
+
+
+@given(
+    first_sample=st.integers(1, 3),
+    periods=st.lists(st.lists(tile_batches, max_size=6), max_size=10),
+    tail=st.lists(tile_batches, max_size=3),
+)
+def test_tile_table_matches_the_bucket_table_property(first_sample, periods, tail):
+    # windows that tile: before sample k every batch has expiry index
+    # k - 1 (between two windows) or k (in window k), in time order
+    stacks = {0: ("a.c:1",), 1: ("b.c:2", "a.c:1")}
+    tables = [cls(4096, stacks, first_sample=first_sample) for cls in (PageTable, _TileTable)]
+    samples = ([], [])
+    for k, period in enumerate([*periods, tail], first_sample):
+        for pages, in_window, ref in sorted(period, key=lambda batch: batch[1]):
+            for table in tables:
+                table.add(pages, k if in_window else k - 1, ref)
+        if k - first_sample < len(periods):
+            for table, taken in zip(tables, samples):
+                taken.append(table.sample())
+    bucket, tile = tables
+    assert samples[0] == samples[1]
+    assert len(bucket) == len(tile)
+    assert hot_pages(bucket, len(bucket)) == hot_pages(tile, len(tile))
+
+
+@pytest.mark.parametrize(
+    "tau, every, table_class",
+    [(1, 1, _TileTable), (528, 528, _TileTable), (30, 70, _TileTable),
+     (529, 528, PageTable), (5000, 50, PageTable)],
+)
+def test_scopes_use_the_set_table_exactly_when_windows_do_not_overlap(tau, every, table_class):
+    cfg = AnalysisConfig(tau=tau, every=every)
+    combined = _ScopeState(cfg, {})
+    thread = _ScopeState(cfg, {}, now=3 * every + 1, combined=combined)
+    assert [type(table) for table in (*combined.tables, *thread.tables)] == [table_class] * 4
 
 
 # --------------------------------------------------------------------------
@@ -372,31 +447,37 @@ def test_hot_pages_match_slow_oracle_property(
 
 
 @pytest.mark.parametrize(
-    "nthreads,run,own_stacks",
-    [pytest.param(2, 1, False, id="1"), pytest.param(2, 5000, False, id="5000"),
-     pytest.param(3, 1, True, id="1-own-stacks")],
+    "nthreads,run,own_stacks,tau",
+    [pytest.param(2, 1, False, 10**6, id="1"), pytest.param(2, 5000, False, 10**6, id="5000"),
+     pytest.param(3, 1, True, 10**6, id="1-own-stacks"),
+     pytest.param(2, 1, False, 2 * 10**6, id="1-overlapping"),
+     pytest.param(2, 5000, False, 2 * 10**6, id="5000-overlapping"),
+     pytest.param(3, 1, True, 2 * 10**6, id="1-own-stacks-overlapping")],
 )
-def test_per_thread_batches_stay_bounded(monkeypatch, nthreads, run, own_stacks):
+def test_per_thread_batches_stay_bounded(monkeypatch, nthreads, run, own_stacks, tau):
     """With no sample, only the batch length bound and stack changes
     drain: no table takes more pages at once than BATCH_LIMIT plus one
     access's, and every page reaches its thread's table and the combined
     one exactly once. Without stacks, only the bound drains; with each
     thread under its own stack and a switch on every event, every event
-    drains."""
+    drains. Windows that tile (tau = every) use the set table, and
+    overlapping ones the bucket table."""
     added = {}
-    add = PageTable.add
 
-    def recording_add(self, pages, expires, stack_ref=None):
-        added.setdefault(self, []).append(list(pages))
-        add(self, pages, expires, stack_ref)
+    def recording(add):
+        def recording_add(self, pages, expires, stack_ref=None):
+            added.setdefault(self, []).append(list(pages))
+            add(self, pages, expires, stack_ref)
+        return recording_add
 
-    monkeypatch.setattr(PageTable, "add", recording_add)
+    for table_class in (PageTable, _TileTable):
+        monkeypatch.setattr(table_class, "add", recording(table_class.add))
     rng = random.Random(7)
     threads = tuple(range(nthreads))
     events = make_random_events(rng, 6000, straddle=True, threads=threads, run=run)
     records = [CallStackDecl(i, (f"f{i}.c:1",)) for i in threads]
     records += with_stack_switches(rng, events, nthreads, 1.0 if own_stacks else 0.0)
-    run_analysis(records, AnalysisConfig(tau=10**6, every=10**6, per_thread=True))
+    run_analysis(records, AnalysisConfig(tau=tau, every=10**6, per_thread=True))
     expected = [
         sorted(page for _, page in accesses)
         for tid in (None, *threads)

@@ -547,6 +547,18 @@ def test_svg_with_no_samples_is_still_well_formed():
     assert root.findall(f".//{SVG_NS}path") == []
 
 
+def test_svg_of_samples_all_at_time_zero_is_complete():
+    result = manual_result()
+    result.samples = [WssSample(0, 1, 1)]
+    result.annotations = []
+    buf = io.StringIO()
+    emit_svg(result, buf)
+    assert buf.getvalue().endswith("</svg>\n")
+    root = ET.fromstring(buf.getvalue())
+    assert root.tag == f"{SVG_NS}svg"
+    assert len(root.findall(f".//{SVG_NS}path")) == 2
+
+
 def assert_svg_bytes(result):
     buf = io.StringIO()
     emit_svg(result, buf)
