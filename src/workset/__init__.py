@@ -9,7 +9,7 @@ text/CSV/JSON/SVG reports. Synthetic workload generators and a CLI
 round out the toolkit.
 """
 
-from .engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
+from .engine import AnalysisConfig, run_analysis
 from .peak import PeakDetector, PeakParams, PeakVerdict, detect_series
 from .report import (
     CSV_HEADER,
@@ -45,7 +45,6 @@ __all__ = [
     "CSV_HEADER",
     "CallStackDecl",
     "HotPageEntry",
-    "PageTable",
     "PagerampConfig",
     "PeakAnnotation",
     "PeakDetector",
@@ -64,11 +63,9 @@ __all__ = [
     "format_summary",
     "gen_pageramp",
     "gen_step",
-    "hot_pages",
     "load_label_map",
     "parse_line",
     "read_trace",
     "run_analysis",
-    "summarize",
     "write_trace",
 ]

@@ -14,26 +14,25 @@ given back to the OS keeps counting until those page frames are touched
 again, a deliberate overapproximation that keeps the tables append-only
 and the analysis single-pass.
 
-Each table keeps, per page, its expiry index (the number of the last
-sample whose window still holds the page's latest access), its access
-count, and the stack id the first access carried, which names the page
-in the hot page ranking. Accesses reach the tables in batches: a touch
-only appends its page numbers to its scope's pending list for the
-stream, and the list is applied as one batch, once per distinct page
-in it, when it has to be. All accesses in a batch share one expiry
-index and one stack id, so a scope drains its batches when the clock's
-expiry index moves, when the running stack changes, before every
-sample, at the end of the trace, and when a batch reaches BATCH_LIMIT
-entries. Sampling never scans the tables, and which table a scope
+Each table keeps, per page, its access count and the stack id the first
+access carried, which names the page in the hot page ranking. Accesses
+reach the tables in batches: a touch only appends its page numbers to
+its scope's pending list for the stream, and the list is applied as one
+batch when it has to be. All accesses in a batch share one expiry index
+(the number of the last sample whose window still holds them) and one
+stack id, so a scope drains its batches when the clock's expiry index
+moves, when the running stack changes, before every sample, at the end
+of the trace, and when a batch reaches BATCH_LIMIT entries. Sampling
+never scans the tables, and which of the two private tables a scope
 builds depends on the window's shape. When windows overlap
-(tau > every), a PageTable counts its pages per expiry index; a sample
-reads a running count and retires one expiry bucket, so it costs O(1)
-however many pages the stream has touched. When they do not
-(tau <= every, the default every = tau among them, so every pass of a
-default sweep), an access counts for at most one sample, and a
-_TileTable keeps only the set of pages touched in the open window: a
-batch is a C-level count and set update with no step per page, and a
-sample is the size of that set.
+(tau > every), a _BucketTable keeps each page's expiry index and counts
+its pages per expiry index; a sample reads a running count and retires one
+expiry bucket, so it costs O(1) however many pages the stream has
+touched. When they do not (tau <= every, the default every = tau among
+them, so every pass of a default sweep), an access counts for at most
+one sample, and a _TileTable keeps only the set of pages touched in the
+open window: a batch is a C-level count and set update with no step per
+page, and a sample is the size of that set.
 
 An event's pages are appended to one scope's batches: the combined
 scope's, or with per-thread scopes its thread's, whose batches a thread
@@ -57,12 +56,12 @@ stack is the one the last activation for its thread named.
 The pass only counts; the results, the report module's classes, are
 built from the finished state. A scope keeps its samples as two
 columns of WSS values, 8 bytes per sample each; a sample's instant
-follows from its index. summarize and hot_pages fold a stream's
-column and table into its Summary and hot page list. Peaks are judged
-after the pass too: with peak detection each sample keeps the stack
-its scope ran under, and one PeakDetector per stream runs over each
-scope's finished columns. The samples they fire at, and only those,
-keep their flags and annotation index.
+follows from its index. _ScopeState.result builds each stream's Summary
+from its column and the page size, and its hot page ranking from its
+table. Peaks are judged after the pass too: with peak detection each
+sample keeps the stack its scope ran under, and one PeakDetector per
+stream runs over each scope's finished columns. The samples they fire
+at, and only those, keep their flags and annotation index.
 """
 
 from __future__ import annotations
@@ -176,47 +175,27 @@ class SweepConfig(Struct):
         return sorted({hi, *(round(lo * ratio**i) for i in range(self.points - 1))})
 
 
-class PageTable:
-    """Append-only table of pages touched by one access stream, with the
-    working set of window ``tau`` sampled every ``every`` instructions.
+class _Table:
+    """What both page tables keep of one access stream's pages: per page,
+    its access count and, if its first access carried one, that access's
+    stack id, which names the page in the hot page ranking. ``stacks`` is
+    the trace's stack declarations, shared by every table.
 
     Samples are numbered 1, 2, ... and sample k is taken at t = k * every.
     A page last touched at ts is counted by sample k iff
     k * every - tau < ts <= k * every, so the last sample that counts it
-    is its expiry index (ts + tau - 1) // every. The table keeps, per
-    page, that expiry index, its access count and, if its first access
-    carried one, that access's stack id.
+    is its expiry index (ts + tau - 1) // every. Accesses arrive through
+    ``add(pages, expires, stack_ref)`` in batches that share one expiry
+    index and one stack id, in time order, after the instant of the
+    last sample taken; ``sample`` takes the next sample, the number of
+    pages whose last access lies in its window. ``_next`` is the index
+    of that sample; the first is ``first_sample``."""
 
-    Accesses arrive through ``add`` in batches that share one expiry
-    index and one stack id. A batch costs one C-level count update plus
-    one step per distinct page in it, and a page moves between buckets
-    only when its expiry index changes. The table keeps, per expiry
-    index, the number of pages due to leave the working set there, plus
-    the live count of pages some upcoming sample still counts.
-    ``sample`` reports the live count and retires one bucket, so each
-    sample costs O(1) whatever the number of pages. ``first_sample`` is
-    the index of the first sample this table takes.
-
-    This table serves every window shape. The engine uses it when
-    windows overlap (tau > every); for windows that do not, it uses a
-    set-based table with the same interface and no per-page step.
-    """
-
-    def __init__(
-        self,
-        page_size: int,
-        stacks: Mapping[int, tuple[str, ...]] | None = None,
-        *,
-        first_sample: int = 1,
-    ):
-        self.page_size = page_size
+    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
         self._next = first_sample
-        self._live = 0
-        self._buckets: dict[int, int] = {}
-        self._expiry: dict[int, int] = {}
         self._first: dict[int, int] = {}
         self._count: Counter[int] = Counter()
-        self._stacks = stacks if stacks is not None else {}
+        self._stacks = stacks
 
     def _tally(self, pages: Sequence[int], stack_ref: int | None) -> None:
         """Count one access per entry of ``pages``. The pages this batch
@@ -230,11 +209,55 @@ class PageTable:
         if new and stack_ref is not None:
             self._first.update(dict.fromkeys(islice(reversed(count), new), stack_ref))
 
+    def __len__(self) -> int:
+        return len(self._count)
+
+    def hot_pages(self, n: int, label_map: Mapping[int, str] | None = None) -> list[HotPageEntry]:
+        """The ``n`` most accessed pages, by access count (descending),
+        page number breaking ties.
+
+        A page's info text comes from label_map when it has an entry,
+        else from the innermost stack frame recorded at the page's first
+        touch, else stays blank. Only pages whose count reaches the n-th
+        largest count are sorted, and only the winners become entries.
+        """
+        check_int("n", n, minimum=0)
+        count = self._count
+        cut = heapq.nlargest(n, count.values())
+        if not cut:
+            return []
+        least = cut[-1]
+        ranked = [page for page, c in count.items() if c >= least]
+        ranked.sort()
+        # a stable sort keeps equal counts in page order
+        ranked.sort(key=count.__getitem__, reverse=True)
+        labels = label_map if label_map is not None else {}
+        stacks, first = self._stacks, self._first
+        out = []
+        for page in ranked[:n]:
+            frames = stacks.get(first.get(page))
+            info = labels[page] if page in labels else frames[0] if frames else ""
+            out.append(HotPageEntry(count[page], page, info))
+        return out
+
+
+class _BucketTable(_Table):
+    """The table for windows that overlap (tau > every). It keeps each
+    page's expiry index and, per expiry index, the number of pages due to
+    leave the working set there, plus the live count of pages some
+    upcoming sample still counts. A batch costs one C-level count update
+    plus one step per distinct page in it, and a page moves between
+    buckets only when its expiry index changes. ``sample`` reports the
+    live count and retires one bucket, so each sample costs O(1) whatever
+    the number of pages."""
+
+    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
+        super().__init__(stacks, first_sample=first_sample)
+        self._live = 0
+        self._buckets: dict[int, int] = {}
+        self._expiry: dict[int, int] = {}
+
     def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
-        """Record one access per entry of ``pages`` (page numbers, repeats
-        allowed), all with expiry index ``expires`` and stack id
-        ``stack_ref``. Batches must arrive in time order, and their accesses
-        must lie after the instant of the last sample taken."""
         self._tally(pages, stack_ref)
         expiry = self._expiry
         buckets = self._buckets
@@ -257,19 +280,14 @@ class PageTable:
             self._live += joined - moved
 
     def sample(self) -> int:
-        """Take the next sample: the number of pages whose last access
-        lies in (t - tau, t] for t = every * (index of this sample)."""
         live = self._live
         self._live = live - self._buckets.pop(self._next, 0)
         self._next += 1
         return live
 
-    def __len__(self) -> int:
-        return len(self._count)
 
-
-class _TileTable(PageTable):
-    """PageTable for windows that do not overlap (tau <= every), where
+class _TileTable(_Table):
+    """The table for windows that do not overlap (tau <= every), where
     an access falls in at most one sample's window: the one its expiry
     index names, if that sample is still to come. Every batch added
     before sample k then has expiry index k - 1 or k, so at most one
@@ -278,14 +296,8 @@ class _TileTable(PageTable):
     a sample is the size of its window's set. A batch costs C-level
     count and set updates, with no step per page."""
 
-    def __init__(
-        self,
-        page_size: int,
-        stacks: Mapping[int, tuple[str, ...]] | None = None,
-        *,
-        first_sample: int = 1,
-    ):
-        super().__init__(page_size, stacks, first_sample=first_sample)
+    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
+        super().__init__(stacks, first_sample=first_sample)
         self._window: set[int] = set()
         self._window_at = 0  # the open window's expiry index; 0: none yet
 
@@ -301,45 +313,6 @@ class _TileTable(PageTable):
         wss = len(self._window) if self._window_at == self._next else 0
         self._next += 1
         return wss
-
-
-def summarize(values: Sequence[int], page_table: PageTable, stream: Stream) -> Summary:
-    """Fold one stream's sampled WSS values and page table into a Summary."""
-    avg = sum(values) / len(values) if values else 0.0
-    return Summary(stream, avg, max(values, default=0), len(page_table), page_table.page_size)
-
-
-def hot_pages(
-    page_table: PageTable,
-    n: int,
-    label_map: Mapping[int, str] | None = None,
-) -> list[HotPageEntry]:
-    """The ``n`` most accessed pages, by access count (descending), page
-    number breaking ties.
-
-    A page's info text comes from label_map when it has an entry, else
-    from the innermost stack frame recorded at the page's first touch,
-    else stays blank. Only pages whose count reaches the n-th largest
-    count are sorted, and only the winners become entries.
-    """
-    check_int("n", n, minimum=0)
-    count = page_table._count
-    cut = heapq.nlargest(n, count.values())
-    if not cut:
-        return []
-    least = cut[-1]
-    ranked = [page for page, c in count.items() if c >= least]
-    ranked.sort()
-    # a stable sort keeps equal counts in page order
-    ranked.sort(key=count.__getitem__, reverse=True)
-    labels = label_map if label_map is not None else {}
-    stacks, first = page_table._stacks, page_table._first
-    out = []
-    for page in ranked[:n]:
-        frames = stacks.get(first.get(page))
-        info = labels[page] if page in labels else frames[0] if frames else ""
-        out.append(HotPageEntry(count[page], page, info))
-    return out
 
 
 class _ScopeState:
@@ -364,10 +337,8 @@ class _ScopeState:
     def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
                  combined: _ScopeState | None = None):
         first_sample = max(1, -(-now // cfg.every))
-        table = _TileTable if cfg.tau <= cfg.every else PageTable
-        self.tables = tuple(
-            table(cfg.page_size, stacks, first_sample=first_sample) for _ in _STREAMS
-        )
+        table = _TileTable if cfg.tau <= cfg.every else _BucketTable
+        self.tables = tuple(table(stacks, first_sample=first_sample) for _ in _STREAMS)
         self.batches: tuple[list[int], ...] = tuple([] for _ in _STREAMS)
         fed = (self.tables,) if combined is None else (self.tables, combined.tables)
         self.feeds = tuple(zip(self.batches, zip(*fed)))
@@ -429,8 +400,9 @@ class _ScopeState:
                                 len(annotations), t, stream, len(set(frames)), frames))
         insn, data = (
             StreamResult(
-                summarize(values, table, stream),
-                hot_pages(table, cfg.top_n, label_map),
+                Summary(stream, sum(values) / len(values) if values else 0.0,
+                        max(values, default=0), len(table), cfg.page_size),
+                table.hot_pages(cfg.top_n, label_map),
             )
             for table, values, stream in zip(self.tables, self.wss, _STREAMS)
         )

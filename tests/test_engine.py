@@ -24,11 +24,10 @@ from workset.engine import (
     SWEEP_POINTS_MAX,
     AnalysisConfig,
     HotPageEntry,
-    PageTable,
     SweepConfig,
+    _BucketTable,
     _ScopeState,
     _TileTable,
-    hot_pages,
     run_analysis,
 )
 from workset.report import WssSample
@@ -62,15 +61,15 @@ def triples(samples):
 
 
 def test_touch_counts_and_last_access():
-    table = PageTable(4096)
+    table = _BucketTable({})
     table.add([2], expires=3)
     table.add([2, 2], expires=9)
     assert len(table) == 1
-    assert hot_pages(table, len(table)) == [HotPageEntry(3, 2)]
+    assert table.hot_pages(len(table)) == [HotPageEntry(3, 2)]
 
 
 def test_add_applies_each_distinct_page_once():
-    table = PageTable(4096)
+    table = _BucketTable({})
     table.add([1, 2, 1, 1], expires=2)  # counted by samples 1 and 2
     table.add([2, 3], expires=3)  # page 2 moves on to sample 3
     table.add([4], expires=0)  # expires before sample 1: never counted
@@ -78,8 +77,8 @@ def test_add_applies_each_distinct_page_once():
     table.add([1, 4, 4], expires=5)  # expired pages come back
     assert table.sample() == 2
     ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(1, 3)]
-    assert hot_pages(table, len(table)) == ranked
-    assert hot_pages(table, 2) == ranked[:2]
+    assert table.hot_pages(len(table)) == ranked
+    assert table.hot_pages(2) == ranked[:2]
 
 
 def test_straddling_access_touches_every_page():
@@ -142,27 +141,27 @@ def test_window_is_half_open_on_the_left():
 
 def test_records_capture_first_access_info():
     stacks = {3: ("x.c:9", "y.c:2")}
-    table = PageTable(4096, stacks)
+    table = _BucketTable(stacks)
     table.add([2], 1, stack_ref=3)
     table.add([2], 5)  # same page again, no stack
     table.add([9], 7, stack_ref=8)  # undeclared ref
-    assert hot_pages(table, len(table)) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
+    assert table.hot_pages(len(table)) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
 
 
-@pytest.mark.parametrize("table_class", [PageTable, _TileTable])
+@pytest.mark.parametrize("table_class", [_BucketTable, _TileTable])
 def test_a_page_first_seen_without_a_stack_stays_blank(table_class):
     stacks = {3: ("x.c:9", "y.c:2")}
-    table = table_class(4096, stacks)
+    table = table_class(stacks)
     table.add([5, 5], 1)  # first seen with no stack
     table.add([2, 5], 1, stack_ref=3)
     table.add([9, 5, 2], 1, stack_ref=8)  # undeclared ref
-    assert hot_pages(table, len(table)) == [
+    assert table.hot_pages(len(table)) == [
         HotPageEntry(4, 5), HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)
     ]
 
 
 def test_tile_table_applies_each_distinct_page_once():
-    table = _TileTable(4096)
+    table = _TileTable({})
     table.add([1, 2, 1, 1], expires=1)  # in the window of sample 1
     table.add([2, 3], expires=1)
     assert table.sample() == 3
@@ -174,7 +173,7 @@ def test_tile_table_applies_each_distinct_page_once():
     assert table.sample() == 1
     ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(2, 3)]
     assert len(table) == 4
-    assert hot_pages(table, len(table)) == ranked
+    assert table.hot_pages(len(table)) == ranked
 
 
 # a batch of accesses: its pages, whether they fall in the window of the
@@ -195,7 +194,7 @@ def test_tile_table_matches_the_bucket_table_property(first_sample, periods, tai
     # windows that tile: before sample k every batch has expiry index
     # k - 1 (between two windows) or k (in window k), in time order
     stacks = {0: ("a.c:1",), 1: ("b.c:2", "a.c:1")}
-    tables = [cls(4096, stacks, first_sample=first_sample) for cls in (PageTable, _TileTable)]
+    tables = [cls(stacks, first_sample=first_sample) for cls in (_BucketTable, _TileTable)]
     samples = ([], [])
     for k, period in enumerate([*periods, tail], first_sample):
         for pages, in_window, ref in sorted(period, key=lambda batch: batch[1]):
@@ -207,13 +206,13 @@ def test_tile_table_matches_the_bucket_table_property(first_sample, periods, tai
     bucket, tile = tables
     assert samples[0] == samples[1]
     assert len(bucket) == len(tile)
-    assert hot_pages(bucket, len(bucket)) == hot_pages(tile, len(tile))
+    assert bucket.hot_pages(len(bucket)) == tile.hot_pages(len(tile))
 
 
 @pytest.mark.parametrize(
     "tau, every, table_class",
     [(1, 1, _TileTable), (528, 528, _TileTable), (30, 70, _TileTable),
-     (529, 528, PageTable), (5000, 50, PageTable)],
+     (529, 528, _BucketTable), (5000, 50, _BucketTable)],
 )
 def test_scopes_use_the_set_table_exactly_when_windows_do_not_overlap(tau, every, table_class):
     cfg = AnalysisConfig(tau=tau, every=every)
@@ -470,7 +469,7 @@ def test_per_thread_batches_stay_bounded(monkeypatch, nthreads, run, own_stacks,
             add(self, pages, expires, stack_ref)
         return recording_add
 
-    for table_class in (PageTable, _TileTable):
+    for table_class in (_BucketTable, _TileTable):
         monkeypatch.setattr(table_class, "add", recording(table_class.add))
     rng = random.Random(7)
     threads = tuple(range(nthreads))

@@ -3,10 +3,13 @@ before it in LAYERS, so no import cycle can form between them. Outside
 the package, it imports only the standard library. Only the CLI's main
 and its parser's usage errors write to stderr. A run loads logging only
 to warn about a skipped line, and json only to write a JSON document. No
-run loads dataclasses or the modules it pulls in."""
+run loads dataclasses or the modules it pulls in. The package exports
+the names PUBLIC_API lists, and the README's Library example runs."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +17,59 @@ from pathlib import Path
 import pytest
 
 import workset
+from workset import AnalysisConfig, run_analysis
+from workset.cli import main
+from workset.workloads import StepConfig, gen_step
 
 LAYERS = ("trace", "peak", "report", "engine", "workloads", "cli")
 PACKAGE = Path(workset.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# what ``import *`` takes from the package; a change to it is a change
+# to the public API, made here on purpose
+PUBLIC_API = [
+    "AccessKind", "AnalysisConfig", "AnalysisResult", "CSV_HEADER", "CallStackDecl",
+    "HotPageEntry", "PagerampConfig", "PeakAnnotation", "PeakDetector", "PeakParams",
+    "PeakVerdict", "StackActivation", "StepConfig", "Stream", "StreamResult", "Summary",
+    "TraceEvent", "TraceParseError", "WssSample", "detect_series", "emit", "format_summary",
+    "gen_pageramp", "gen_step", "load_label_map", "parse_line", "read_trace", "run_analysis",
+    "write_trace",
+]
+
+
+def test_the_package_exports_exactly_the_public_api():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert workset.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(workset, name), name
+    namespace = {}
+    exec("from workset import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_API
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the example reads trace.txt in the working directory; a trace of
+    # 300,000 instructions gives its window of 100,000 three samples
+    argv = ["gen", "step", "--interval-insns", "100000", "--flat-samples", "1"]
+    assert main([*argv, "-o", str(tmp_path / "trace.txt")]) == 0
+    text = README.read_text(encoding="utf-8")
+    library = text[text.index("\n## Library\n"):text.index("\n## Tests\n")]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})
+    cfg = StepConfig(interval_insns=100_000, flat_samples=1)
+    result = run_analysis(gen_step(cfg), AnalysisConfig(tau=100_000))
+    assert len(result.samples) == 3
+    expected = [f"{s.t} {s.wss_insn} {s.wss_data}" for s in result.samples]
+    expected.append(f"{result.data.summary.peak_pages} pages at peak")
+    assert capsys.readouterr().out.splitlines() == expected
+    # every name the README cites by its module resolves there, and the
+    # Library section names every export
+    cited = re.findall(r"`workset\.(\w+)\.(\w+)`", text)
+    assert ("trace", "LineMemo") in cited
+    for module, name in cited:
+        assert hasattr(importlib.import_module(f"workset.{module}"), name), (module, name)
+    assert {name for name in PUBLIC_API if f"`{name}`" not in library} == set()
 
 
 def imported_modules(tree):

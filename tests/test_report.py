@@ -24,7 +24,7 @@ from oracles import (
     slow_emit_json,
     slow_emit_svg,
 )
-from workset.engine import AnalysisConfig, PageTable, hot_pages, run_analysis, summarize
+from workset.engine import AnalysisConfig, _BucketTable, run_analysis
 from workset.report import (
     CSV_HEADER,
     FORMATS,
@@ -72,17 +72,21 @@ def analyzed(n=400, **cfg_kwargs):
 
 
 def test_summarize_arithmetic():
-    table = PageTable(4096)
-    table.add(list(range(5)), expires=1)
-    # the insn values of samples (10, 2, 7), (20, 3, 7) and (30, 4, 7)
-    s = summarize(array("q", [2, 3, 4]), table, Stream.INSN)
-    assert s == Summary(Stream.INSN, 3.0, 4, 5, 4096)
+    # the insn pages of the windows that samples 10, 20 and 30 count:
+    # {0, 1}, {0, 1, 2} and {1, 2, 3, 4}
+    pages = [0, 1] * 5 + [0, 1, 2] * 3 + [0] + [1, 2, 3, 4] * 2 + [1, 2]
+    events = [TraceEvent(AccessKind.INSN_FETCH, page * 4096, 4) for page in pages]
+    res = run_analysis(events, AnalysisConfig(tau=10))
+    assert [(s.t, s.wss_insn) for s in res.samples] == [(10, 2), (20, 3), (30, 4)]
+    assert res.insn.summary == Summary(Stream.INSN, 3.0, 4, 5, 4096)
 
 
 def test_summarize_empty_sample_list():
-    table = PageTable(4096)
-    table.add([0], expires=1)
-    s = summarize(array("q"), table, Stream.DATA)
+    # the trace ends before the first sample is due
+    events = [TraceEvent(AccessKind.INSN_FETCH, 0, 4), TraceEvent(AccessKind.DATA_LOAD, 0, 8)]
+    res = run_analysis(events, AnalysisConfig(tau=10))
+    assert len(res.samples) == 0
+    s = res.data.summary
     assert s.avg_pages == 0.0 and s.peak_pages == 0 and s.total_pages == 1
 
 
@@ -104,7 +108,7 @@ def test_format_summary_fractional_kb():
 
 
 def hot_table():
-    table = PageTable(4096, stacks={1: ("f.c:1", "g.c:2")})
+    table = _BucketTable({1: ("f.c:1", "g.c:2")})
     table.add([5, 5, 5], expires=1, stack_ref=1)
     table.add([2, 2, 2], expires=2)
     table.add([9], expires=3)
@@ -113,18 +117,18 @@ def hot_table():
 
 def test_hot_pages_rank_by_count_then_page():
     table = hot_table()
-    entries = hot_pages(table, len(table))
+    entries = table.hot_pages(len(table))
     assert [(e.count, e.page) for e in entries] == [(3, 2), (3, 5), (1, 9)]
 
 
 def test_hot_pages_limit():
     table = hot_table()
-    assert len(hot_pages(table, 2)) == 2
-    assert hot_pages(table, 0) == []
+    assert len(table.hot_pages(2)) == 2
+    assert table.hot_pages(0) == []
     with pytest.raises(ValueError):
-        hot_pages(table, -1)
+        table.hot_pages(-1)
     with pytest.raises(ValueError, match="^n must be >= 0, got a negative 16610-bit integer$"):
-        hot_pages(table, -(10**5000))
+        table.hot_pages(-(10**5000))
 
 
 @settings(max_examples=150, deadline=None)
@@ -140,7 +144,7 @@ def test_hot_pages_limit():
 @example(batches=[([1, 1, 2, 3, 3], 1)], n=0, labels={})
 def test_hot_pages_match_a_full_sort(batches, n, labels):
     stacks = {1: ("f.c:1", "g.c:2"), 2: ("h.c:3",)}
-    table = PageTable(4096, stacks)
+    table = _BucketTable(stacks)
     counts, first = Counter(), {}
     for expires, (pages, ref) in enumerate(batches, 1):
         table.add(pages, expires, ref)
@@ -153,23 +157,23 @@ def test_hot_pages_match_a_full_sort(batches, n, labels):
          labels[page] if page in labels else stacks.get(first[page], ("",))[0])
         for page in ranked
     ]
-    entries = hot_pages(table, n, labels)
+    entries = table.hot_pages(n, labels)
     assert [(e.count, e.page, e.info) for e in entries] == expected
 
 
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
     # hot_table() records seven accesses
-    assert sum(e.count for e in hot_pages(table, len(table))) == 7
+    assert sum(e.count for e in table.hot_pages(len(table))) == 7
 
 
 def test_hot_pages_info_resolution():
     # label map wins, then the first-touch stack frame, then blank
     table = hot_table()
-    entries = hot_pages(table, len(table), label_map={2: "heap"})
+    entries = table.hot_pages(len(table), label_map={2: "heap"})
     info = {e.page: e.info for e in entries}
     assert info == {2: "heap", 5: "f.c:1", 9: ""}
-    entries = hot_pages(table, len(table), label_map={5: "code"})
+    entries = table.hot_pages(len(table), label_map={5: "code"})
     assert {e.page: e.info for e in entries}[5] == "code"
 
 
