@@ -63,9 +63,10 @@ def _config(cls, args: argparse.Namespace):
 @contextmanager
 def _open_text(path: str, mode: str):
     """Yield a text stream for ``path`` opened in ``mode`` ("r" or "w"),
-    or stdin/stdout for "-". Undecodable input bytes reach the parser as
-    lone surrogates, which it rejects as malformed lines, so --lenient
-    can skip them."""
+    or stdin/stdout for "-". Input is read as UTF-8, stdin too, whatever
+    the locale. Undecodable input bytes reach the parser as lone
+    surrogates, which it rejects as malformed lines, so --lenient can
+    skip them."""
     if path != "-":
         with open(path, mode, encoding="utf-8", errors="surrogateescape") as f:
             yield f
@@ -75,7 +76,7 @@ def _open_text(path: str, mode: str):
     if stream is None:  # the process was started with that descriptor closed
         raise OSError(f"{'stdin' if reading else 'stdout'} is closed")
     if reading and hasattr(stream, "reconfigure"):
-        stream.reconfigure(errors="surrogateescape")
+        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     yield stream
     if not reading:
         # a reader that closed the pipe shows here, not at exit

@@ -14,54 +14,26 @@ given back to the OS keeps counting until those page frames are touched
 again, a deliberate overapproximation that keeps the tables append-only
 and the analysis single-pass.
 
-Each table keeps, per page, its access count and the stack id the first
-access carried, which names the page in the hot page ranking. Accesses
-reach the tables in batches: a touch only appends its page numbers to
-its scope's pending list for the stream, and the list is applied as one
-batch when it has to be. All accesses in a batch share one expiry index
-(the number of the last sample whose window still holds them) and one
-stack id, so a scope drains its batches when the clock's expiry index
-moves, when the running stack changes, before every sample, at the end
-of the trace, and when a batch reaches BATCH_LIMIT entries. Sampling
-never scans the tables, and which of the two private tables a scope
-builds depends on the window's shape. When windows overlap
-(tau > every), a _BucketTable keeps each page's expiry index and counts
-its pages per expiry index; a sample reads a running count and retires one
-expiry bucket, so it costs O(1) however many pages the stream has
-touched. When they do not (tau <= every, the default every = tau among
-them, so every pass of a default sweep), an access counts for at most
-one sample, and a _TileTable keeps only the set of pages touched in the
-open window: a batch is a C-level count and set update with no step per
-page, and a sample is the size of that set.
+The pass keeps one scope for the whole trace and, with per-thread
+analysis, one per thread (_ScopeState), each with one page table per
+access stream. Which of two private tables a scope builds depends on
+the window's shape: _BucketTable when windows overlap (tau > every),
+_TileTable when they do not. An event's pages are appended to one
+scope's batches: the combined scope's, or with per-thread scopes its
+thread's, whose batches a thread change (an activation counts as one)
+makes current. An event is appended once, and a thread change costs a
+lookup. All pages in a batch share one expiry index (see _Table) and
+the running stack, so every scope that ran since the last drain drains
+when the clock's expiry index moves, when that stack changes, before
+every sample, at the end of the trace, and when a batch reaches
+BATCH_LIMIT entries; a thread scope's drain applies each batch to its
+own table and to the combined one. The clock is tested once per fetch:
+``cut`` is the next fetch at which a sample falls due or the expiry
+index moves. Sampling never scans the tables.
 
-An event's pages are appended to one scope's batches: the combined
-scope's, or with per-thread scopes its thread's, whose batches a thread
-change (an activation counts as one) makes current. Every page waiting
-in any scope's batches carries the running stack, so every scope that
-ran since the last drain drains when that stack changes; a thread
-scope's drain applies each batch to its own table and to the combined
-one. A thread change costs a lookup, and an event is appended once.
-The clock is tested once per fetch: ``cut`` is the next fetch at which
-a sample falls due or the expiry index moves.
-
-run_analysis takes records (TraceEvent, CallStackDecl, StackActivation)
-or the trace's text lines, both checked by the trace module's rules:
-decode_event and parse_record for lines, as in read_trace, TraceEvent
-and stack_line for records, as in write_trace. A text line never
-becomes a TraceEvent: the engine offers its (is_fetch, first_page,
-last_page, thread) to a LineMemo, which keeps the lines its admission
-rule admits and holds each distinct tuple once. Either way an event's
-stack is the one the last activation for its thread named.
-
-The pass only counts; the results, the report module's classes, are
-built from the finished state. A scope keeps its samples as two
-columns of WSS values, 8 bytes per sample each; a sample's instant
-follows from its index. _ScopeState.result builds each stream's Summary
-from its column and the page size, and its hot page ranking from its
-table. Peaks are judged after the pass too: with peak detection each
-sample keeps the stack its scope ran under, and one PeakDetector per
-stream runs over each scope's finished columns. The samples they fire
-at, and only those, keep their flags and annotation index.
+The pass only counts: a scope keeps its samples as columns, and
+_ScopeState.result builds the results, the report module's classes,
+from the finished state, judging the peaks after the pass too.
 """
 
 from __future__ import annotations
@@ -287,30 +259,28 @@ class _BucketTable(_Table):
 
 
 class _TileTable(_Table):
-    """The table for windows that do not overlap (tau <= every), where
-    an access falls in at most one sample's window: the one its expiry
-    index names, if that sample is still to come. Every batch added
-    before sample k then has expiry index k - 1 or k, so at most one
-    window is open. The table keeps no per-page expiry, only the set
-    of pages touched in the open window and that window's expiry index;
-    a sample is the size of its window's set. A batch costs C-level
-    count and set updates, with no step per page."""
+    """The table for windows that do not overlap (tau <= every, the
+    default every = tau among them), where an access falls in at most
+    one sample's window: the one its expiry index names, if that sample
+    is still to come. Every batch added before sample k then has expiry
+    index k - 1 or k, and a scope takes every sample after its first,
+    so the table keeps no per-page expiry, only the set of pages touched
+    in the next sample's window; a sample is the size of that set, and
+    empties it. A batch costs C-level count and set updates, with no
+    step per page."""
 
     def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
         super().__init__(stacks, first_sample=first_sample)
         self._window: set[int] = set()
-        self._window_at = 0  # the open window's expiry index; 0: none yet
 
     def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
         self._tally(pages, stack_ref)
         if expires >= self._next:
-            if expires != self._window_at:
-                self._window.clear()
-                self._window_at = expires
             self._window.update(pages)
 
     def sample(self) -> int:
-        wss = len(self._window) if self._window_at == self._next else 0
+        wss = len(self._window)
+        self._window.clear()
         self._next += 1
         return wss
 
@@ -376,23 +346,18 @@ class _ScopeState:
         """This scope's samples, per-stream summaries and hot pages, and
         annotations; ``threads`` is the per-thread breakdown, if any.
         With peak detection one detector per stream judges the finished
-        columns. Each peak sets its sample's flag and appends one
-        annotation, in _STREAMS order, that names the stack the scope
-        ran under at the sample; the sample names the first of them."""
+        columns. Each peak appends one annotation, in _STREAMS order,
+        that names the stack the scope ran under at the sample; the
+        series marks its samples from them."""
         every, first = cfg.every, self.first_sample
-        flags = bytearray()
-        marks: dict[int, int] = {}
+        times = range(every * first, every * (first + len(self.wss[0])), every)
         annotations: list[PeakAnnotation] = []
         if self.sample_stacks is not None:
-            flags = bytearray(len(self.sample_stacks))
             insn_detector, data_detector = (PeakDetector(cfg.peak_params()) for _ in _STREAMS)
-            for i, (wss_insn, wss_data, ref) in enumerate(zip(*self.wss, self.sample_stacks)):
+            for t, wss_insn, wss_data, ref in zip(times, *self.wss, self.sample_stacks):
                 fired = (insn_detector.update(wss_insn).is_peak,
                          data_detector.update(wss_data).is_peak)
                 if any(fired):
-                    flags[i] = fired[0] | fired[1] << 1
-                    marks[i] = len(annotations)
-                    t = every * (first + i)
                     frames = stacks.get(ref, ())
                     for stream, peak in zip(_STREAMS, fired):
                         if peak:
@@ -406,7 +371,7 @@ class _ScopeState:
             )
             for table, values, stream in zip(self.tables, self.wss, _STREAMS)
         )
-        samples = SampleSeries(every, first, *self.wss, flags, marks)
+        samples = SampleSeries(times, *self.wss, annotations)
         return AnalysisResult(samples, insn, data, annotations, threads)
 
 
@@ -420,8 +385,9 @@ def run_analysis(
     the generators, or the trace's text lines (an open file works).
     Memory grows with distinct pages and with samples: each scope keeps
     one sample per ``every`` instructions, 16 bytes each in two columns
-    (with peak detection, also a stack slot during the pass and a flag
-    byte after it), so a small ``every`` makes it grow with trace length.
+    (with peak detection, also an 8-byte stack slot during the pass,
+    and after it an entry per sample a peak fired at), so a small
+    ``every`` makes it grow with trace length.
 
     Each thread runs under the stack its last activation (a
     StackActivation record or a U line) named, or none before its
@@ -445,11 +411,10 @@ def run_analysis(
     shift = cfg.page_size.bit_length() - 1
     insn_fetch = AccessKind.INSN_FETCH
     # the scope events go to (the combined one, or per thread the running
-    # thread's), its batches and the running stack as locals: the loop
-    # runs once per trace event
+    # thread's) and its batches as locals: the loop runs once per trace
+    # event
     scope = combined
     insn_batch, data_batch = combined.batches
-    stack = None
     now = 0
     # expiry index (now + tau - 1) // every of the accesses at ``now``;
     # it moves on by one when the clock reaches ``moves_at``
@@ -475,7 +440,7 @@ def run_analysis(
     ran: list[_ScopeState] = []
 
     def drain(expires: int) -> None:
-        for state in ran if len(ran) == 1 else dict.fromkeys(ran):
+        for state in dict.fromkeys(ran):
             state.drain(expires)
         del ran[:-1]
 
@@ -543,11 +508,11 @@ def run_analysis(
         if thread != ref_thread:
             ref_thread = thread
             ref = current.get(thread)
-            if ref != stack:
+            if ref != combined.last_stack:
                 drain(expires)
                 # every batch is empty, so no scope still has to drain
                 ran.clear()
-                stack = combined.last_stack = ref
+                combined.last_stack = ref
             if per_thread:
                 scope = threads.get(thread)
                 if scope is None:

@@ -72,31 +72,32 @@ class SampleSeries(Sequence):
     WssSample that builds each sample when it is asked for, so changing
     a sample it returned changes nothing it holds.
 
-    Sample i is taken at t = every * (first + i). ``insn`` and ``data``
-    hold the WSS values. ``flags`` holds one byte per sample, peak_insn
-    in bit 0 and peak_data in bit 1, or is empty when no sample fired;
-    ``marks`` maps the index of each sample that fired to its annotation
-    index. Iteration builds _SERIES_CHUNK samples at a time, and a slice
-    is a list. A series equals a list or tuple of equal samples.
+    Sample i is taken at instant ``times[i]``. ``insn`` and ``data``
+    hold the WSS values, and ``annotations`` the scope's peaks: each
+    sample some of them name is marked with their streams and the index
+    of the first. Iteration builds _SERIES_CHUNK samples at a time, and
+    a slice is a list. A series equals a list or tuple of equal samples.
     """
 
-    __slots__ = ("_every", "_first", "_insn", "_data", "_flags", "_marks")
+    __slots__ = ("_times", "_insn", "_data", "_peaks")
 
     def __init__(
         self,
-        every: int,
-        first: int,
+        times: range,
         insn: array,
         data: array,
-        flags: bytearray,
-        marks: dict[int, int],
+        annotations: Iterable[PeakAnnotation],
     ):
-        self._every = every
-        self._first = first
+        self._times = times
         self._insn = insn
         self._data = data
-        self._flags = flags
-        self._marks = marks
+        # sample index -> (first annotation index, peak_insn in bit 0 and
+        # peak_data in bit 1), for the samples that fired
+        self._peaks: dict[int, tuple[int, int]] = {}
+        for ann in annotations:
+            i = (ann.t - times.start) // times.step
+            index, bits = self._peaks.get(i, (ann.index, 0))
+            self._peaks[i] = index, bits | (1 if ann.stream is Stream.INSN else 2)
 
     def __len__(self) -> int:
         return len(self._insn)
@@ -121,23 +122,20 @@ class SampleSeries(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
-        return (f"<SampleSeries of {len(self)} samples every {self._every}"
-                f" from t={self._every * self._first}>")
+        return (f"<SampleSeries of {len(self)} samples every {self._times.step}"
+                f" from t={self._times.start}>")
 
     def _build(self, cut: slice) -> list[WssSample]:
         """The samples that slice ``cut`` selects, as a list does."""
-        rows = range(len(self))[cut]
-        every, first = self._every, self._first
-        # t = every * (first + i) is linear in i, so it maps a range to a range
-        times = range(every * (first + rows.start), every * (first + rows.stop), every * rows.step)
-        out = list(map(WssSample, times, self._insn[cut], self._data[cut]))
-        flags = self._flags[cut]
-        # only the samples with a nonzero flag byte fired
-        for j in compress(range(len(out)), flags):
-            sample = out[j]
-            sample.peak_insn = bool(flags[j] & 1)
-            sample.peak_data = bool(flags[j] & 2)
-            sample.annotation = self._marks[rows[j]]
+        out = list(map(WssSample, self._times[cut], self._insn[cut], self._data[cut]))
+        peaks = self._peaks
+        if peaks:
+            rows = range(len(self))[cut]
+            for j in compress(range(len(out)), map(peaks.__contains__, rows)):
+                sample = out[j]
+                sample.annotation, bits = peaks[rows[j]]
+                sample.peak_insn = bool(bits & 1)
+                sample.peak_data = bool(bits & 2)
         return out
 
 
@@ -193,11 +191,11 @@ class AnalysisResult(Struct):
     sub-results (sampled on the same global clock) when requested.
 
     An analysis returns its ``samples`` as a SampleSeries: a read-only
-    sequence that holds 16 bytes per sample (17 with peak detection)
-    and builds each WssSample when it is read, by index, slice or
-    iteration, so changing a sample read from it leaves the series as
-    it was. Any sequence of WssSample works here; the emitters only
-    take its length, slice it and iterate it."""
+    sequence that holds 16 bytes per sample, plus an entry per sample a
+    peak fired at, and builds each WssSample when it is read, by index,
+    slice or iteration, so changing a sample read from it leaves the
+    series as it was. Any sequence of WssSample works here; the
+    emitters only take its length, slice it and iterate it."""
 
     __match_args__ = ("samples", "insn", "data", "annotations", "threads")
 

@@ -24,6 +24,7 @@ can be piped in directly.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from typing import Iterable, Iterator, TextIO
 
@@ -103,6 +104,8 @@ class TraceEvent(Struct):
             field, rule, value = "size", f"an int in 1..{MAX_ACCESS_SIZE}", size
         elif thread.__class__ is not int or thread < 0:
             field, rule, value = "thread", "an int >= 0", thread
+        elif thread >= ADDRESS_LIMIT and 0 < (digits := _digit_limit()) and thread >= 10**digits:
+            field, rule, value = "thread", f"an int of at most {digits} digits", thread
         else:
             self.kind = kind
             self.address = address
@@ -110,6 +113,14 @@ class TraceEvent(Struct):
             self.thread = thread
             return
         raise ValueError(f"event {field} must be {rule}, got {_show_field(value)}")
+
+
+def _digit_limit() -> int:
+    """The most decimal digits int() converts from text, as many as a
+    ``t<tid>`` field may hold; 0 if there is no limit."""
+    # the limit came with Python 3.11 and the 3.10 security releases
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    return limit() if limit else 0
 
 
 class CallStackDecl(Struct):

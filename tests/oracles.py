@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
 
 from workset.trace import (
     MAX_ACCESS_SIZE,
@@ -136,29 +137,16 @@ def slow_wss_series(events, tau, every, page_size, thread=None):
 
 
 def fast_wss_series(events, tau, every, page_size, thread=None):
-    """Same recount per sample, vectorized so big randomized traces stay
+    """Same recount per sample, sliced so big randomized traces stay
     affordable: timestamps are nondecreasing, so each window is a slice
-    located by bisection and counted with numpy's unique."""
-    import numpy as np
-
+    located by bisection, whose distinct pages a set counts."""
     insn, data, final = expand_accesses(events, page_size, thread)
+    columns = [([ts for ts, _ in pairs], [page for _, page in pairs]) for pairs in (insn, data)]
     out = []
-    arrays = []
-    for pairs in (insn, data):
-        if pairs:
-            ts = np.array([x[0] for x in pairs], dtype=np.int64)
-            pg = np.array([x[1] for x in pairs], dtype=np.int64)
-        else:
-            ts = np.empty(0, dtype=np.int64)
-            pg = np.empty(0, dtype=np.int64)
-        arrays.append((ts, pg))
     for t in range(every, final + 1, every):
-        counts = []
-        for ts, pg in arrays:
-            lo = np.searchsorted(ts, t - tau, side="right")
-            hi = np.searchsorted(ts, t, side="right")
-            counts.append(len(np.unique(pg[lo:hi])))
-        out.append((t, counts[0], counts[1]))
+        wi, wd = (len(set(pages[bisect_right(ts, t - tau):bisect_right(ts, t)]))
+                  for ts, pages in columns)
+        out.append((t, wi, wd))
     return out
 
 

@@ -227,6 +227,35 @@ def test_analyze_invalid_utf8_on_stdin_has_no_traceback(lenient):
         assert len(proc.stdout.splitlines()) == 1 + 3
 
 
+CAFE_TRACE = "C 0: caf\u00e9.c:1\nU 0 0\nI  400000,4\n".encode()
+
+
+@pytest.mark.parametrize("command, trace, status", [
+    ("analyze", BAD_BYTE_TRACE.replace(b" L 1000\xff,4", b"C 0: f\xffg"), INPUT_ERROR),
+    ("sweep", BAD_BYTE_TRACE, INPUT_ERROR),
+    ("analyze", CAFE_TRACE, 0),
+], ids=["analyze-bad-frame", "sweep-bad-address", "analyze-cafe"])
+def test_stdin_is_read_as_utf8_like_a_file(command, trace, status, tmp_path):
+    # a file is always read as UTF-8; under a latin-1 stdin encoding the
+    # bad byte would decode to a valid frame or a different error text,
+    # and the \xc3\xa9 of caf\u00e9 to two characters
+    path = tmp_path / "trace.txt"
+    path.write_bytes(trace)
+    argv = [sys.executable, "-m", "workset.cli", command]
+    if command == "analyze":
+        argv += ["--tau", "1", "--format", "json"]
+    env = dict(os.environ, PYTHONIOENCODING="latin-1")
+    from_file = subprocess.run(argv + [str(path)], capture_output=True, env=env)
+    # redirected, not piped, so that sweep can rewind it
+    with open(path, "rb") as stdin:
+        redirected = subprocess.run(argv + ["-"], stdin=stdin, capture_output=True, env=env)
+    assert from_file.returncode == redirected.returncode == status
+    assert redirected.stdout == from_file.stdout
+    assert redirected.stderr == from_file.stderr
+    if status == 0:
+        assert b'"info": "caf\\u00e9.c:1"' in redirected.stdout
+
+
 @pytest.mark.parametrize(
     "stream, argv", [("stdin", ["analyze"]), ("stdout", ["gen", "pageramp", *TINY_FLAGS])]
 )
@@ -737,3 +766,18 @@ def test_declared_console_script_resolves(capsys):
     entry = getattr(importlib.import_module(module), name)
     assert entry(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_version_is_stated_once():
+    """pyproject.toml takes the version from the package, which states
+    it once."""
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    module, _, name = config["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    version = getattr(importlib.import_module(module), name)
+    assert version.count(".") == 2 and version.replace(".", "").isdigit()

@@ -558,8 +558,15 @@ def test_text_lines_match_read_trace(
 
 
 def test_fast_oracle_agrees_with_slow():
-    events = make_random_events(random.Random(99), 800, straddle=True, threads=(0, 1))
-    assert fast_wss_series(events, 23, 11, 4096) == slow_wss_series(events, 23, 11, 4096)
+    # three threads' straddling accesses, windows that overlap, tile or
+    # leave gaps, and the whole trace as well as single threads
+    for seed in (99, 5, 2024):
+        events = make_random_events(random.Random(seed), 800, straddle=True, threads=(0, 1, 2))
+        for tau, every in ((23, 11), (11, 23), (1, 1), (40, 40)):
+            for thread in (None, 0, 2):
+                fast = fast_wss_series(events, tau, every, 4096, thread)
+                assert fast == slow_wss_series(events, tau, every, 4096, thread)
+                assert any(wi and wd for _, wi, wd in fast)
 
 
 @given(
@@ -668,8 +675,9 @@ def test_memory_does_not_grow_with_trace_length(tau, every, make_lines, text):
                          ids=["combined", "per-thread-peaks"])
 def test_samples_retain_few_bytes_each(scopes):
     # a scope keeps its samples as two 8-byte columns (and, with peak
-    # detection, a flag byte), so what the result holds grows by about
-    # 17 bytes per sample; one WssSample object per sample costs over 100
+    # detection, an entry per sample that fired), so what the result
+    # holds grows by about 16 bytes per sample; one WssSample object per
+    # sample costs over 100
     cfg = AnalysisConfig(tau=64, every=1, **scopes)
     records = list(gen_pageramp(PagerampConfig(max_pages=128, cycles=1)))
     run_analysis(records, cfg)  # warm, as the tests above do

@@ -172,7 +172,7 @@ def test_stderr_users_sees_every_form():
 
 
 def test_package_imports_only_the_standard_library():
-    # numpy and hypothesis are installed for the tests, so a stray import
+    # pytest and hypothesis are installed for the tests, so a stray import
     # of either in the package would otherwise go unnoticed; an import
     # counts wherever it sits
     paths = sorted(PACKAGE.glob("*.py"))

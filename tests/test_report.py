@@ -618,7 +618,7 @@ def test_emit_svg_holds_no_object_per_sample():
     insn = array("q", (i % 977 for i in range(n)))
     data = array("q", (i * 7 % 1999 for i in range(n)))
     result = manual_result()
-    result.samples = SampleSeries(5, 1, insn, data, bytearray(), {})
+    result.samples = SampleSeries(range(5, 5 * (n + 1), 5), insn, data, [])
     result.annotations = []
     sink = _CountingSink()
     tracemalloc.start()

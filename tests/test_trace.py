@@ -443,6 +443,8 @@ def test_write_rejects_records_read_trace_would_reject(records):
         ("thread", -3),
         ("thread", True),
         ("thread", 1.0),
+        # past int-to-text conversion's default 4300-digit limit
+        pytest.param("thread", 10**5000, id="thread-10**5000"),
     ],
 )
 def test_event_refuses_a_field_no_line_can_hold(field, value):
