@@ -10,19 +10,21 @@ for peak detector tests.
 Each takes one config object (PagerampConfig, StepConfig), which holds
 every default, including those of the ``workset gen`` flags, and checks
 every range when it is built. Both are fully deterministic: the same
-config yields the same record sequence, one record per trace line and
-byte for byte once serialized. Events are shared: a generator builds
-one fetch event per code offset and one store event per data page,
-and yields that event again on every later access to the offset or
-page, as long as there are at most EVENT_MEMO_SIZE of them. Consumers
-must treat yielded events as immutable.
+config gives the same record sequence, one record per trace line and
+byte for byte once serialized. Each returns one lazy ``itertools``
+pipeline, not a generator object: Python code runs once per pass or
+interval and once per event built, never once per record. Events are
+shared: a generator builds one fetch event per code offset and one
+store event per data page, and hands out that event again on every
+later access to the offset or page, as long as there are at most
+EVENT_MEMO_SIZE of them. Consumers must treat the events as
+immutable.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain, islice, repeat
-from typing import Callable, Iterator
+from itertools import chain, cycle, filterfalse, islice, repeat, starmap
+from typing import Callable, Iterable, Iterator
 
 from .trace import (
     ADDRESS_LIMIT,
@@ -45,11 +47,13 @@ INSN_BYTES = 4
 _PAGE_SIZE_BITS = ((ADDRESS_LIMIT - CODE_BASE) // CODE_PAGES).bit_length() - 1
 
 EVENT_MEMO_SIZE = 65536
-"""Most code offsets, and most data pages, a generator keeps one event
-for. The code region holds ``CODE_PAGES * page_size / INSN_BYTES``
-offsets, so from 128 KiB pages on fetch events are built afresh: the
-stream walks the offsets in a cycle, and a bounded memo would evict
-each event before its next use."""
+"""Most events a generator keeps of one kind: it keeps one fetch event
+per code offset when the code region holds at most this many offsets,
+and one store event per data page when its data region holds at most
+this many pages. Above that, events of that kind are built afresh on
+every access and dropped once read. The code region holds
+``CODE_PAGES * page_size / INSN_BYTES`` offsets, so from 128 KiB pages
+on fetch events are built afresh."""
 
 # Synthetic provenance attached to pageramp stores: the touch loop frame,
 # then the ramp driver frame. Purely decorative, but it exercises the
@@ -64,30 +68,50 @@ def _check_end(base_address: int, pages: int, page_size: int) -> None:
         raise ValueError(f"data pages must end at or below 2**64, got end {show_int(end)}")
 
 
-def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], TraceEvent]:
-    """``make`` with its results kept for reuse when it is called with at
-    most ``keys`` distinct arguments, and that is at most EVENT_MEMO_SIZE;
-    else ``make`` itself."""
-    return cache(make) if keys <= EVENT_MEMO_SIZE else make
+def _events(kind: AccessKind, addresses: Iterable[int], size: int) -> Iterator[TraceEvent]:
+    """Lazy events of one kind and size, one per address, each built
+    when it is read."""
+    return map(TraceEvent, repeat(kind), addresses, repeat(size))
 
 
 def _code_fetches(page_size: int) -> Iterator[TraceEvent]:
     """Endless instruction fetches cycling through the code pages."""
     addresses = range(CODE_BASE, CODE_BASE + CODE_PAGES * page_size, INSN_BYTES)
-    fetch = _memoized(
-        lambda address: TraceEvent(AccessKind.INSN_FETCH, address, INSN_BYTES),
-        len(addresses),
-    )
-    return map(fetch, chain.from_iterable(repeat(addresses)))
+    if len(addresses) <= EVENT_MEMO_SIZE:
+        # cycle keeps its first lap, so each offset's event is built once
+        return cycle(_events(AccessKind.INSN_FETCH, addresses, INSN_BYTES))
+    return _events(AccessKind.INSN_FETCH, chain.from_iterable(repeat(addresses)), INSN_BYTES)
 
 
-def _data_stores(base_address: int, page_size: int, pages: int) -> Callable[[int], TraceEvent]:
-    """Single-byte store event at the start of a page, by index below
-    ``pages``."""
-    return _memoized(
-        lambda page: TraceEvent(AccessKind.DATA_STORE, base_address + page * page_size, 1),
-        pages,
-    )
+def _data_stores(base_address: int, page_size: int, stride: int,
+                 pages: int) -> Callable[[int], Iterable[TraceEvent]]:
+    """The single-byte stores at the start of pages 0, stride,
+    2*stride, ... below a page count, as a function of that count,
+    which is at most ``pages``. Each event is built when it is read.
+    With at most EVENT_MEMO_SIZE pages, the first pass to reach a page
+    keeps its event and later passes read it again; with more, every
+    pass builds fresh events."""
+    step = stride * page_size
+
+    def fresh(first: int, claimed: int) -> Iterator[TraceEvent]:
+        addresses = range(base_address + first * page_size, base_address + claimed * page_size, step)
+        return _events(AccessKind.DATA_STORE, addresses, 1)
+
+    if pages > EVENT_MEMO_SIZE:
+        return lambda claimed: fresh(0, claimed)
+    kept: list[TraceEvent] = []
+
+    def shared(claimed: int) -> Iterable[TraceEvent]:
+        touches = len(range(0, claimed, stride))
+        known = kept[:touches]
+        if touches <= len(kept):
+            return known
+        # append returns None, so filterfalse passes each new event on
+        # as it keeps it; the list stays in page order because a pass
+        # reads all its stores before the next pass asks for its own
+        return chain(known, filterfalse(kept.append, fresh(len(kept) * stride, claimed)))
+
+    return shared
 
 
 class PagerampConfig(Struct):
@@ -127,7 +151,7 @@ class PagerampConfig(Struct):
 def gen_pageramp(
     config: PagerampConfig | None = None,
 ) -> Iterator[TraceEvent | CallStackDecl | StackActivation]:
-    """Yield the sawtooth workload as a lazy record stream: the
+    """Return a lazy iterator over the sawtooth workload's records: the
     declaration of its one call stack and the activation of that stack
     on thread 0, then the events.
 
@@ -139,10 +163,10 @@ def gen_pageramp(
     [base_address, base_address + max_pages * page_size).
     """
     cfg = config if config is not None else PagerampConfig()
-    yield CallStackDecl(_PAGERAMP_STACK_ID, _PAGERAMP_FRAMES)
-    yield StackActivation(0, _PAGERAMP_STACK_ID)
+    head = (CallStackDecl(_PAGERAMP_STACK_ID, _PAGERAMP_FRAMES),
+            StackActivation(0, _PAGERAMP_STACK_ID))
     code = _code_fetches(cfg.page_size)
-    store = _data_stores(cfg.base_address, cfg.page_size, cfg.max_pages)
+    stores = _data_stores(cfg.base_address, cfg.page_size, cfg.stride, cfg.max_pages)
     per_touch = cfg.insns_per_touch
 
     def pass_records(claimed: int) -> Iterator[TraceEvent]:
@@ -152,17 +176,13 @@ def gen_pageramp(
         fetches = islice(code, per_touch * len(touched))
         return chain(
             islice(code, cfg.insns_per_step),
-            chain.from_iterable(zip(*[fetches] * per_touch, map(store, touched))),
+            chain.from_iterable(zip(*[fetches] * per_touch, stores(claimed))),
         )
 
-    for _ in range(cfg.cycles):
-        claimed = 0
-        while claimed < cfg.max_pages:
-            claimed = min(claimed + cfg.pages_per_step, cfg.max_pages)
-            yield from pass_records(claimed)
-        while claimed > 0:
-            claimed = max(claimed - cfg.pages_per_step, 0)
-            yield from pass_records(claimed)
+    top, step = cfg.max_pages, cfg.pages_per_step
+    ramp = (range(step, top, step), (top,), range(top - step, 0, -step), (0,))
+    claims = chain.from_iterable(chain.from_iterable(repeat(ramp, cfg.cycles)))
+    return chain(head, chain.from_iterable(map(pass_records, claims)))
 
 
 class StepConfig(Struct):
@@ -173,7 +193,7 @@ class StepConfig(Struct):
     repeated ``repeats`` times, then a flat tail of ``flat_samples``
     intervals. ``step_pages = 0`` degenerates to a constant series.
     Every emitted interval is exactly ``interval_insns`` instructions
-    long, so analyzing with tau = every = interval_insns yields one
+    long, so analyzing with tau = every = interval_insns gives one
     sample per interval whose data WSS equals the page count touched
     in it.
     """
@@ -203,21 +223,22 @@ class StepConfig(Struct):
 
 
 def gen_step(config: StepConfig | None = None) -> Iterator[TraceEvent]:
-    """Yield the step workload as a lazy record stream: a flat working
-    set with one short bump per repeat, and no call stacks."""
+    """Return a lazy iterator over the step workload's records: a flat
+    working set with one short bump per repeat, and no call stacks."""
     cfg = config if config is not None else StepConfig()
     code = _code_fetches(cfg.page_size)
-    store = _data_stores(cfg.base_address, cfg.page_size, cfg.flat_pages + cfg.step_pages)
+    flat, bump = cfg.flat_pages, cfg.flat_pages + cfg.step_pages
+    stores = _data_stores(cfg.base_address, cfg.page_size, 1, bump)
 
     def interval(npages: int) -> Iterator[TraceEvent]:
         return chain(
-            chain.from_iterable(zip(islice(code, npages), map(store, range(npages)))),
+            chain.from_iterable(zip(islice(code, npages), stores(npages))),
             islice(code, cfg.interval_insns - npages),
         )
 
-    for _ in range(cfg.repeats):
-        for _ in range(cfg.flat_samples):
-            yield from interval(cfg.flat_pages)
-        yield from interval(cfg.flat_pages + cfg.step_pages)
-    for _ in range(cfg.flat_samples):
-        yield from interval(cfg.flat_pages)
+    # runs of (page count, intervals): flat then one bump, per repeat,
+    # then the flat tail
+    runs = chain(repeat(((flat, cfg.flat_samples), (bump, 1)), cfg.repeats),
+                 (((flat, cfg.flat_samples),),))
+    counts = chain.from_iterable(starmap(repeat, chain.from_iterable(runs)))
+    return chain.from_iterable(map(interval, counts))

@@ -11,6 +11,9 @@ import json
 import math
 import random
 from bisect import bisect_right
+from functools import cache
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 from workset.trace import (
     MAX_ACCESS_SIZE,
@@ -20,6 +23,16 @@ from workset.trace import (
     Stream,
     TraceEvent,
     TraceParseError,
+)
+from workset.workloads import (
+    _PAGERAMP_FRAMES,
+    _PAGERAMP_STACK_ID,
+    CODE_BASE,
+    CODE_PAGES,
+    EVENT_MEMO_SIZE,
+    INSN_BYTES,
+    PagerampConfig,
+    StepConfig,
 )
 
 
@@ -380,3 +393,101 @@ def make_random_result(rng: random.Random, nested: bool = True):
         tids = rng.sample((0, 1, 7, 2**31, 10**15, 2**64 - 1), rng.randrange(4))
         threads = {tid: make_random_result(rng, nested=False) for tid in tids}
     return AnalysisResult(samples, streams[0], streams[1], annotations, threads)
+
+
+# The workload generators as a generator frame per record with a
+# functools.cache per event kind: the record streams, and the sharing of
+# event objects, the itertools pipelines in workset.workloads must match.
+
+
+def _memoized(make: Callable[[int], TraceEvent], keys: int) -> Callable[[int], TraceEvent]:
+    """``make`` with its results kept for reuse when it is called with at
+    most ``keys`` distinct arguments, and that is at most EVENT_MEMO_SIZE;
+    else ``make`` itself."""
+    return cache(make) if keys <= EVENT_MEMO_SIZE else make
+
+
+def _code_fetches(page_size: int) -> Iterator[TraceEvent]:
+    """Endless instruction fetches cycling through the code pages."""
+    addresses = range(CODE_BASE, CODE_BASE + CODE_PAGES * page_size, INSN_BYTES)
+    fetch = _memoized(
+        lambda address: TraceEvent(AccessKind.INSN_FETCH, address, INSN_BYTES),
+        len(addresses),
+    )
+    return map(fetch, chain.from_iterable(repeat(addresses)))
+
+
+def _data_stores(base_address: int, page_size: int, pages: int) -> Callable[[int], TraceEvent]:
+    """Single-byte store event at the start of a page, by index below
+    ``pages``."""
+    return _memoized(
+        lambda page: TraceEvent(AccessKind.DATA_STORE, base_address + page * page_size, 1),
+        pages,
+    )
+
+
+def slow_gen_pageramp(
+    config: PagerampConfig | None = None,
+) -> Iterator[TraceEvent | CallStackDecl | StackActivation]:
+    """gen_pageramp as first written: a generator frame resumed per
+    record and a functools.cache lookup per event.
+
+    Yield the sawtooth workload as a lazy record stream: the
+    declaration of its one call stack and the activation of that stack
+    on thread 0, then the events.
+
+    Per cycle the claimed page count rises from 0 to max_pages and
+    falls back to 0 in pages_per_step increments. After every step the
+    workload touches page 0, stride, 2*stride, ... of the claimed
+    prefix with one single-byte store each, preceded by
+    insns_per_touch instruction fetches. Stores never leave
+    [base_address, base_address + max_pages * page_size).
+    """
+    cfg = config if config is not None else PagerampConfig()
+    yield CallStackDecl(_PAGERAMP_STACK_ID, _PAGERAMP_FRAMES)
+    yield StackActivation(0, _PAGERAMP_STACK_ID)
+    code = _code_fetches(cfg.page_size)
+    store = _data_stores(cfg.base_address, cfg.page_size, cfg.max_pages)
+    per_touch = cfg.insns_per_touch
+
+    def pass_records(claimed: int) -> Iterator[TraceEvent]:
+        touched = range(0, claimed, cfg.stride)
+        # zip takes per_touch fetches from the shared islice, then the
+        # store; the islice ends exactly when the touched pages do
+        fetches = islice(code, per_touch * len(touched))
+        return chain(
+            islice(code, cfg.insns_per_step),
+            chain.from_iterable(zip(*[fetches] * per_touch, map(store, touched))),
+        )
+
+    for _ in range(cfg.cycles):
+        claimed = 0
+        while claimed < cfg.max_pages:
+            claimed = min(claimed + cfg.pages_per_step, cfg.max_pages)
+            yield from pass_records(claimed)
+        while claimed > 0:
+            claimed = max(claimed - cfg.pages_per_step, 0)
+            yield from pass_records(claimed)
+
+
+def slow_gen_step(config: StepConfig | None = None) -> Iterator[TraceEvent]:
+    """gen_step as first written.
+
+    Yield the step workload as a lazy record stream: a flat working
+    set with one short bump per repeat, and no call stacks."""
+    cfg = config if config is not None else StepConfig()
+    code = _code_fetches(cfg.page_size)
+    store = _data_stores(cfg.base_address, cfg.page_size, cfg.flat_pages + cfg.step_pages)
+
+    def interval(npages: int) -> Iterator[TraceEvent]:
+        return chain(
+            chain.from_iterable(zip(islice(code, npages), map(store, range(npages)))),
+            islice(code, cfg.interval_insns - npages),
+        )
+
+    for _ in range(cfg.repeats):
+        for _ in range(cfg.flat_samples):
+            yield from interval(cfg.flat_pages)
+        yield from interval(cfg.flat_pages + cfg.step_pages)
+    for _ in range(cfg.flat_samples):
+        yield from interval(cfg.flat_pages)

@@ -3,13 +3,16 @@ by hand from the workload definition before gen_pageramp existed; keep
 it literal."""
 
 import io
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import slow_gen_pageramp, slow_gen_step
 
 from workset.engine import AnalysisConfig, run_analysis
 from workset.trace import AccessKind, TraceEvent, read_trace, write_trace
@@ -155,6 +158,134 @@ def test_huge_page_size_starts_quickly_with_bounded_memory():
         tracemalloc.stop()
     # a memo keeping every fetch would grow by about 5 MB per step
     assert held[2] <= held[0] + 64 * 1024, held
+
+
+def test_data_page_count_above_memo_size_starts_quickly_with_bounded_memory():
+    # one pass touches 4 * EVENT_MEMO_SIZE pages: no store event is kept
+    pages = 4 * EVENT_MEMO_SIZE
+    cfg = PagerampConfig(max_pages=pages, stride=1, cycles=1, insns_per_step=0,
+                         pages_per_step=pages, page_size=256)
+    records = gen_pageramp(cfg)
+    t0 = time.perf_counter()
+    head = list(islice(records, 42))
+    assert time.perf_counter() - t0 < 1.0
+    assert [r.address for r in head[3::2]] == [cfg.base_address + 256 * i for i in range(20)]
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(3):
+            for _ in islice(records, EVENT_MEMO_SIZE // 2):
+                pass
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # keeping every store would grow by about 1.5 MB per step
+    assert held[2] <= held[0] + 64 * 1024, held
+
+
+def count_calls(read):
+    """Python calls made while ``read()`` runs, split into TraceEvent
+    constructions and all others."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code is TraceEvent.__init__.__code__] += 1
+
+    sys.setprofile(profile)
+    try:
+        value = read()
+    finally:
+        sys.setprofile(None)
+    return value, calls[True], calls[False]
+
+
+def test_events_are_built_as_they_are_read():
+    # the store list may reach EVENT_MEMO_SIZE events, all in the first pass
+    cfg = PagerampConfig(max_pages=EVENT_MEMO_SIZE, stride=1, cycles=1, insns_per_step=0,
+                         pages_per_step=EVENT_MEMO_SIZE, page_size=256)
+    t0 = time.perf_counter()
+    records, built, _ = count_calls(lambda: gen_pageramp(cfg))
+    assert time.perf_counter() - t0 < 1.0
+    assert built == 0
+    # 2 + 2 * 100 records: 100 fetch offsets and 100 pages so far
+    head, built, _ = count_calls(lambda: list(islice(records, 202)))
+    assert built == len({id(r) for r in head[2:]}) == 200
+
+
+@pytest.mark.parametrize(
+    "generate, intervals",
+    [
+        # 20 cycles of 16 claims up and 16 down
+        (lambda: gen_pageramp(PagerampConfig(max_pages=64, stride=2, cycles=20,
+                                             pages_per_step=4, page_size=256)), 640),
+        # 5 repeats of 4 flat intervals and a bump, then 4 flat ones
+        (lambda: gen_step(StepConfig(interval_insns=300, repeats=5, page_size=256,
+                                     flat_pages=3, step_pages=5, flat_samples=4)), 29),
+    ],
+    ids=["pageramp", "step"],
+)
+def test_no_python_call_per_record(generate, intervals):
+    # Python runs a few calls per pass or interval and one per event
+    # built; a generator frame resumed per record makes one per record
+    records, built, other = count_calls(lambda: list(generate()))
+    assert built == len({id(r) for r in records if isinstance(r, TraceEvent)})
+    assert other <= 3 * intervals + 16, (other, len(records))
+
+
+def shared_events(records):
+    """Per access kind, each event's position among the distinct
+    objects of that kind: equal positions mean one shared object."""
+    firsts = {kind: {} for kind in AccessKind}
+    return [
+        firsts[r.kind].setdefault(id(r), len(firsts[r.kind]))
+        for r in records
+        if isinstance(r, TraceEvent)
+    ]
+
+
+page_sizes = st.integers(8, 20).map(lambda bits: 1 << bits)  # 256 B to 1 MiB
+
+
+@given(
+    max_pages=st.integers(1, 40),
+    stride=st.integers(1, 50),
+    cycles=st.integers(1, 3),
+    insns_per_touch=st.integers(1, 4),
+    insns_per_step=st.integers(0, 20),
+    pages_per_step=st.integers(1, 50),
+    page_size=page_sizes,
+)
+@example(max_pages=EVENT_MEMO_SIZE + 1, stride=EVENT_MEMO_SIZE, cycles=2, insns_per_touch=2,
+         insns_per_step=3, pages_per_step=EVENT_MEMO_SIZE, page_size=256)
+def test_pageramp_matches_the_generator_oracle(max_pages, stride, cycles, insns_per_touch,
+                                               insns_per_step, pages_per_step, page_size):
+    cfg = PagerampConfig(max_pages, stride, cycles, insns_per_touch, insns_per_step,
+                         pages_per_step, page_size=page_size)
+    records = list(gen_pageramp(cfg))
+    expected = list(slow_gen_pageramp(cfg))
+    assert records == expected
+    assert shared_events(records) == shared_events(expected)
+
+
+@given(
+    interval_extra=st.integers(0, 30),
+    repeats=st.integers(1, 3),
+    page_size=page_sizes,
+    flat_pages=st.integers(1, 10),
+    step_pages=st.integers(0, 10),
+    flat_samples=st.integers(1, 4),
+)
+@example(interval_extra=0, repeats=1, page_size=1 << 17, flat_pages=1,
+         step_pages=EVENT_MEMO_SIZE, flat_samples=1)
+def test_step_matches_the_generator_oracle(interval_extra, repeats, page_size, flat_pages,
+                                           step_pages, flat_samples):
+    cfg = StepConfig(flat_pages + step_pages + interval_extra, repeats, page_size=page_size,
+                     flat_pages=flat_pages, step_pages=step_pages, flat_samples=flat_samples)
+    records = list(gen_step(cfg))
+    expected = list(slow_gen_step(cfg))
+    assert records == expected
+    assert shared_events(records) == shared_events(expected)
 
 
 def test_deterministic():
