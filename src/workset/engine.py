@@ -29,11 +29,13 @@ every sample, at the end of the trace, and when a batch reaches
 BATCH_LIMIT entries; a thread scope's drain applies each batch to its
 own table and to the combined one. The clock is tested once per fetch:
 ``cut`` is the next fetch at which a sample falls due or the expiry
-index moves. Sampling never scans the tables.
+index moves. Sampling never scans the tables. Only the clock counts
+samples: a drain or sample is told the next one's index.
 
 The pass only counts: a scope keeps its samples as columns, and
 _ScopeState.result builds the results, the report module's classes,
-from the finished state, judging the peaks after the pass too.
+from the finished state, judging the peaks after the pass too. It
+names stacks from the declarations the pass collected.
 """
 
 from __future__ import annotations
@@ -150,24 +152,21 @@ class SweepConfig(Struct):
 class _Table:
     """What both page tables keep of one access stream's pages: per page,
     its access count and, if its first access carried one, that access's
-    stack id, which names the page in the hot page ranking. ``stacks`` is
-    the trace's stack declarations, shared by every table.
+    stack id, which names the page in the hot page ranking.
 
     Samples are numbered 1, 2, ... and sample k is taken at t = k * every.
     A page last touched at ts is counted by sample k iff
     k * every - tau < ts <= k * every, so the last sample that counts it
     is its expiry index (ts + tau - 1) // every. Accesses arrive through
-    ``add(pages, expires, stack_ref)`` in batches that share one expiry
-    index and one stack id, in time order, after the instant of the
-    last sample taken; ``sample`` takes the next sample, the number of
-    pages whose last access lies in its window. ``_next`` is the index
-    of that sample; the first is ``first_sample``."""
+    ``add(pages, expires, upcoming, stack_ref)`` in batches that share one
+    expiry index and one stack id, in time order, after the instant of
+    the last sample taken; ``sample(upcoming)`` takes the next sample, the
+    number of pages whose last access lies in its window. ``upcoming``,
+    that sample's index, comes from the caller's clock."""
 
-    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
-        self._next = first_sample
+    def __init__(self) -> None:
         self._first: dict[int, int] = {}
         self._count: Counter[int] = Counter()
-        self._stacks = stacks
 
     def _tally(self, pages: Sequence[int], stack_ref: int | None) -> None:
         """Count one access per entry of ``pages``. The pages this batch
@@ -184,15 +183,16 @@ class _Table:
     def __len__(self) -> int:
         return len(self._count)
 
-    def hot_pages(self, n: int, label_map: Mapping[int, str] | None = None) -> list[HotPageEntry]:
+    def hot_pages(self, n: int, stacks: Mapping[int, tuple[str, ...]],
+                  label_map: Mapping[int, str] | None = None) -> list[HotPageEntry]:
         """The ``n`` most accessed pages, by access count (descending),
         page number breaking ties.
 
-        A page's info text comes from label_map when it has an entry,
-        else from the innermost stack frame recorded at the page's first
-        touch, else stays blank. Only pages whose count reaches the n-th
-        largest count are sorted, and only the winners become entries.
-        """
+        A page's info text comes from label_map when it has an entry, else
+        from the innermost frame of its first touch's stack in ``stacks``
+        (the trace's declarations), else stays blank. Only pages whose
+        count reaches the n-th largest count are sorted, and only the
+        winners become entries."""
         check_int("n", n, minimum=0)
         count = self._count
         cut = heapq.nlargest(n, count.values())
@@ -204,7 +204,7 @@ class _Table:
         # a stable sort keeps equal counts in page order
         ranked.sort(key=count.__getitem__, reverse=True)
         labels = label_map if label_map is not None else {}
-        stacks, first = self._stacks, self._first
+        first = self._first
         out = []
         for page in ranked[:n]:
             frames = stacks.get(first.get(page))
@@ -223,17 +223,17 @@ class _BucketTable(_Table):
     live count and retires one bucket, so each sample costs O(1) whatever
     the number of pages."""
 
-    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
-        super().__init__(stacks, first_sample=first_sample)
+    def __init__(self) -> None:
+        super().__init__()
         self._live = 0
         self._buckets: dict[int, int] = {}
         self._expiry: dict[int, int] = {}
 
-    def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
+    def add(self, pages: Sequence[int], expires: int, upcoming: int,
+            stack_ref: int | None = None) -> None:
         self._tally(pages, stack_ref)
         expiry = self._expiry
         buckets = self._buckets
-        upcoming = self._next
         joined = 0  # pages whose expiry index becomes ``expires``
         moved = 0  # of those, pages an upcoming sample already counted
         for page in dict.fromkeys(pages):
@@ -251,10 +251,9 @@ class _BucketTable(_Table):
             buckets[expires] = buckets.get(expires, 0) + joined
             self._live += joined - moved
 
-    def sample(self) -> int:
+    def sample(self, upcoming: int) -> int:
         live = self._live
-        self._live = live - self._buckets.pop(self._next, 0)
-        self._next += 1
+        self._live = live - self._buckets.pop(upcoming, 0)
         return live
 
 
@@ -269,26 +268,26 @@ class _TileTable(_Table):
     empties it. A batch costs C-level count and set updates, with no
     step per page."""
 
-    def __init__(self, stacks: Mapping[int, tuple[str, ...]], *, first_sample: int = 1):
-        super().__init__(stacks, first_sample=first_sample)
+    def __init__(self) -> None:
+        super().__init__()
         self._window: set[int] = set()
 
-    def add(self, pages: Sequence[int], expires: int, stack_ref: int | None = None) -> None:
+    def add(self, pages: Sequence[int], expires: int, upcoming: int,
+            stack_ref: int | None = None) -> None:
         self._tally(pages, stack_ref)
-        if expires >= self._next:
+        if expires >= upcoming:
             self._window.update(pages)
 
-    def sample(self) -> int:
+    def sample(self, upcoming: int) -> int:
         wss = len(self._window)
         self._window.clear()
-        self._next += 1
         return wss
 
 
 class _ScopeState:
     """Accumulator for one sampling scope (the whole trace, or one thread).
-    A scope created at time ``now`` takes its first sample at the next
-    global sampling instant, so its tables start at that sample index.
+    The clock numbers the samples. A scope takes sample ``first_sample``
+    and every one after it, and hands each table the clock's index.
     ``tables`` and ``batches`` hold one entry per stream, in _STREAMS
     order. A batch holds the page numbers touched since the last drain.
     ``last_stack`` is the stack of the scope's last event; while the
@@ -298,43 +297,42 @@ class _ScopeState:
     ``combined``, the whole trace's scope. The pass only counts:
     ``wss`` holds one column of sampled values per stream, whose first
     entry is sample ``first_sample``; with peak detection
-    ``sample_stacks`` holds the running stack at each sample (else it is
+    ``stack_refs`` holds the running stack at each sample (else it is
     None), and ``result`` judges the peaks."""
 
-    __slots__ = ("tables", "batches", "feeds", "first_sample", "wss", "sample_stacks",
+    __slots__ = ("tables", "batches", "feeds", "first_sample", "wss", "stack_refs",
                  "last_stack")
 
-    def __init__(self, cfg: AnalysisConfig, stacks: dict[int, tuple[str, ...]], now: int = 0,
+    def __init__(self, cfg: AnalysisConfig, first_sample: int = 1,
                  combined: _ScopeState | None = None):
-        first_sample = max(1, -(-now // cfg.every))
         table = _TileTable if cfg.tau <= cfg.every else _BucketTable
-        self.tables = tuple(table(stacks, first_sample=first_sample) for _ in _STREAMS)
+        self.tables = tuple(table() for _ in _STREAMS)
         self.batches: tuple[list[int], ...] = tuple([] for _ in _STREAMS)
         fed = (self.tables,) if combined is None else (self.tables, combined.tables)
         self.feeds = tuple(zip(self.batches, zip(*fed)))
         self.first_sample = first_sample
         self.wss = tuple(array("q") for _ in _STREAMS)
-        self.sample_stacks: list[int | None] | None = [] if cfg.peak_detect else None
+        self.stack_refs: list[int | None] | None = [] if cfg.peak_detect else None
         self.last_stack: int | None = None
 
-    def drain(self, expires: int) -> None:
+    def drain(self, expires: int, upcoming: int) -> None:
         """Apply the pending batches, whose accesses all have expiry
         index ``expires`` and stack ``last_stack``, to the tables they
-        feed."""
+        feed, before sample ``upcoming`` is taken."""
         for batch, tables in self.feeds:
             if batch:
                 for table in tables:
-                    table.add(batch, expires, self.last_stack)
+                    table.add(batch, expires, upcoming, self.last_stack)
                 batch.clear()
 
-    def take_sample(self) -> None:
-        """Sample the tables, whose batches the caller has drained."""
+    def take_sample(self, upcoming: int) -> None:
+        """Take sample ``upcoming`` of the tables, whose batches the caller has drained."""
         insn, data = self.tables
         insn_wss, data_wss = self.wss
-        insn_wss.append(insn.sample())
-        data_wss.append(data.sample())
-        if self.sample_stacks is not None:
-            self.sample_stacks.append(self.last_stack)
+        insn_wss.append(insn.sample(upcoming))
+        data_wss.append(data.sample(upcoming))
+        if self.stack_refs is not None:
+            self.stack_refs.append(self.last_stack)
 
     def result(
         self,
@@ -352,9 +350,9 @@ class _ScopeState:
         every, first = cfg.every, self.first_sample
         times = range(every * first, every * (first + len(self.wss[0])), every)
         annotations: list[PeakAnnotation] = []
-        if self.sample_stacks is not None:
+        if self.stack_refs is not None:
             insn_detector, data_detector = (PeakDetector(cfg.peak_params()) for _ in _STREAMS)
-            for t, wss_insn, wss_data, ref in zip(times, *self.wss, self.sample_stacks):
+            for t, wss_insn, wss_data, ref in zip(times, *self.wss, self.stack_refs):
                 fired = (insn_detector.update(wss_insn).is_peak,
                          data_detector.update(wss_data).is_peak)
                 if any(fired):
@@ -367,7 +365,7 @@ class _ScopeState:
             StreamResult(
                 Summary(stream, sum(values) / len(values) if values else 0.0,
                         max(values, default=0), len(table), cfg.page_size),
-                table.hot_pages(cfg.top_n, label_map),
+                table.hot_pages(cfg.top_n, stacks, label_map),
             )
             for table, values, stream in zip(self.tables, self.wss, _STREAMS)
         )
@@ -404,7 +402,7 @@ def run_analysis(
     """
     cfg = config if config is not None else AnalysisConfig()
     stacks: dict[int, tuple[str, ...]] = {}
-    combined = _ScopeState(cfg, stacks)
+    combined = _ScopeState(cfg)
     threads: dict[int, _ScopeState] = {}
     per_thread = cfg.per_thread
     every = cfg.every
@@ -420,9 +418,10 @@ def run_analysis(
     # it moves on by one when the clock reaches ``moves_at``
     expires = (cfg.tau - 1) // every
     moves_at = (expires + 1) * every - cfg.tau + 1
-    # the sample at t = sample_at - 1 is taken before fetch sample_at
-    sample_at = every + 1
-    # the next fetch at which the clock has work: min(sample_at, moves_at)
+    # the clock alone numbers the samples: sample ``upcoming``, at
+    # t = upcoming * every, is taken before fetch upcoming * every + 1
+    upcoming = 1
+    # the next fetch at which the clock has work: min(upcoming * every + 1, moves_at)
     cut = moves_at
     # text lines: event line -> (is_fetch, first_page, last_page, thread),
     # one tuple for all the lines that decode alike
@@ -439,15 +438,15 @@ def run_analysis(
     # running one's last: only their batches hold pages
     ran: list[_ScopeState] = []
 
-    def drain(expires: int) -> None:
+    def drain(expires: int, upcoming: int) -> None:
         for state in dict.fromkeys(ran):
-            state.drain(expires)
+            state.drain(expires, upcoming)
         del ran[:-1]
 
-    def take_samples() -> None:
-        combined.take_sample()
+    def take_samples(upcoming: int) -> None:
+        combined.take_sample(upcoming)
         for state in threads.values():
-            state.take_sample()
+            state.take_sample(upcoming)
 
     for rec in records:
         if rec.__class__ is str:
@@ -491,14 +490,14 @@ def run_analysis(
                 # sample before looking at the event, so a thread first
                 # seen here does not pick up a boundary it predates; the
                 # pages drained here all carry the current expiry index
-                drain(expires)
-                if now == sample_at:
-                    take_samples()
-                    sample_at += every
+                drain(expires, upcoming)
+                if now == upcoming * every + 1:
+                    take_samples(upcoming)
+                    upcoming += 1
                 if now == moves_at:
                     expires += 1
                     moves_at += every
-                cut = sample_at if sample_at < moves_at else moves_at
+                cut = min(upcoming * every + 1, moves_at)
             batch = insn_batch
         else:
             batch = data_batch
@@ -509,14 +508,14 @@ def run_analysis(
             ref_thread = thread
             ref = current.get(thread)
             if ref != combined.last_stack:
-                drain(expires)
+                drain(expires, upcoming)
                 # every batch is empty, so no scope still has to drain
                 ran.clear()
                 combined.last_stack = ref
             if per_thread:
                 scope = threads.get(thread)
                 if scope is None:
-                    scope = threads[thread] = _ScopeState(cfg, stacks, now, combined)
+                    scope = threads[thread] = _ScopeState(cfg, upcoming, combined)
                 scope.last_stack = ref
                 insn_batch, data_batch = scope.batches
                 batch = insn_batch if fetch else data_batch
@@ -525,11 +524,11 @@ def run_analysis(
         if page != last_page:
             batch.extend(range(page + 1, last_page + 1))
         if len(batch) >= BATCH_LIMIT:
-            drain(expires)
+            drain(expires, upcoming)
 
-    drain(expires)
-    if now and now % every == 0:
-        take_samples()
+    drain(expires, upcoming)
+    if now == upcoming * every:
+        take_samples(upcoming)
     # the memo is dead weight from here on, and building the results
     # (ranking the hot pages) takes memory of its own
     del memo, memo_get

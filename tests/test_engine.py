@@ -61,24 +61,24 @@ def triples(samples):
 
 
 def test_touch_counts_and_last_access():
-    table = _BucketTable({})
-    table.add([2], expires=3)
-    table.add([2, 2], expires=9)
+    table = _BucketTable()
+    table.add([2], expires=3, upcoming=1)
+    table.add([2, 2], expires=9, upcoming=1)
     assert len(table) == 1
-    assert table.hot_pages(len(table)) == [HotPageEntry(3, 2)]
+    assert table.hot_pages(len(table), {}) == [HotPageEntry(3, 2)]
 
 
 def test_add_applies_each_distinct_page_once():
-    table = _BucketTable({})
-    table.add([1, 2, 1, 1], expires=2)  # counted by samples 1 and 2
-    table.add([2, 3], expires=3)  # page 2 moves on to sample 3
-    table.add([4], expires=0)  # expires before sample 1: never counted
-    assert [table.sample() for _ in range(4)] == [3, 3, 2, 0]
-    table.add([1, 4, 4], expires=5)  # expired pages come back
-    assert table.sample() == 2
+    table = _BucketTable()
+    table.add([1, 2, 1, 1], expires=2, upcoming=1)  # counted by samples 1 and 2
+    table.add([2, 3], expires=3, upcoming=1)  # page 2 moves on to sample 3
+    table.add([4], expires=0, upcoming=1)  # expires before sample 1: never counted
+    assert [table.sample(k) for k in range(1, 5)] == [3, 3, 2, 0]
+    table.add([1, 4, 4], expires=5, upcoming=5)  # expired pages come back
+    assert table.sample(5) == 2
     ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(1, 3)]
-    assert table.hot_pages(len(table)) == ranked
-    assert table.hot_pages(2) == ranked[:2]
+    assert table.hot_pages(len(table), {}) == ranked
+    assert table.hot_pages(2, {}) == ranked[:2]
 
 
 def test_straddling_access_touches_every_page():
@@ -141,39 +141,39 @@ def test_window_is_half_open_on_the_left():
 
 def test_records_capture_first_access_info():
     stacks = {3: ("x.c:9", "y.c:2")}
-    table = _BucketTable(stacks)
-    table.add([2], 1, stack_ref=3)
-    table.add([2], 5)  # same page again, no stack
-    table.add([9], 7, stack_ref=8)  # undeclared ref
-    assert table.hot_pages(len(table)) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
+    table = _BucketTable()
+    table.add([2], 1, 1, stack_ref=3)
+    table.add([2], 5, 1)  # same page again, no stack
+    table.add([9], 7, 1, stack_ref=8)  # undeclared ref
+    assert table.hot_pages(len(table), stacks) == [HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)]
 
 
 @pytest.mark.parametrize("table_class", [_BucketTable, _TileTable])
 def test_a_page_first_seen_without_a_stack_stays_blank(table_class):
     stacks = {3: ("x.c:9", "y.c:2")}
-    table = table_class(stacks)
-    table.add([5, 5], 1)  # first seen with no stack
-    table.add([2, 5], 1, stack_ref=3)
-    table.add([9, 5, 2], 1, stack_ref=8)  # undeclared ref
-    assert table.hot_pages(len(table)) == [
+    table = table_class()
+    table.add([5, 5], 1, 1)  # first seen with no stack
+    table.add([2, 5], 1, 1, stack_ref=3)
+    table.add([9, 5, 2], 1, 1, stack_ref=8)  # undeclared ref
+    assert table.hot_pages(len(table), stacks) == [
         HotPageEntry(4, 5), HotPageEntry(2, 2, "x.c:9"), HotPageEntry(1, 9)
     ]
 
 
 def test_tile_table_applies_each_distinct_page_once():
-    table = _TileTable({})
-    table.add([1, 2, 1, 1], expires=1)  # in the window of sample 1
-    table.add([2, 3], expires=1)
-    assert table.sample() == 3
-    table.add([4], expires=1)  # after sample 1, before window 2: never counted
-    table.add([1, 4, 4], expires=2)  # window 2 starts afresh
-    assert table.sample() == 2
-    assert table.sample() == 0  # no access in window 3
-    table.add([3], expires=4)
-    assert table.sample() == 1
+    table = _TileTable()
+    table.add([1, 2, 1, 1], expires=1, upcoming=1)  # in the window of sample 1
+    table.add([2, 3], expires=1, upcoming=1)
+    assert table.sample(1) == 3
+    table.add([4], expires=1, upcoming=2)  # after sample 1, before window 2: never counted
+    table.add([1, 4, 4], expires=2, upcoming=2)  # window 2 starts afresh
+    assert table.sample(2) == 2
+    assert table.sample(3) == 0  # no access in window 3
+    table.add([3], expires=4, upcoming=4)
+    assert table.sample(4) == 1
     ranked = [HotPageEntry(4, 1), HotPageEntry(3, 4), HotPageEntry(2, 2), HotPageEntry(2, 3)]
     assert len(table) == 4
-    assert table.hot_pages(len(table)) == ranked
+    assert table.hot_pages(len(table), {}) == ranked
 
 
 # a batch of accesses: its pages, whether they fall in the window of the
@@ -194,19 +194,19 @@ def test_tile_table_matches_the_bucket_table_property(first_sample, periods, tai
     # windows that tile: before sample k every batch has expiry index
     # k - 1 (between two windows) or k (in window k), in time order
     stacks = {0: ("a.c:1",), 1: ("b.c:2", "a.c:1")}
-    tables = [cls(stacks, first_sample=first_sample) for cls in (_BucketTable, _TileTable)]
+    tables = [cls() for cls in (_BucketTable, _TileTable)]
     samples = ([], [])
     for k, period in enumerate([*periods, tail], first_sample):
         for pages, in_window, ref in sorted(period, key=lambda batch: batch[1]):
             for table in tables:
-                table.add(pages, k if in_window else k - 1, ref)
+                table.add(pages, k if in_window else k - 1, k, ref)
         if k - first_sample < len(periods):
             for table, taken in zip(tables, samples):
-                taken.append(table.sample())
+                taken.append(table.sample(k))
     bucket, tile = tables
     assert samples[0] == samples[1]
     assert len(bucket) == len(tile)
-    assert bucket.hot_pages(len(bucket)) == tile.hot_pages(len(tile))
+    assert bucket.hot_pages(len(bucket), stacks) == tile.hot_pages(len(tile), stacks)
 
 
 @pytest.mark.parametrize(
@@ -216,8 +216,8 @@ def test_tile_table_matches_the_bucket_table_property(first_sample, periods, tai
 )
 def test_scopes_use_the_set_table_exactly_when_windows_do_not_overlap(tau, every, table_class):
     cfg = AnalysisConfig(tau=tau, every=every)
-    combined = _ScopeState(cfg, {})
-    thread = _ScopeState(cfg, {}, now=3 * every + 1, combined=combined)
+    combined = _ScopeState(cfg)
+    thread = _ScopeState(cfg, 4, combined=combined)
     assert [type(table) for table in (*combined.tables, *thread.tables)] == [table_class] * 4
 
 
@@ -464,9 +464,9 @@ def test_per_thread_batches_stay_bounded(monkeypatch, nthreads, run, own_stacks,
     added = {}
 
     def recording(add):
-        def recording_add(self, pages, expires, stack_ref=None):
+        def recording_add(self, pages, expires, upcoming, stack_ref=None):
             added.setdefault(self, []).append(list(pages))
-            add(self, pages, expires, stack_ref)
+            add(self, pages, expires, upcoming, stack_ref)
         return recording_add
 
     for table_class in (_BucketTable, _TileTable):
@@ -850,6 +850,28 @@ def test_thread_first_seen_after_boundary_skips_that_sample():
     # thread 1 appears at t=3, after the t=2 boundary it must not sample
     assert [s.t for s in res.threads[1].samples] == [4]
     assert res.threads[1].samples[0].wss_insn == 2
+
+
+def test_thread_first_seen_after_the_last_sample_has_no_samples():
+    events = [fetch(0x1000 * t, thread=0) for t in range(1, 5)]
+    events += [fetch(0x5000, thread=1), TraceEvent(AccessKind.DATA_STORE, 0x9000, 4, 1)]
+    res = run_analysis(events, AnalysisConfig(tau=2, every=2, per_thread=True))
+    assert [s.t for s in res.samples] == [2, 4]
+    # thread 1 runs only at t=5, and the trace ends before t=6
+    late = res.threads[1]
+    assert late.samples == []
+    assert (late.insn.summary.total_pages, late.data.summary.total_pages) == (1, 1)
+    assert [(e.count, e.page) for e in late.insn.hot_pages] == [(1, 5)]
+    assert [(e.count, e.page) for e in late.data.hot_pages] == [(1, 9)]
+
+
+def test_thread_first_seen_before_any_fetch_starts_at_sample_one():
+    events = [TraceEvent(AccessKind.DATA_STORE, 0x9000, 4, 1)]
+    events += [fetch(0x1000 * t, thread=0) for t in range(1, 5)]
+    res = run_analysis(events, AnalysisConfig(tau=4, every=2, per_thread=True))
+    # the store at t=0 lies in the window (-2, 2] of sample 1 only
+    assert triples(res.threads[1].samples) == [(2, 0, 1), (4, 0, 0)]
+    assert triples(res.samples) == [(2, 2, 1), (4, 4, 0)]
 
 
 def test_per_thread_with_empty_trace():

@@ -42,8 +42,8 @@ CASES = [
      lambda: TraceEvent(AccessKind.DATA_LOAD, 0, LONG),
      "size must be an int in 1..65536, got a str"),
     ("hot_pages",
-     lambda: _BucketTable({}).hot_pages(-HUGE), "n must be >= 0, got a negative 20001-bit integer",
-     lambda: _BucketTable({}).hot_pages(LONG), "n must be an int, got a str"),
+     lambda: _BucketTable().hot_pages(-HUGE, {}), "n must be >= 0, got a negative 20001-bit integer",
+     lambda: _BucketTable().hot_pages(LONG, {}), "n must be an int, got a str"),
     ("load_label_map",
      lambda: load_label_map([f"-{HUGE:x} heap"]), "bad page '-10000000",
      lambda: load_label_map([LONG + " heap"]), "bad page 'zzzzzzzz"),
@@ -82,7 +82,7 @@ def int_knobs():
             if config.__init__.__annotations__[name] in ("int", "int | None"):
                 yield pytest.param(lambda value, c=config, f=name: c(**{f: value}),
                                    name, id=f"{config.__name__}.{name}")
-    yield pytest.param(lambda value: _BucketTable({}).hot_pages(value), "n", id="hot_pages.n")
+    yield pytest.param(lambda value: _BucketTable().hot_pages(value, {}), "n", id="hot_pages.n")
 
 
 @pytest.mark.parametrize("value", [2.5, True, "7"], ids=["float", "bool", "str"])

@@ -107,28 +107,31 @@ def test_format_summary_fractional_kb():
 # hot pages
 
 
+HOT_STACKS = {1: ("f.c:1", "g.c:2")}
+
+
 def hot_table():
-    table = _BucketTable({1: ("f.c:1", "g.c:2")})
-    table.add([5, 5, 5], expires=1, stack_ref=1)
-    table.add([2, 2, 2], expires=2)
-    table.add([9], expires=3)
+    table = _BucketTable()
+    table.add([5, 5, 5], expires=1, upcoming=1, stack_ref=1)
+    table.add([2, 2, 2], expires=2, upcoming=1)
+    table.add([9], expires=3, upcoming=1)
     return table
 
 
 def test_hot_pages_rank_by_count_then_page():
     table = hot_table()
-    entries = table.hot_pages(len(table))
+    entries = table.hot_pages(len(table), HOT_STACKS)
     assert [(e.count, e.page) for e in entries] == [(3, 2), (3, 5), (1, 9)]
 
 
 def test_hot_pages_limit():
     table = hot_table()
-    assert len(table.hot_pages(2)) == 2
-    assert table.hot_pages(0) == []
+    assert len(table.hot_pages(2, HOT_STACKS)) == 2
+    assert table.hot_pages(0, HOT_STACKS) == []
     with pytest.raises(ValueError):
-        table.hot_pages(-1)
+        table.hot_pages(-1, HOT_STACKS)
     with pytest.raises(ValueError, match="^n must be >= 0, got a negative 16610-bit integer$"):
-        table.hot_pages(-(10**5000))
+        table.hot_pages(-(10**5000), HOT_STACKS)
 
 
 @settings(max_examples=150, deadline=None)
@@ -144,10 +147,10 @@ def test_hot_pages_limit():
 @example(batches=[([1, 1, 2, 3, 3], 1)], n=0, labels={})
 def test_hot_pages_match_a_full_sort(batches, n, labels):
     stacks = {1: ("f.c:1", "g.c:2"), 2: ("h.c:3",)}
-    table = _BucketTable(stacks)
+    table = _BucketTable()
     counts, first = Counter(), {}
     for expires, (pages, ref) in enumerate(batches, 1):
-        table.add(pages, expires, ref)
+        table.add(pages, expires, 1, ref)
         counts.update(pages)
         for page in pages:
             first.setdefault(page, ref)
@@ -157,23 +160,23 @@ def test_hot_pages_match_a_full_sort(batches, n, labels):
          labels[page] if page in labels else stacks.get(first[page], ("",))[0])
         for page in ranked
     ]
-    entries = table.hot_pages(n, labels)
+    entries = table.hot_pages(n, stacks, labels)
     assert [(e.count, e.page, e.info) for e in entries] == expected
 
 
 def test_hot_pages_counts_sum_to_total_accesses():
     table = hot_table()
     # hot_table() records seven accesses
-    assert sum(e.count for e in table.hot_pages(len(table))) == 7
+    assert sum(e.count for e in table.hot_pages(len(table), HOT_STACKS)) == 7
 
 
 def test_hot_pages_info_resolution():
     # label map wins, then the first-touch stack frame, then blank
     table = hot_table()
-    entries = table.hot_pages(len(table), label_map={2: "heap"})
+    entries = table.hot_pages(len(table), HOT_STACKS, label_map={2: "heap"})
     info = {e.page: e.info for e in entries}
     assert info == {2: "heap", 5: "f.c:1", 9: ""}
-    entries = table.hot_pages(len(table), label_map={5: "code"})
+    entries = table.hot_pages(len(table), HOT_STACKS, label_map={5: "code"})
     assert {e.page: e.info for e in entries}[5] == "code"
 
 
