@@ -2,11 +2,11 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
 values), 2 on input and output errors (unreadable files, malformed trace
-or label lines in strict mode, output that cannot be written), 141
-(128 + SIGPIPE) when the reader of the output closed it first, as
-``head`` does. Every failure but the last ends in one line, ``<prog>:
-<message>``, such as ``workset analyze: tau must be >= 1, got 0``; a
-closed output is not a failure of the command and prints nothing.
+or label lines in strict mode, output that cannot be written), 130
+(128 + SIGINT) on Ctrl-C, 141 (128 + SIGPIPE) when the reader of the
+output closed it first, as ``head`` does. Any other failure ends in
+one line, ``<prog>: <message>``, such as ``workset analyze: tau must be
+>= 1, got 0``; an interrupt or a closed output prints nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ from .workloads import PagerampConfig, StepConfig, gen_pageramp, gen_step
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
+INTERRUPTED = 130
 BROKEN_PIPE = 141
+
+# one encoding for every stream the CLI opens, stdin and stdout too, whatever the locale
+_TEXT = dict(encoding="utf-8", errors="surrogateescape")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,20 +67,19 @@ def _config(cls, args: argparse.Namespace):
 @contextmanager
 def _open_text(path: str, mode: str):
     """Yield a text stream for ``path`` opened in ``mode`` ("r" or "w"),
-    or stdin/stdout for "-". Input is read as UTF-8, stdin too, whatever
-    the locale. Undecodable input bytes reach the parser as lone
-    surrogates, which it rejects as malformed lines, so --lenient can
-    skip them."""
+    or stdin/stdout for "-", in the _TEXT encoding. Undecodable input
+    bytes reach the parser as lone surrogates, which it rejects as
+    malformed lines, so --lenient can skip them."""
     if path != "-":
-        with open(path, mode, encoding="utf-8", errors="surrogateescape") as f:
+        with open(path, mode, **_TEXT) as f:
             yield f
         return
     reading = mode == "r"
     stream = sys.stdin if reading else sys.stdout
     if stream is None:  # the process was started with that descriptor closed
         raise OSError(f"{'stdin' if reading else 'stdout'} is closed")
-    if reading and hasattr(stream, "reconfigure"):
-        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
+    if hasattr(stream, "reconfigure"):
+        stream.reconfigure(**_TEXT)
     yield stream
     if not reading:
         # a reader that closed the pipe shows here, not at exit
@@ -159,7 +162,7 @@ def _cmd_gen(args: argparse.Namespace, cfg: PagerampConfig | StepConfig) -> None
 def _cmd_analyze(args: argparse.Namespace, cfg: AnalysisConfig) -> None:
     label_map = None
     if args.labels:
-        with open(args.labels, "r", encoding="utf-8", errors="surrogateescape") as f:
+        with open(args.labels, "r", **_TEXT) as f:
             label_map = load_label_map(f)
     with _open_text(args.input, "r") as stream:
         result = run_analysis(stream, cfg, label_map, strict=args.strict)
@@ -205,10 +208,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{args.prog}: {exc}\n")
         return USAGE_ERROR
-    # with the config built, a ValueError is malformed input (TraceParseError, a label
-    # map line) or an output that cannot encode the text (UnicodeEncodeError)
+    # with the config built, a ValueError is malformed input (TraceParseError, a label map line)
     try:
         args.func(args, cfg)
+    except KeyboardInterrupt:
+        return INTERRUPTED
     except BrokenPipeError:
         # what is still buffered for stdout goes nowhere, so the flush
         # at exit prints no "Exception ignored" message

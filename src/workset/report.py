@@ -268,7 +268,9 @@ def format_summary(summary: Summary) -> str:
     )
 
 
-def _emit_text_body(result: AnalysisResult, write) -> None:
+def emit_text(result: AnalysisResult, sink: TextIO) -> None:
+    """Summaries, hot page tables and peaks, then the same for each thread."""
+    write = sink.write
     write(format_summary(result.insn.summary) + "\n")
     write(format_summary(result.data.summary) + "\n")
     for stream_result, name in ((result.insn, "Insn"), (result.data, "Data")):
@@ -286,17 +288,9 @@ def _emit_text_body(result: AnalysisResult, write) -> None:
         for ann in result.annotations:
             loc = "|".join(ann.frames) if ann.frames else "?"
             write(f"[{ann.index}] refs={ann.refs}, loc={loc}\n")
-
-
-def emit_text(result: AnalysisResult, sink: TextIO) -> None:
-    """Write the report in one ``sink.write``, so a text stream that
-    cannot encode some of it raises before it writes any."""
-    parts: list[str] = []
-    _emit_text_body(result, parts.append)
     for tid in sorted(result.threads or ()):
-        parts.append(f"\n== Thread {tid} ==\n")
-        _emit_text_body(result.threads[tid], parts.append)
-    sink.write("".join(parts))
+        write(f"\n== Thread {tid} ==\n")
+        emit_text(result.threads[tid], sink)
 
 
 def emit_csv(result: AnalysisResult, sink: TextIO) -> None:

@@ -517,6 +517,65 @@ def test_text_per_thread_sections():
     assert "== Thread 1 ==" in text
 
 
+def test_text_report_bytes_exact():
+    def thread(insn, data, insn_hot, data_hot):
+        return AnalysisResult([], StreamResult(Summary(Stream.INSN, *insn, 4096), insn_hot),
+                              StreamResult(Summary(Stream.DATA, *data, 4096), data_hot), [])
+
+    result = AnalysisResult(
+        [WssSample(100, 2, 3), WssSample(200, 2, 8, False, True, 0), WssSample(300, 4, 8, True)],
+        StreamResult(Summary(Stream.INSN, 2.0, 4, 4, 4096), [HotPageEntry(5, 0x400, "f.c:1")]),
+        StreamResult(Summary(Stream.DATA, 5.5, 8, 9, 1024),
+                     [HotPageEntry(12, 0x20000, "café"), HotPageEntry(3, 0x1000, "")]),
+        [PeakAnnotation(0, 200, Stream.DATA, 2, ("f.c:1", "main.c:9")),
+         PeakAnnotation(1, 300, Stream.INSN, 0, ())],
+        # out of order, as sections come in thread id order
+        {1: thread((1.0, 1, 1), (0.5, 2, 2), [HotPageEntry(4, 0x401, "g.c:2")],
+                   [HotPageEntry(7, 0x20000, "café"), HotPageEntry(1, 0x1001, "")]),
+         0: thread((1.0, 1, 3), (0.0, 0, 0), [], [])},
+    )
+    buf = io.StringIO()
+    emit_text(result, buf)
+    assert buf.getvalue() == (
+        "Insn avg/peak/total: 2.0/4/4 pages (8/16/16 kB)\n"
+        "Data avg/peak/total: 5.5/8/9 pages (6/8/9 kB)\n"
+        "\n"
+        "Insn pages (4 entries, top 1):\n"
+        "       count  page        info\n"
+        "           5  0x0400      f.c:1\n"
+        "\n"
+        "Data pages (9 entries, top 2):\n"
+        "       count  page        info\n"
+        "          12  0x20000     café\n"
+        "           3  0x1000      \n"
+        "\n"
+        "Peaks (2):\n"
+        "[0] refs=2, loc=f.c:1|main.c:9\n"
+        "[1] refs=0, loc=?\n"
+        "\n"
+        "== Thread 0 ==\n"
+        "Insn avg/peak/total: 1.0/1/3 pages (4/4/12 kB)\n"
+        "Data avg/peak/total: 0.0/0/0 pages (0/0/0 kB)\n"
+        "\n"
+        "Insn pages (3 entries, top 0):\n"
+        "\n"
+        "Data pages (0 entries):\n"
+        "\n"
+        "== Thread 1 ==\n"
+        "Insn avg/peak/total: 1.0/1/1 pages (4/4/4 kB)\n"
+        "Data avg/peak/total: 0.5/2/2 pages (2/8/8 kB)\n"
+        "\n"
+        "Insn pages (1 entries):\n"
+        "       count  page        info\n"
+        "           4  0x0401      g.c:2\n"
+        "\n"
+        "Data pages (2 entries):\n"
+        "       count  page        info\n"
+        "           7  0x20000     café\n"
+        "           1  0x1001      \n"
+    )
+
+
 # --------------------------------------------------------------------------
 # SVG
 
