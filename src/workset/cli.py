@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
 values), 2 on input and output errors (unreadable files, malformed trace
-or label lines in strict mode, output that cannot be written), 130
-(128 + SIGINT) on Ctrl-C, 141 (128 + SIGPIPE) when the reader of the
-output closed it first, as ``head`` does. Any other failure ends in
-one line, ``<prog>: <message>``, such as ``workset analyze: tau must be
->= 1, got 0``; an interrupt or a closed output prints nothing.
+or label lines in strict mode, output that cannot be written) and when
+memory runs out, 130 (128 + SIGINT) on Ctrl-C, 141 (128 + SIGPIPE) when
+the reader of the output closed it first, as ``head`` does. Any other
+failure ends in one line, ``<prog>: <message>``, such as ``workset
+analyze: tau must be >= 1, got 0`` or ``workset analyze: out of
+memory``; an interrupt or a closed output prints nothing.
 """
 
 from __future__ import annotations
@@ -223,6 +224,10 @@ def main(argv: list[str] | None = None) -> int:
         return BROKEN_PIPE
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"{args.prog}: {exc}\n")
+        return INPUT_ERROR
+    except MemoryError:
+        # the unwound frames have freed what the command held
+        sys.stderr.write(f"{args.prog}: out of memory\n")
         return INPUT_ERROR
     return 0
 

@@ -23,14 +23,17 @@ scope's batches: the combined scope's, or with per-thread scopes its
 thread's, whose batches a thread change (an activation counts as one)
 makes current. An event is appended once, and a thread change costs a
 lookup. All pages in a batch share one expiry index (see _Table) and
-the running stack, so every scope that ran since the last drain drains
-when the clock's expiry index moves, when that stack changes, before
-every sample, at the end of the trace, and when a batch reaches
-BATCH_LIMIT entries; a thread scope's drain applies each batch to its
-own table and to the combined one. The clock is tested once per fetch:
-``cut`` is the next fetch at which a sample falls due or the expiry
-index moves. Sampling never scans the tables. Only the clock counts
-samples: a drain or sample is told the next one's index.
+the running stack.
+
+The clock is tested once per fetch. At a cut, the next fetch at which
+a sample falls due or the expiry index moves, the pass drains, then
+takes the due sample of every scope, then computes the expiry index
+(now + tau - 1) // every and the next cut. A drain applies the batches
+of every scope that ran since the last one to its own tables, and a
+thread scope's to the combined scope's too; the pass also drains when
+the running stack changes, when a batch reaches BATCH_LIMIT entries
+and at the end of the trace. Sampling never scans the tables. Only the
+clock counts samples: a drain or sample is told the next one's index.
 
 The pass only counts: a scope keeps its samples as columns, and
 _ScopeState.result builds the results, the report module's classes,
@@ -285,20 +288,19 @@ class _TileTable(_Table):
 
 
 class _ScopeState:
-    """Accumulator for one sampling scope (the whole trace, or one thread).
-    The clock numbers the samples. A scope takes sample ``first_sample``
-    and every one after it, and hands each table the clock's index.
-    ``tables`` and ``batches`` hold one entry per stream, in _STREAMS
-    order. A batch holds the page numbers touched since the last drain.
-    ``last_stack`` is the stack of the scope's last event; while the
-    scope has pages waiting it is the running stack, which all of them
-    carry. ``feeds`` pairs each batch with the tables its drain applies
-    it to: the scope's own, and for a thread scope also those of
-    ``combined``, the whole trace's scope. The pass only counts:
-    ``wss`` holds one column of sampled values per stream, whose first
-    entry is sample ``first_sample``; with peak detection
-    ``stack_refs`` holds the running stack at each sample (else it is
-    None), and ``result`` judges the peaks."""
+    """Accumulator for one sampling scope (the whole trace, or one
+    thread), which run_analysis drains and samples. A scope takes sample
+    ``first_sample`` and every one after it. ``tables`` and ``batches``
+    hold one entry per stream, in _STREAMS order. A batch holds the page
+    numbers touched since the last drain. ``last_stack`` is the stack of
+    the scope's last event; while the scope has pages waiting it is the
+    running stack, which all of them carry. ``feeds`` pairs each batch
+    with the tables a drain applies it to: the scope's own, and for a
+    thread scope also those of ``combined``, the whole trace's scope.
+    The pass only counts: ``wss`` holds one column of sampled values
+    per stream, whose first entry is sample ``first_sample``; with peak
+    detection ``stack_refs`` holds the running stack at each sample
+    (else it is None), and ``result`` judges the peaks."""
 
     __slots__ = ("tables", "batches", "feeds", "first_sample", "wss", "stack_refs",
                  "last_stack")
@@ -314,25 +316,6 @@ class _ScopeState:
         self.wss = tuple(array("q") for _ in _STREAMS)
         self.stack_refs: list[int | None] | None = [] if cfg.peak_detect else None
         self.last_stack: int | None = None
-
-    def drain(self, expires: int, upcoming: int) -> None:
-        """Apply the pending batches, whose accesses all have expiry
-        index ``expires`` and stack ``last_stack``, to the tables they
-        feed, before sample ``upcoming`` is taken."""
-        for batch, tables in self.feeds:
-            if batch:
-                for table in tables:
-                    table.add(batch, expires, upcoming, self.last_stack)
-                batch.clear()
-
-    def take_sample(self, upcoming: int) -> None:
-        """Take sample ``upcoming`` of the tables, whose batches the caller has drained."""
-        insn, data = self.tables
-        insn_wss, data_wss = self.wss
-        insn_wss.append(insn.sample(upcoming))
-        data_wss.append(data.sample(upcoming))
-        if self.stack_refs is not None:
-            self.stack_refs.append(self.last_stack)
 
     def result(
         self,
@@ -405,7 +388,7 @@ def run_analysis(
     combined = _ScopeState(cfg)
     threads: dict[int, _ScopeState] = {}
     per_thread = cfg.per_thread
-    every = cfg.every
+    tau, every = cfg.tau, cfg.every
     shift = cfg.page_size.bit_length() - 1
     insn_fetch = AccessKind.INSN_FETCH
     # the scope events go to (the combined one, or per thread the running
@@ -413,16 +396,16 @@ def run_analysis(
     # event
     scope = combined
     insn_batch, data_batch = combined.batches
+    # every scope: the combined one, then each thread's from its first run
+    scopes = [combined]
     now = 0
-    # expiry index (now + tau - 1) // every of the accesses at ``now``;
-    # it moves on by one when the clock reaches ``moves_at``
-    expires = (cfg.tau - 1) // every
-    moves_at = (expires + 1) * every - cfg.tau + 1
+    # expiry index of the accesses at ``now``, set at each cut
+    expires = (tau - 1) // every
     # the clock alone numbers the samples: sample ``upcoming``, at
     # t = upcoming * every, is taken before fetch upcoming * every + 1
     upcoming = 1
-    # the next fetch at which the clock has work: min(upcoming * every + 1, moves_at)
-    cut = moves_at
+    # the next fetch at which a sample falls due or ``expires`` moves
+    cut = min(every + 1, (expires + 1) * every - tau + 1)
     # text lines: event line -> (is_fetch, first_page, last_page, thread),
     # one tuple for all the lines that decode alike
     memo = LineMemo(share=True)
@@ -435,18 +418,27 @@ def run_analysis(
     current: dict[int, int] = {}
     ref = ref_thread = None
     # the scopes that ran since the last drain, once per run, the
-    # running one's last: only their batches hold pages
+    # running one's last: only their batches hold pages (an entry kept
+    # from before that drain has empty ones)
     ran: list[_ScopeState] = []
 
     def drain(expires: int, upcoming: int) -> None:
         for state in dict.fromkeys(ran):
-            state.drain(expires, upcoming)
+            for batch, tables in state.feeds:
+                if batch:
+                    for table in tables:
+                        table.add(batch, expires, upcoming, state.last_stack)
+                    batch.clear()
         del ran[:-1]
 
     def take_samples(upcoming: int) -> None:
-        combined.take_sample(upcoming)
-        for state in threads.values():
-            state.take_sample(upcoming)
+        for state in scopes:
+            insn, data = state.tables
+            insn_wss, data_wss = state.wss
+            insn_wss.append(insn.sample(upcoming))
+            data_wss.append(data.sample(upcoming))
+            if state.stack_refs is not None:
+                state.stack_refs.append(state.last_stack)
 
     for rec in records:
         if rec.__class__ is str:
@@ -494,10 +486,8 @@ def run_analysis(
                 if now == upcoming * every + 1:
                     take_samples(upcoming)
                     upcoming += 1
-                if now == moves_at:
-                    expires += 1
-                    moves_at += every
-                cut = min(upcoming * every + 1, moves_at)
+                expires = (now + tau - 1) // every
+                cut = min(upcoming * every + 1, (expires + 1) * every - tau + 1)
             batch = insn_batch
         else:
             batch = data_batch
@@ -509,13 +499,12 @@ def run_analysis(
             ref = current.get(thread)
             if ref != combined.last_stack:
                 drain(expires, upcoming)
-                # every batch is empty, so no scope still has to drain
-                ran.clear()
                 combined.last_stack = ref
             if per_thread:
                 scope = threads.get(thread)
                 if scope is None:
                     scope = threads[thread] = _ScopeState(cfg, upcoming, combined)
+                    scopes.append(scope)
                 scope.last_stack = ref
                 insn_batch, data_batch = scope.batches
                 batch = insn_batch if fetch else data_batch

@@ -383,8 +383,6 @@ _COLORS = {Stream.INSN: "#4878a8", Stream.DATA: "#c44e52"}
 
 
 def _ticks(limit: float, want: int = 5) -> list[int]:
-    if limit <= 0:
-        return [0]
     import math
 
     raw = limit / want

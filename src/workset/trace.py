@@ -10,9 +10,10 @@ A trace is a line-oriented text stream. Each line is one of:
     U <tid> <id>                     thread <tid> now executes under stack <id>
     # ...                            comment (ignored), as are blank lines
 
-Addresses are hex (optional ``0x`` prefix, leading zeros allowed)
-below ADDRESS_LIMIT (2**64), sizes are decimal bytes from 1 to
-MAX_ACCESS_SIZE, ``t<tid>`` is optional and defaults to thread 0.
+Addresses are hex (optional ``0x`` prefix, leading zeros allowed),
+sizes are decimal bytes from 1 to MAX_ACCESS_SIZE, and an access ends
+inside the 64-bit address space: address + size is at most
+ADDRESS_LIMIT (2**64). ``t<tid>`` is optional and defaults to thread 0.
 Event records are ASCII, and every number is plain ASCII digits: no
 signs, no ``_`` separators, no other scripts' digits. Frames may be
 any text. Leading whitespace in front of the record tag is not
@@ -36,9 +37,11 @@ far above what instrumentation front ends emit (a few hundred bytes at
 most) and bounds what one line can touch: 17 pages of 4 KiB."""
 
 ADDRESS_LIMIT = 1 << 64
-"""Bound every event address must stay below: the address space of a
-64-bit front end. Without it, one line of a few thousand hex digits
-yields a page number too long for int-to-text conversion."""
+"""Bound no event access may end past (address + size <= ADDRESS_LIMIT):
+the address space of a 64-bit front end. Without it, one line of a few
+thousand hex digits yields a page number too long for int-to-text
+conversion, and an access at the top of the space would touch a page
+no 64-bit address is in."""
 
 
 class Stream(Enum):
@@ -102,6 +105,8 @@ class TraceEvent(Struct):
             field, rule, value = "address", "an int in 0..2**64-1", address
         elif size.__class__ is not int or not 1 <= size <= MAX_ACCESS_SIZE:
             field, rule, value = "size", f"an int in 1..{MAX_ACCESS_SIZE}", size
+        elif address + size > ADDRESS_LIMIT:
+            field, rule, value = "end (address + size)", "at most 2**64", address + size
         elif thread.__class__ is not int or thread < 0:
             field, rule, value = "thread", "an int >= 0", thread
         elif thread >= ADDRESS_LIMIT and 0 < (digits := _digit_limit()) and thread >= 10**digits:
@@ -288,7 +293,7 @@ def decode_event(line: str) -> tuple[str, int, int, int] | None:
     except ValueError:  # more digits than int() converts
         return None
     address = int(address, 16)
-    if not 1 <= size <= MAX_ACCESS_SIZE or address >= ADDRESS_LIMIT:
+    if not 1 <= size <= MAX_ACCESS_SIZE or address + size > ADDRESS_LIMIT:
         return None
     return tag, address, size, thread
 
@@ -388,8 +393,8 @@ def parse_line(
     if tag in _KIND_BY_TAG:
         raise TraceParseError(
             f"malformed event record {excerpt(line)}: expected "
-            f"'<hexaddr>,<size>[ t<tid>]' in ASCII, address below 2**64, "
-            f"size 1..{MAX_ACCESS_SIZE}",
+            f"'<hexaddr>,<size>[ t<tid>]' in ASCII, size 1..{MAX_ACCESS_SIZE}, "
+            f"address + size at most 2**64",
             lineno,
         )
     if tag == "C":

@@ -59,7 +59,8 @@ def split_parse_event(line):
         raise TraceParseError("malformed address/size") from None
     if not 1 <= size <= MAX_ACCESS_SIZE:
         raise TraceParseError("size out of range")
-    if address >= 2**64:
+    # the access must end inside the 64-bit address space
+    if address + size > 2**64:
         raise TraceParseError("address out of range")
     thread = 0
     if len(parts) == 3:

@@ -299,6 +299,45 @@ def test_interrupt_exits_130_without_a_traceback(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_out_of_memory_is_one_line_and_exit_2(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("workset.cli.run_analysis", exhausted)
+    path = tmp_path / "trace.txt"
+    path.write_text("I  00400000,4\n")
+    assert main(["analyze", str(path), "-o", str(tmp_path / "out.txt")]) == INPUT_ERROR
+    assert capsys.readouterr() == ("", "workset analyze: out of memory\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
+# runs main with the address space capped at 32 MB above what the
+# interpreter holds once the CLI is imported
+_CAPPED_MAIN = """
+import resource, sys
+from workset.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + (32 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and caps RLIMIT_AS")
+def test_running_out_of_memory_in_a_child_is_one_line(tmp_path):
+    # every load touches a page of its own, so the page tables outgrow the cap
+    path = tmp_path / "trace.txt"
+    with path.open("w") as f:
+        for i in range(400_000):
+            f.write(f"I  {0x400000 + 4 * i:08x},4\n L {(i + 0x10000) << 12:x},8\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "analyze", "--tau", "100000", str(path)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        INPUT_ERROR, "", "workset analyze: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "stream, argv", [("stdin", ["analyze"]), ("stdout", ["gen", "pageramp", *TINY_FLAGS])]
 )

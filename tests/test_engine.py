@@ -35,6 +35,7 @@ from workset.trace import (
     MAX_ACCESS_SIZE,
     AccessKind,
     CallStackDecl,
+    LineMemo,
     StackActivation,
     Stream,
     TraceEvent,
@@ -807,7 +808,27 @@ def test_results_when_the_line_memo_admits_on_second_miss(monkeypatch):
     # the memo once it admitted them
     event_lines = [line for line in lines if not line.startswith(("C", "U"))]
     assert len(set(event_lines)) < len(decoded_at) < len(event_lines)
-    for res in (from_text, run_analysis(read_trace(lines), cfg)):
+    analyses = [from_text, run_analysis(read_trace(lines), cfg)]
+    # a memo of 64 entries fills and is cleared many times a run; the
+    # engine's clears its shared values with it. Each memo's entries and
+    # values after each add, keyed by whether it shares values
+    monkeypatch.setattr("workset.trace.LINE_MEMO_SIZE", 64)
+    held = {True: [], False: []}
+    add = LineMemo.add
+
+    def add_and_count(memo, *args):
+        add(memo, *args)
+        values = memo._values
+        held[values is not None].append((len(memo._entries), len(values or ())))
+
+    monkeypatch.setattr(LineMemo, "add", add_and_count)
+    analyses += [run_analysis(lines, cfg), run_analysis(read_trace(lines), cfg)]
+    for shared, sizes in held.items():
+        assert max(entries for entries, _ in sizes) == 64
+        assert all(values <= entries if shared else values == 0 for entries, values in sizes)
+        # cleared more than once
+        assert sizes.count((1, int(shared))) > 1
+    for res in analyses:
         assert (triples(res.samples), (ranking(res.insn), ranking(res.data))) == expected
         for tid, (series, hot) in per_thread.items():
             sub = res.threads[tid]

@@ -149,6 +149,19 @@ def test_numbers_are_shown_bounded(make, message):
     assert str(info.value) == message
 
 
+def test_an_access_past_the_address_space_is_refused():
+    # its last byte would lie in page 2**52, which no 64-bit address is in
+    with pytest.raises(ValueError) as info:
+        TraceEvent(AccessKind.DATA_LOAD, 2**64 - 1, 8)
+    assert str(info.value) == (
+        "event end (address + size) must be at most 2**64, got 18446744073709551623")
+    with pytest.raises(ValueError) as info:
+        parse_record("I  ffffffffffffffff,8\n", 1, {}, strict=True)
+    assert str(info.value) == (
+        "line 1: malformed event record 'I  ffffffffffffffff,8': expected "
+        "'<hexaddr>,<size>[ t<tid>]' in ASCII, size 1..65536, address + size at most 2**64")
+
+
 @pytest.mark.parametrize(
     "record,shown",
     [

@@ -107,6 +107,7 @@ def test_frames_may_contain_spaces():
         " L 0,65537",         # above MAX_ACCESS_SIZE
         " L 0,68719476736",   # would touch 16M pages
         " L 1" + "0" * 16 + ",4",  # address 2**64
+        "I  ffffffffffffffff,8",   # ends past 2**64
         pytest.param("I  " + "f" * 3600 + ",4", id="huge-address"),
         pytest.param("U " + "1 " * 3000, id="long-activation"),
         pytest.param("Q" * 5000, id="long-tag"),
@@ -478,6 +479,8 @@ def test_address_bound():
     for address in (2**64, -1):
         with pytest.raises(ValueError):
             write_trace([TraceEvent(AccessKind.DATA_LOAD, address, 1)], io.StringIO())
+    # an access may end at 2**64, and not past it (see test_error_messages.py)
+    assert parse_line(" L fffffffffffffff8,8") == TraceEvent(AccessKind.DATA_LOAD, 2**64 - 8, 8)
 
 
 def test_round_trip_simple():
@@ -607,7 +610,8 @@ def test_run_analysis_takes_exactly_what_write_trace_writes(records):
 # line is refused wherever it stands in a trace of record_sequences()
 JUNK = {
     "malformed event": [" L 1000,0\n", "I  zz,4\n", f" S 1000,{MAX_ACCESS_SIZE + 1}\n",
-                        "I  1" + "0" * 16 + ",4\n", " M 1000,4 tx\n", "I 1000\n"],
+                        "I  1" + "0" * 16 + ",4\n", " M 1000,4 tx\n", "I 1000\n",
+                        "I  ffffffffffffffff,8\n"],
     "bad C line": ["C x: a\n", "C 5 a\n", "C 5: a||b\n", "C -1: a\n", "C :\n"],
     "bad U line": ["U 0\n", "U a 1\n", "U 0 1 2\n", "U\n", "U -1 0\n"],
     "undecodable bytes": ["I  10\udcff00,4\n", "C 5: f\udcffg\n", "\udcff\n",
