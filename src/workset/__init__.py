@@ -10,7 +10,7 @@ round out the toolkit.
 """
 
 from .engine import AnalysisConfig, run_analysis
-from .peak import PeakDetector, PeakParams, PeakVerdict, detect_series
+from .peak import PeakParams, PeakVerdict, detect_series
 from .report import (
     CSV_HEADER,
     AnalysisResult,
@@ -47,7 +47,6 @@ __all__ = [
     "HotPageEntry",
     "PagerampConfig",
     "PeakAnnotation",
-    "PeakDetector",
     "PeakParams",
     "PeakVerdict",
     "StackActivation",

@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("input", help="trace file, '-' for stdin if it can be rewound")
     sweep.add_argument("--tau-min", type=_int, help="smallest tau")
     sweep.add_argument("--tau-max", type=_int, help="largest tau")
-    sweep.add_argument("--points", type=_int, help=f"number of taus, at most {SWEEP_POINTS_MAX}")
+    sweep.add_argument("--points", type=_int, help=(
+        f"number of taus, at most {SWEEP_POINTS_MAX}; 1 only when --tau-min equals --tau-max"))
     sweep.add_argument("--every", type=_int, help=(
         "fixed sampling interval, which makes the columns monotone in tau (default: "
         "each tau, so the windows tile the trace and the columns need not be monotone)"))

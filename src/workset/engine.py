@@ -47,9 +47,10 @@ import heapq
 from array import array
 from collections import Counter, _count_elements
 from itertools import islice
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
-from .peak import PeakDetector, PeakParams
+from .peak import PeakParams, judge
 from .report import (
     AnalysisResult,
     HotPageEntry,
@@ -139,6 +140,10 @@ class SweepConfig(Struct):
         check_int("points", self.points)
         if self.points > SWEEP_POINTS_MAX:
             raise ValueError(f"points must be <= {SWEEP_POINTS_MAX}, got {show_int(self.points)}")
+        # both ends are swept, so one point covers only a range of one tau
+        if self.points == 1 and self.tau_min != self.tau_max:
+            raise ValueError(f"points must be >= 2 to sweep tau_min {show_int(self.tau_min)} "
+                             f"to tau_max {show_int(self.tau_max)}, got 1")
         if self.every is not None:
             check_int("every", self.every)
 
@@ -193,26 +198,18 @@ class _Table:
 
         A page's info text comes from label_map when it has an entry, else
         from the innermost frame of its first touch's stack in ``stacks``
-        (the trace's declarations), else stays blank. Only pages whose
-        count reaches the n-th largest count are sorted, and only the
-        winners become entries."""
+        (the trace's declarations), else stays blank. One heap of ``n``
+        (-count, page) pairs ranks the pages, so ties cost no sort and
+        the extra memory is O(n)."""
         check_int("n", n, minimum=0)
         count = self._count
-        cut = heapq.nlargest(n, count.values())
-        if not cut:
-            return []
-        least = cut[-1]
-        ranked = [page for page, c in count.items() if c >= least]
-        ranked.sort()
-        # a stable sort keeps equal counts in page order
-        ranked.sort(key=count.__getitem__, reverse=True)
         labels = label_map if label_map is not None else {}
         first = self._first
         out = []
-        for page in ranked[:n]:
+        for negated, page in heapq.nsmallest(n, zip(map(neg, count.values()), count)):
             frames = stacks.get(first.get(page))
             info = labels[page] if page in labels else frames[0] if frames else ""
-            out.append(HotPageEntry(count[page], page, info))
+            out.append(HotPageEntry(-negated, page, info))
         return out
 
 
@@ -326,24 +323,21 @@ class _ScopeState:
     ) -> AnalysisResult:
         """This scope's samples, per-stream summaries and hot pages, and
         annotations; ``threads`` is the per-thread breakdown, if any.
-        With peak detection one detector per stream judges the finished
-        columns. Each peak appends one annotation, in _STREAMS order,
+        With peak detection each finished column is judged. Each peak
+        appends one annotation, by sample and then in _STREAMS order,
         that names the stack the scope ran under at the sample; the
         series marks its samples from them."""
         every, first = cfg.every, self.first_sample
         times = range(every * first, every * (first + len(self.wss[0])), every)
         annotations: list[PeakAnnotation] = []
         if self.stack_refs is not None:
-            insn_detector, data_detector = (PeakDetector(cfg.peak_params()) for _ in _STREAMS)
-            for t, wss_insn, wss_data, ref in zip(times, *self.wss, self.stack_refs):
-                fired = (insn_detector.update(wss_insn).is_peak,
-                         data_detector.update(wss_data).is_peak)
-                if any(fired):
-                    frames = stacks.get(ref, ())
-                    for stream, peak in zip(_STREAMS, fired):
-                        if peak:
-                            annotations.append(PeakAnnotation(
-                                len(annotations), t, stream, len(set(frames)), frames))
+            params = cfg.peak_params()
+            fired = sorted((i, n) for n, values in enumerate(self.wss)
+                           for i, verdict in enumerate(judge(values, params)) if verdict[0])
+            for i, n in fired:
+                frames = stacks.get(self.stack_refs[i], ())
+                annotations.append(PeakAnnotation(
+                    len(annotations), times[i], _STREAMS[n], len(set(frames)), frames))
         insn, data = (
             StreamResult(
                 Summary(stream, sum(values) / len(values) if values else 0.0,

@@ -1,8 +1,8 @@
-"""Streaming peak detection with a dispersion-adaptive threshold.
+"""Peak detection with a dispersion-adaptive threshold.
 
-The detector keeps an exponential moving average ``mean`` and moving
-variance ``var`` of the sample stream. For each new sample x (after the
-first, which only seeds the statistics) it computes
+``judge`` runs one series, keeping an exponential moving average
+``mean`` and moving variance ``var`` of its samples. For each sample x
+(after the first, which only seeds the statistics) it computes
 
     distance   = |x - mean|
     dispersion = var / mean          (0 when mean is ~0)
@@ -23,13 +23,23 @@ Statistics are then advanced with
 where x" is the raw sample normally, but while a peak is flagged the
 damped value x" = phi * x + (1 - phi) * mean is used instead, so a
 burst does not drag the baseline up and mask peaks that follow it.
+
+At the default g = 1 a zero sample fires whenever 0 < var < mean: its
+distance is the mean itself, and the threshold blends var and mean. A
+fired zero's damped update shrinks the mean by only alpha * phi (6% at
+the defaults) while var falls faster, so the zeros after a short burst
+can be flagged one after another up to the next burst. The step
+workload sampled at tau = 50, every = 10 flags 3,906 of its 4,100 data
+samples this way, 3,705 of them zeros; at tau = every = 1000 only the
+step itself fires.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable
+from itertools import starmap
+from typing import Iterable, Iterator
 
 from .trace import Struct, check_type, show_int
 
@@ -38,7 +48,7 @@ _MEAN_EPS = 1e-9
 
 
 class PeakParams(Struct):
-    """Detector knobs. Defaults work well for working set size series."""
+    """Peak detection knobs. Defaults work well for working set size series."""
 
     __match_args__ = ("alpha", "phi", "g")
     alpha = 0.3  # moving average decay
@@ -56,13 +66,13 @@ class PeakParams(Struct):
         if not self.g > 0.0:
             raise ValueError(f"g must be > 0, got {show_int(self.g)}")
         # an infinite g turns detection off, and an int past the float range
-        # fails only when the detector multiplies by it, after the pass
+        # fails only when judging multiplies by it, after the pass
         if self.g > sys.float_info.max:
             raise ValueError(f"g must be finite, got {show_int(self.g)}")
 
 
 class PeakVerdict(Struct):
-    """Outcome of feeding one sample to the detector."""
+    """The judgement of one sample of a series."""
 
     __slots__ = __match_args__ = ("is_peak", "distance", "threshold", "dispersion")
 
@@ -74,48 +84,30 @@ class PeakVerdict(Struct):
         self.dispersion = dispersion  # variance-to-mean ratio used to blend the threshold
 
 
-class PeakDetector:
-    """Mutable detector state; feed samples through update().
-
-    At the default g = 1 a zero sample fires whenever 0 < var < mean:
-    its distance is the mean itself, and the threshold blends var and
-    mean. A fired zero's damped update shrinks the mean by only
-    alpha * phi (6% at the defaults) while var falls faster, so the
-    zeros after a short burst can be flagged one after another up to
-    the next burst. The step workload sampled at tau = 50, every = 10
-    flags 3,906 of its 4,100 data samples this way, 3,705 of them
-    zeros; at tau = every = 1000 only the step itself fires.
-    """
-
-    def __init__(self, params: PeakParams | None = None):
-        self.params = params if params is not None else PeakParams()
-        self.mean = 0.0
-        self.var = 0.0
-        self.initialized = False
-
-    def update(self, x: float) -> PeakVerdict:
-        """Advance the detector by one sample and judge it."""
-        if not self.initialized:
-            self.mean = float(x)
-            self.var = 0.0
-            self.initialized = True
-            return PeakVerdict(False, 0.0, 0.0, 0.0)
-        p = self.params
-        mean = self.mean
+def judge(values: Iterable[float],
+          params: PeakParams | None = None) -> Iterator[tuple[bool, float, float, float]]:
+    """Run the recurrences over a series, yielding each sample's verdict
+    as the fields of a PeakVerdict: (is_peak, distance, threshold,
+    dispersion)."""
+    p = params if params is not None else PeakParams()
+    alpha, phi, g = p.alpha, p.phi, p.g
+    samples = iter(values)
+    for x in samples:  # the first sample only seeds the statistics
+        mean, var = float(x), 0.0
+        yield False, 0.0, 0.0, 0.0
+        break
+    for x in samples:
         distance = abs(x - mean)
-        dispersion = self.var / mean if mean > _MEAN_EPS else 0.0
+        dispersion = var / mean if mean > _MEAN_EPS else 0.0
         c = 1.0 - math.exp(-dispersion / 2.0)
-        threshold = c * p.g * self.var + (1.0 - c) * p.g * mean
+        threshold = c * g * var + (1.0 - c) * g * mean
         is_peak = distance > threshold
-        value = p.phi * x + (1.0 - p.phi) * mean if is_peak else float(x)
-        self.mean = p.alpha * value + (1.0 - p.alpha) * mean
-        self.var = p.alpha * (value - mean) ** 2 + (1.0 - p.alpha) * self.var
-        return PeakVerdict(is_peak, distance, threshold, dispersion)
+        value = phi * x + (1.0 - phi) * mean if is_peak else float(x)
+        var = alpha * (value - mean) ** 2 + (1.0 - alpha) * var
+        mean = alpha * value + (1.0 - alpha) * mean
+        yield is_peak, distance, threshold, dispersion
 
 
-def detect_series(
-    values: Iterable[float], params: PeakParams | None = None
-) -> list[PeakVerdict]:
-    """Run a fresh detector over a whole series and collect the verdicts."""
-    det = PeakDetector(params)
-    return [det.update(x) for x in values]
+def detect_series(values: Iterable[float], params: PeakParams | None = None) -> list[PeakVerdict]:
+    """Judge a whole series, one PeakVerdict per sample."""
+    return list(starmap(PeakVerdict, judge(values, params)))

@@ -470,6 +470,8 @@ OUT_OF_RANGE = [
     (["sweep", "-", "--tau-min", str(2**53 + 1), "--tau-max", str(2**53 + 1)], "tau_min"),
     # one pass per tau, and one step per point to build the grid
     (["sweep", "-", "--points", "1000000000000"], "points"),
+    # one point would sweep tau_min alone
+    (["sweep", "-", "--points", "1", "--tau-min", "5", "--tau-max", "20"], "points"),
 ]
 
 
@@ -711,7 +713,7 @@ def test_sweep_columns_are_monotone_at_a_fixed_every(tmp_path, capsys):
 def test_sweep_reports_a_malformed_line(tmp_path, capsys, line, says):
     trace = tmp_path / "trace.txt"
     trace.write_bytes(b"I  00400000,4\n" + line)
-    assert main(["sweep", str(trace), "--points", "1"]) == INPUT_ERROR
+    assert main(["sweep", str(trace), "--points", "1", "--tau-max", "100"]) == INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"workset sweep: {says}")
     assert len(err.splitlines()) == 1
@@ -736,6 +738,16 @@ def test_sweep_refuses_more_points_than_the_cap(tmp_path, capsys, value, shown):
     trace.write_text(SWEEP_TRACE)
     assert main(["sweep", str(trace), "--points", value]) == USAGE_ERROR
     assert capsys.readouterr() == ("", f"workset sweep: points must be <= 10000, got {shown}\n")
+
+
+def test_sweep_refuses_one_point_for_two_ends(tmp_path, capsys):
+    # both ends are swept, and one point would drop tau_max
+    trace = tmp_path / "trace.txt"
+    trace.write_text(SWEEP_TRACE)
+    argv = ["sweep", str(trace), "--points", "1", "--tau-min", "5", "--tau-max", "20"]
+    assert main(argv) == USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "workset sweep: points must be >= 2 to sweep tau_min 5 to tau_max 20, got 1\n")
 
 
 def test_sweep_refuses_a_pipe_and_reads_redirected_stdin(tmp_path, capsys):

@@ -29,8 +29,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # to the public API, made here on purpose
 PUBLIC_API = [
     "AccessKind", "AnalysisConfig", "AnalysisResult", "CSV_HEADER", "CallStackDecl",
-    "HotPageEntry", "PagerampConfig", "PeakAnnotation", "PeakDetector", "PeakParams",
-    "PeakVerdict", "StackActivation", "StepConfig", "Stream", "StreamResult", "Summary",
+    "HotPageEntry", "PagerampConfig", "PeakAnnotation", "PeakParams", "PeakVerdict",
+    "StackActivation", "StepConfig", "Stream", "StreamResult", "Summary",
     "TraceEvent", "TraceParseError", "WssSample", "detect_series", "emit", "format_summary",
     "gen_pageramp", "gen_step", "load_label_map", "parse_line", "read_trace", "run_analysis",
     "write_trace",

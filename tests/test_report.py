@@ -3,6 +3,7 @@ four emitters. CSV and JSON are checked field by field against the
 result they render, because the column set and field names are
 contractual (docs/result-schema.md)."""
 
+import hashlib
 import io
 import json
 import random
@@ -43,7 +44,7 @@ from workset.report import (
     format_summary,
     load_label_map,
 )
-from workset.trace import AccessKind, Stream, TraceEvent
+from workset.trace import AccessKind, CallStackDecl, StackActivation, Stream, TraceEvent
 from workset.workloads import StepConfig, gen_step
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -162,6 +163,22 @@ def test_hot_pages_match_a_full_sort(batches, n, labels):
     ]
     entries = table.hot_pages(n, stacks, labels)
     assert [(e.count, e.page, e.info) for e in entries] == expected
+
+
+def test_hot_pages_of_tied_pages_take_memory_for_the_answer_only():
+    # pages touched once all tie at the cut: ranking them must neither
+    # copy nor sort them
+    pages = random.Random(3).sample(range(1 << 40), 100_000)
+    table = _BucketTable()
+    table.add(pages, 1, 1)
+    tracemalloc.start()
+    try:
+        entries = table.hot_pages(10, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(e.count, e.page) for e in entries] == [(1, page) for page in sorted(pages)[:10]]
+    assert peak < 16_384
 
 
 def test_hot_pages_counts_sum_to_total_accesses():
@@ -707,3 +724,53 @@ def test_emit_dispatch(format):
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit(manual_result(), "yaml", io.StringIO())
+
+
+# --------------------------------------------------------------------------
+# pinned bytes
+
+
+def stack_switching_threads():
+    """Three threads taking turns, 40 events each, under three declared
+    stacks that they switch between now and then."""
+    rng = random.Random(32)
+    records = [CallStackDecl(0, ("main.c:1",)), CallStackDecl(1, ("scan.c:7", "main.c:1")),
+               CallStackDecl(2, ("copy.c:3", "scan.c:7", "main.c:1"))]
+    for ev in make_random_events(rng, 6000, threads=(0, 1, 2), run=40):
+        if rng.random() < 0.01:
+            records.append(StackActivation(ev.thread, rng.randrange(3)))
+        records.append(ev)
+    return records
+
+
+PINNED = {
+    # the step workload sampled finely: 3,906 data peaks, most of them zeros
+    "step": (lambda: gen_step(StepConfig()), AnalysisConfig(tau=50, every=10, peak_detect=True), {
+        "text": "f4147c7fb79cd27aef3af9096427218a5cf9c641b8a27093a12eb027fbe18543",
+        "csv": "169f8fa48f7319e4bd5ed916d841da8231b70e8c3a7ff5775ee53c792a99e656",
+        "json": "327e2f5fcc34d1064e3ba649a67f0af7003e33a277066df5e5652b9e4f1d6950",
+        "svg": "076ecee71b5622f9045baf2099b9fce50b3848a1598e9b4e76ba8e179fef58fb",
+    }),
+    # peaks on both streams of every scope, under four stacks (none among them)
+    "threads": (stack_switching_threads, AnalysisConfig(
+        tau=40, every=10, per_thread=True, peak_detect=True, peak_g=0.5), {
+        "text": "b17bddaf21d4445ab702e3d68710a865d6c033bd256ab72b88ddbfa185dbedc7",
+        "csv": "24b3c529b66550d9445184010d7bfad60dd978bcac9acbc536432c29d108efea",
+        "json": "e335d6ba623a00529040772014b020ba54acbef0363b7050ad23fad9f53b9179",
+        "svg": "c6eab000fe721006a122919e2181dd232aba3f6d34fddffc3c5db57cbb282451",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_emitted_bytes_are_pinned(name):
+    # a change to the engine, the peak post-pass or an emitter that is
+    # meant to keep every output must keep these digests
+    records, cfg, digests = PINNED[name]
+    result = run_analysis(records(), cfg)
+    got = {}
+    for fmt in FORMATS:
+        sink = io.StringIO()
+        emit(result, fmt, sink)
+        got[fmt] = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+    assert got == digests
